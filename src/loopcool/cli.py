@@ -22,14 +22,10 @@ import numpy as np
 
 from . import feedback, ingest, langevin, model, optimize, presets, spectra
 from .errors import (
-    BandError,
-    ConvergenceError,
-    CurveDomainError,
-    FitError,
     InstabilityBoundaryError,
     LoopcoolError,
+    NoStablePointError,
     OptomechanicalInstabilityError,
-    ParseError,
     ValidationError,
 )
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
@@ -40,16 +36,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNSTABLE = 3
 
-_VALIDATION_ERRORS = (
-    ValidationError,
-    ParseError,
-    CurveDomainError,
-    BandError,
-    FitError,
-    ConvergenceError,
-    KeyError,
+_INSTABILITY_ERRORS = (
+    OptomechanicalInstabilityError,
+    InstabilityBoundaryError,
+    NoStablePointError,
 )
-_INSTABILITY_ERRORS = (OptomechanicalInstabilityError, InstabilityBoundaryError)
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
@@ -582,12 +573,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except LoopcoolError as exc:
-        if "no stable point" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNSTABLE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _VALIDATION_ERRORS as exc:
+        # validation, parse, band, curve-domain and convergence failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -16,18 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import feedback, model
-from .errors import (
-    InstabilityBoundaryError,
-    OptomechanicalInstabilityError,
-    ValidationError,
-)
+from .errors import OptomechanicalInstabilityError, ValidationError
 from .feedback import EffectiveCavity
 from .model import CavityParams, FeedbackConfig, MechanicsParams
 
 #: advisory threshold for the weak-coupling formulas
 WEAK_COUPLING_RATIO = 1.0 / 20.0
-
-_BOUNDARY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,11 +65,7 @@ class CoolingReport:
 def feedback_lambda(p: CavityParams, fb: FeedbackConfig, omega):
     """Lambda(w) = 2 zeta_c(w) g_fb(w) / [1 - 2 sqrt(eta) zeta_out(w) g_fb(w)],
     the in-loop modification of the cavity amplitude quadrature."""
-    d = np.asarray(feedback.loop_denominator(p, fb, omega))
-    if np.any(np.abs(d) < _BOUNDARY_EPS):
-        raise InstabilityBoundaryError(
-            "loop denominator vanished: configuration on instability boundary"
-        )
+    d = feedback.checked_loop_denominator(p, fb, omega)
     num = 2.0 * np.asarray(model.zeta_cavity(p, 0.0, omega)) * np.asarray(
         fb.gain(omega)
     )

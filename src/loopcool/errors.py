@@ -22,6 +22,10 @@ class OptomechanicalInstabilityError(LoopcoolError):
     """Total mechanical damping is negative; no stationary state exists."""
 
 
+class NoStablePointError(LoopcoolError):
+    """An optimization found no stable operating point within its bounds."""
+
+
 class BandError(LoopcoolError, ValueError):
     """Frequency band too narrow or too coarsely sampled for the request."""
 

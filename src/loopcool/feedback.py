@@ -28,6 +28,10 @@ SINGLE_POLE_DELAY_PRODUCT = 0.2
 
 _BOUNDARY_EPS = 1e-12
 _EDGE_LOOP_GUARD = 1e-3
+#: initial contour samples across the band and in each window around +-Delta
+_CONTOUR_SAMPLES = 4096
+#: refinement cap of the winding test; beyond it the sampling is too coarse
+_MAX_CONTOUR_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,17 @@ def loop_denominator(p: CavityParams, fb: FeedbackConfig, omega):
     return 1.0 - loop_factor(p, fb, omega)
 
 
+def checked_loop_denominator(p: CavityParams, fb: FeedbackConfig, omega) -> np.ndarray:
+    """D(w) as an array, raising InstabilityBoundaryError where it vanishes
+    (loop spectra divide by it and are undefined there)."""
+    d = np.asarray(loop_denominator(p, fb, omega))
+    if np.any(np.abs(d) < _BOUNDARY_EPS):
+        raise InstabilityBoundaryError(
+            "loop denominator vanished: configuration on instability boundary"
+        )
+    return d
+
+
 def open_loop_transfer(p: CavityParams, fb: FeedbackConfig, omega):
     """Complete open-loop transfer function of the transmission loop,
 
@@ -90,23 +105,13 @@ def squash_spectrum(p: CavityParams, fb: FeedbackConfig, omega):
 
     Values below 1 are squashing, above 1 anti-squashing.
     """
-    d = np.asarray(loop_denominator(p, fb, omega))
-    mag2 = np.abs(d) ** 2
-    if np.any(np.abs(d) < _BOUNDARY_EPS):
-        raise InstabilityBoundaryError(
-            "loop denominator vanished: configuration on instability boundary"
-        )
-    out = 1.0 / mag2
+    out = 1.0 / np.abs(checked_loop_denominator(p, fb, omega)) ** 2
     return out if out.ndim else float(out)
 
 
 def effective_susceptibility(p: CavityParams, fb: FeedbackConfig, omega):
     """Exact closed-loop susceptibility chi_eff(w) = chi_c(w)/D(w)."""
-    d = np.asarray(loop_denominator(p, fb, omega))
-    if np.any(np.abs(d) < _BOUNDARY_EPS):
-        raise InstabilityBoundaryError(
-            "loop denominator vanished: configuration on instability boundary"
-        )
+    d = checked_loop_denominator(p, fb, omega)
     out = np.asarray(model.cavity_susceptibility(p, omega)) / d
     return out if out.ndim else complex(out)
 
@@ -144,32 +149,23 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
 def _cavity_mediated_loop(p, fb, omega):
     """Loop factor without the direct (instantaneous) reflection path; used
     for band-edge guards, where a flat gain model is read as band-limited."""
-    kappa_fb, theta_fb, _z = model.port_constants(p, fb)
-    psi = fb.phi - theta_fb
-    chi_p = model.cavity_susceptibility(p, omega)
-    chi_m = np.conjugate(model.cavity_susceptibility(p, -np.asarray(omega, float)))
-    pref = math.sqrt(p.kappa0 * kappa_fb) / (2.0 * p.kappa)
-    zeta_cav = pref * (chi_p * np.exp(1j * psi) + chi_m * np.exp(-1j * psi))
+    _kappa_fb, theta_fb, z = model.port_constants(p, fb)
+    zeta_cav = model.zeta_out(p, fb, omega) + (1 - z) * math.cos(fb.phi - theta_fb)
     return 2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(omega)
 
 
-def nyquist_stability(
-    p: CavityParams,
-    fb: FeedbackConfig,
-    band: tuple[float, float] | None = None,
-    samples: int = 4096,
-    max_points: int = 2_000_000,
-) -> StabilityVerdict:
-    """Winding number of D(w) = 1 - 2*sqrt(eta)*zeta_out*g_fb around 0 as w
-    runs from -w_hi to +w_hi; stable iff the winding number is zero.
+def loop_contour(
+    p: CavityParams, fb: FeedbackConfig, band: tuple[float, float] | None = None
+) -> np.ndarray:
+    """Sorted real-frequency contour for the winding tests, from -hi to +hi.
 
     The band must cover every frequency where the cavity-mediated loop is
-    non-negligible (|loop| < 1e-3 at the edges, else BandError).  The grid
-    is refined until adjacent phase steps stay below pi/2; if refinement
-    hits `max_points` the sampling is reported as too coarse.  For a flat
+    non-negligible (|loop| < 1e-3 at the edges, else BandError).  For a flat
     gain on the reflection port the direct (cavity-bypassing) term does not
     decay with frequency; it is treated as band-limited, matching a filter
-    that is flat over the band and rolls off beyond it.
+    that is flat over the band and rolls off beyond it.  A tabulated gain
+    clips the contour to its measured band; the gap around zero carries no
+    winding provided the loop is negligible at its edges.
     """
     if band is None:
         band = _default_band(p, fb)
@@ -177,16 +173,12 @@ def nyquist_stability(
     if not 0.0 <= lo < hi:
         raise BandError("band must satisfy 0 <= lo < hi")
     if isinstance(fb.gain, Tabulated):
-        # keep the contour inside the measured band; the gap around zero
-        # carries no winding provided the loop is negligible at its edges
         lo = max(lo, fb.gain.curve.domain[0])
         hi = min(hi, fb.gain.curve.domain[1])
 
     edges = np.array([-hi, hi] if lo == 0.0 else [-hi, -lo, lo, hi])
-    if fb.port is Port.TRANSMISSION or isinstance(fb.gain, Tabulated):
-        edge_loop = np.abs(loop_factor(p, fb, edges))
-    else:
-        edge_loop = np.abs(_cavity_mediated_loop(p, fb, edges))
+    loop = loop_factor if isinstance(fb.gain, Tabulated) else _cavity_mediated_loop
+    edge_loop = np.abs(loop(p, fb, edges))
     if np.any(edge_loop > _EDGE_LOOP_GUARD):
         raise BandError(
             f"band too narrow: loop factor {edge_loop.max():.2e} at the edges "
@@ -194,31 +186,53 @@ def nyquist_stability(
         )
 
     # dense windows around the resonant features, coarse contour elsewhere
-    grid = [np.linspace(-hi, hi, samples)]
+    grid = [np.linspace(-hi, hi, _CONTOUR_SAMPLES)]
     for center in (-abs(p.detuning), abs(p.detuning)):
-        grid.append(np.linspace(center - 8 * p.kappa, center + 8 * p.kappa, samples))
+        grid.append(
+            np.linspace(center - 8 * p.kappa, center + 8 * p.kappa, _CONTOUR_SAMPLES)
+        )
     omega = np.unique(np.concatenate(grid))
     omega = omega[(omega >= -hi) & (omega <= hi)]
     if lo > 0.0:
         omega = omega[np.abs(omega) >= lo]
+    return omega
 
+
+def winding_verdict(fn, omega: np.ndarray) -> StabilityVerdict:
+    """Winding number of fn(w) around 0 along the sorted contour `omega`,
+    refined until adjacent phase steps stay below pi/2; stable iff zero.
+    `fn` must be elementwise in w: each round evaluates only the midpoints.
+    """
+    d = np.asarray(fn(omega))
     while True:
-        d = np.asarray(loop_denominator(p, fb, omega))
         steps = np.angle(d[1:] / d[:-1])
-        bad = np.abs(steps) > (math.pi / 2)
-        if not bad.any():
+        bad = np.flatnonzero(np.abs(steps) > (math.pi / 2))
+        if not bad.size:
             break
-        if omega.size > max_points:
+        if omega.size > _MAX_CONTOUR_POINTS:
             raise BandError(
                 "sampling too coarse: adjacent phase jumps above pi/2 persist "
                 f"after refining to {omega.size} points"
             )
-        mids = 0.5 * (omega[:-1][bad] + omega[1:][bad])
-        omega = np.unique(np.concatenate([omega, mids]))
+        mids = 0.5 * (omega[bad] + omega[bad + 1])
+        omega = np.insert(omega, bad + 1, mids)
+        d = np.insert(d, bad + 1, fn(mids))
 
     winding = int(round(float(steps.sum()) / (2.0 * math.pi)))
     margin = float(np.min(np.abs(d)))
     return StabilityVerdict(stable=(winding == 0), winding_number=winding, margin=margin)
+
+
+def nyquist_stability(
+    p: CavityParams, fb: FeedbackConfig, band: tuple[float, float] | None = None
+) -> StabilityVerdict:
+    """Winding number of D(w) = 1 - 2*sqrt(eta)*zeta_out*g_fb around 0 as w
+    runs over loop_contour; stable iff the winding number is zero.  This is
+    the membrane-decoupled (G = 0) case of langevin.closed_loop_stability.
+    """
+    return winding_verdict(
+        lambda w: loop_denominator(p, fb, w), loop_contour(p, fb, band)
+    )
 
 
 def _default_band(p: CavityParams, fb: FeedbackConfig) -> tuple[float, float]:
@@ -229,11 +243,7 @@ def _default_band(p: CavityParams, fb: FeedbackConfig) -> tuple[float, float]:
     hi = abs(p.detuning) + 64.0 * p.kappa
     for _ in range(24):
         probe = np.array([-hi, hi])
-        if fb.port is Port.TRANSMISSION:
-            lf = np.abs(loop_factor(p, fb, probe))
-        else:
-            lf = np.abs(_cavity_mediated_loop(p, fb, probe))
-        if np.all(lf < _EDGE_LOOP_GUARD):
+        if np.all(np.abs(_cavity_mediated_loop(p, fb, probe)) < _EDGE_LOOP_GUARD):
             return 0.0, hi
         hi *= 2.0
     raise BandError("could not find a band edge with negligible loop factor")

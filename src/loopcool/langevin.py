@@ -25,7 +25,7 @@ from .errors import (
     OptomechanicalInstabilityError,
     ValidationError,
 )
-from .model import CavityParams, FeedbackConfig, MechanicsParams, Port
+from .model import CavityParams, FeedbackConfig, MechanicsParams, Port, Tabulated
 from .spectra import Spectrum
 
 NOISE_LABELS = (
@@ -70,6 +70,71 @@ def correlator_matrix(n_th: float) -> np.ndarray:
     return c
 
 
+def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega):
+    """The closed-loop system M(w) x = N n that solve_rows solves, in the
+    unknowns x = (a, a_conj, b, b_conj, i_fb): the nonzero entries of M keyed
+    by (row, column), the frequency-independent (5, 9) noise matrix N, and
+    g_fb(w)."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    theta, theta_bar = model.input_phase_shifts(p)
+    s0 = math.sqrt(2.0 * p.kappa0)
+    s1 = math.sqrt(2.0 * p.kappa1)
+    sp = math.sqrt(2.0 * p.kappa_prime)
+    sg = math.sqrt(m.gamma_m)
+    e_th = cmath.exp(-1j * theta)
+    g = np.asarray(fb.gain(omega), dtype=complex)
+    noise = np.zeros((5, 9), dtype=complex)
+
+    mat = {}
+
+    # cavity field and its conjugate partner
+    mat[0, 0] = p.kappa + 1j * (p.detuning - omega)
+    mat[0, 2] = -1j * m.G
+    mat[0, 3] = -1j * m.G
+    mat[0, 4] = -s0 * e_th * g
+    noise[0, 0] = s0 * e_th
+    noise[0, 2] = s1
+    noise[0, 4] = sp
+
+    mat[1, 1] = p.kappa - 1j * (p.detuning + omega)
+    mat[1, 2] = 1j * m.G
+    mat[1, 3] = 1j * m.G
+    mat[1, 4] = -s0 * np.conjugate(e_th) * g
+    noise[1, 1] = s0 * np.conjugate(e_th)
+    noise[1, 3] = s1
+    noise[1, 5] = sp
+
+    # mechanical mode
+    mat[2, 2] = m.gamma_m / 2.0 + 1j * (m.omega_m - omega)
+    mat[2, 0] = -1j * m.G
+    mat[2, 1] = -1j * m.G
+    noise[2, 6] = sg
+
+    mat[3, 3] = m.gamma_m / 2.0 - 1j * (m.omega_m + omega)
+    mat[3, 0] = 1j * m.G
+    mat[3, 1] = 1j * m.G
+    noise[3, 7] = sg
+
+    # photocurrent, with the detected-port input-output relation inlined
+    sqrt_eta = math.sqrt(fb.eta)
+    mat[4, 4] = 1.0
+    noise[4, 8] = math.sqrt(1.0 - fb.eta)
+    if fb.port is Port.TRANSMISSION:
+        mat[4, 0] = -sqrt_eta * s1 * cmath.exp(1j * fb.phi)
+        mat[4, 1] = -sqrt_eta * s1 * cmath.exp(-1j * fb.phi)
+        noise[4, 2] = -sqrt_eta * cmath.exp(1j * fb.phi)
+        noise[4, 3] = -sqrt_eta * cmath.exp(-1j * fb.phi)
+    else:
+        e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
+        e_dir = cmath.exp(1j * (fb.phi - theta_bar))
+        mat[4, 0] = -sqrt_eta * s0 * e_out
+        mat[4, 1] = -sqrt_eta * s0 * np.conjugate(e_out)
+        mat[4, 4] = 1.0 + sqrt_eta * g * (e_dir + np.conjugate(e_dir))
+        noise[4, 0] = -sqrt_eta * e_dir
+        noise[4, 1] = -sqrt_eta * np.conjugate(e_dir)
+    return mat, noise, g
+
+
 def solve_rows(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega
 ) -> dict[str, np.ndarray]:
@@ -79,74 +144,15 @@ def solve_rows(
     unknowns, the two output fields, and the derived quadratures
     x_cavity = a + a_conj and q_mech = b + b_conj.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n = omega.size
+    entries, noise, g = system_entries(p, m, fb, omega)
+    mat = np.zeros((g.size, 5, 5), dtype=complex)
+    for (i, j), value in entries.items():
+        mat[:, i, j] = value
     theta, theta_bar = model.input_phase_shifts(p)
     s0 = math.sqrt(2.0 * p.kappa0)
     s1 = math.sqrt(2.0 * p.kappa1)
-    sp = math.sqrt(2.0 * p.kappa_prime)
-    sg = math.sqrt(m.gamma_m)
-    e_th = cmath.exp(-1j * theta)
-    g = np.asarray(fb.gain(omega), dtype=complex)
-    if g.ndim == 0:
-        g = np.full(n, complex(g))
-
-    d_a = p.kappa + 1j * (p.detuning - omega)
-    d_ac = p.kappa - 1j * (p.detuning + omega)
-    d_b = m.gamma_m / 2.0 + 1j * (m.omega_m - omega)
-    d_bc = m.gamma_m / 2.0 - 1j * (m.omega_m + omega)
-
-    mat = np.zeros((n, 5, 5), dtype=complex)
-    rhs = np.zeros((n, 5, 9), dtype=complex)
-
-    # cavity field and its conjugate partner
-    mat[:, 0, 0] = d_a
-    mat[:, 0, 2] = -1j * m.G
-    mat[:, 0, 3] = -1j * m.G
-    mat[:, 0, 4] = -s0 * e_th * g
-    rhs[:, 0, 0] = s0 * e_th
-    rhs[:, 0, 2] = s1
-    rhs[:, 0, 4] = sp
-
-    mat[:, 1, 1] = d_ac
-    mat[:, 1, 2] = 1j * m.G
-    mat[:, 1, 3] = 1j * m.G
-    mat[:, 1, 4] = -s0 * np.conjugate(e_th) * g
-    rhs[:, 1, 1] = s0 * np.conjugate(e_th)
-    rhs[:, 1, 3] = s1
-    rhs[:, 1, 5] = sp
-
-    # mechanical mode
-    mat[:, 2, 2] = d_b
-    mat[:, 2, 0] = -1j * m.G
-    mat[:, 2, 1] = -1j * m.G
-    rhs[:, 2, 6] = sg
-
-    mat[:, 3, 3] = d_bc
-    mat[:, 3, 0] = 1j * m.G
-    mat[:, 3, 1] = 1j * m.G
-    rhs[:, 3, 7] = sg
-
-    # photocurrent, with the detected-port input-output relation inlined
-    sqrt_eta = math.sqrt(fb.eta)
-    mat[:, 4, 4] = 1.0
-    rhs[:, 4, 8] = math.sqrt(1.0 - fb.eta)
-    if fb.port is Port.TRANSMISSION:
-        mat[:, 4, 0] = -sqrt_eta * s1 * cmath.exp(1j * fb.phi)
-        mat[:, 4, 1] = -sqrt_eta * s1 * cmath.exp(-1j * fb.phi)
-        rhs[:, 4, 2] = -sqrt_eta * cmath.exp(1j * fb.phi)
-        rhs[:, 4, 3] = -sqrt_eta * cmath.exp(-1j * fb.phi)
-    else:
-        e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
-        e_dir = cmath.exp(1j * (fb.phi - theta_bar))
-        mat[:, 4, 0] = -sqrt_eta * s0 * e_out
-        mat[:, 4, 1] = -sqrt_eta * s0 * np.conjugate(e_out)
-        mat[:, 4, 4] += sqrt_eta * g * (e_dir + np.conjugate(e_dir))
-        rhs[:, 4, 0] = -sqrt_eta * e_dir
-        rhs[:, 4, 1] = -sqrt_eta * np.conjugate(e_dir)
-
     try:
-        k = np.linalg.solve(mat, rhs)
+        k = np.linalg.solve(mat, np.broadcast_to(noise, (g.size, 5, 9)))
     except np.linalg.LinAlgError as exc:
         raise OptomechanicalInstabilityError(
             "singular closed-loop system: frequency sits on an instability pole"
@@ -335,32 +341,45 @@ def phonon_occupancy(
     return adaptive_integral(integrand, edges, rtol=rtol) / (2.0 * math.pi)
 
 
+def closed_loop_determinant(
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega
+) -> np.ndarray:
+    """R(w) = det M(w) / (d_a d_ac d_b d_bc) for the system solve_rows solves.
+
+    Eliminating the mechanical rows gives R = D(w) + sigma(w) K(w): D is the
+    empty-cavity loop denominator, sigma = G^2 (1/d_bc - 1/d_b) the
+    mechanical self-energy and K the cavity/loop response it perturbs (the
+    sigma^2 terms cancel), so R equals D exactly at G = 0.
+    """
+    e, _noise, _g = system_entries(p, m, fb, omega)
+    d_a, d_ac = e[0, 0], e[1, 1]
+    sigma = m.G**2 * (1.0 / e[3, 3] - 1.0 / e[2, 2])
+    feed = (e[0, 4] + e[1, 4]) * (e[4, 0] - e[4, 1]) / (d_a * d_ac)
+    k = e[4, 4] * (1.0 / d_ac - 1.0 / d_a) - feed
+    return feedback.loop_denominator(p, fb, omega) + sigma * k
+
+
 def closed_loop_stability(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
 ) -> bool:
-    """Loop stability plus positive effective mechanical damping.
-
-    The empty-cavity Nyquist verdict must pass, and a trial spectrum around
-    the mechanical resonance must fit to a Lorentzian with gamma_eff > 0;
-    if the trial fit is inconclusive the weak-coupling damping sign is used.
+    """Generalized Nyquist criterion on the full closed loop: stable iff
+    R(w) (closed_loop_determinant) winds zero times around 0 along the real
+    axis.  R has no poles in the upper half plane and its zeros there are the
+    unstable closed-loop poles, static runaways included.  Seeding the loop
+    contour with the occupancy quadrature's first-round nodes resolves the
+    same mechanical features as the integral.
     """
-    verdict = feedback.nyquist_stability(p, fb)
-    if not verdict.stable:
-        return False
-    if m.G == 0.0:
-        return True
-    try:
-        rates = cooling.scattering_rates(p, m, fb)
-    except LoopcoolError:
-        return False
-    if rates.gamma_opt <= -m.gamma_m:
-        return False
-    try:
-        spec = displacement_spectrum(p, m, fb, points=801, check_stability=False)
-        fit = lorentzian_extract(spec)
-        return fit.gamma_eff > 0.0
-    except (FitError, LoopcoolError):
-        return rates.gamma_opt > -m.gamma_m
+    edges = _occupancy_edges(p, m, fb)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    if isinstance(fb.gain, Tabulated):
+        lo, hi = fb.gain.curve.domain
+        seeds = seeds[(np.abs(seeds) >= lo) & (np.abs(seeds) <= hi)]
+    omega = np.union1d(feedback.loop_contour(p, fb), seeds)
+    verdict = feedback.winding_verdict(
+        lambda w: closed_loop_determinant(p, m, fb, w), omega
+    )
+    return verdict.stable
 
 
 def displacement_spectrum(

@@ -12,7 +12,7 @@ is S = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -125,9 +125,6 @@ class FlatDelay:
         )
         return out if out.ndim else complex(out)
 
-    def scaled(self, factor: float) -> "FlatDelay":
-        return replace(self, amplitude=self.amplitude * factor)
-
 
 @dataclass(frozen=True)
 class TransferCurve:
@@ -225,9 +222,6 @@ class FeedbackConfig:
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError("eta must lie in [0, 1]")
         _finite("phi", self.phi)
-
-    def with_gain_scale(self, factor: float) -> "FeedbackConfig":
-        return replace(self, gain=self.gain.scaled(factor))
 
 
 def cavity_susceptibility(p: CavityParams, omega):

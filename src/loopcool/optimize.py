@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cooling, feedback, langevin, model, presets, spectra
 from .cooling import CoolingReport, RatePair
-from .errors import LoopcoolError, ValidationError
+from .errors import LoopcoolError, NoStablePointError, ValidationError
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -112,8 +112,8 @@ def evaluate(
     if evaluator == "langevin":
         try:
             report = cooling.cooling_report(p, m, fb, check_stability=False)
-            # the exact path carries the full verdict (loop Nyquist plus a
-            # positive fitted mechanical linewidth) inside phonon_occupancy
+            # the exact path carries the full closed-loop verdict (winding of
+            # the closed-loop determinant) inside phonon_occupancy
             n = langevin.phonon_occupancy(p, m, fb, check_stability=True)
         except LoopcoolError as exc:
             return _unstable_report(m, f"unstable: {exc}")
@@ -186,7 +186,7 @@ def minimize_occupancy(
         if n < best:
             best, best_vals = n, vals
     if best_vals is None or not math.isfinite(best):
-        raise LoopcoolError("no stable point in bounds")
+        raise NoStablePointError("no stable point in bounds")
 
     spacing = [
         (hi - lo) / (coarse_points - 1) for lo, hi in bounds

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import cooling, feedback, model
-from .errors import LoopcoolError
+from .errors import LoopcoolError, ValidationError
 from .model import (
     CavityParams,
     FeedbackConfig,
@@ -322,9 +322,6 @@ SYSTEMS = {
 
 
 def get_system(name: str) -> PresetSystem:
-    try:
-        return SYSTEMS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown system {name!r}; known: {sorted(SYSTEMS)}"
-        ) from None
+    if name not in SYSTEMS:
+        raise ValidationError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}")
+    return SYSTEMS[name]()

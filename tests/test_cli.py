@@ -118,6 +118,25 @@ class TestSolveAndOptimize:
         code, _, err = run(["--out", str(tmp_path), "optimize"], capsys)
         assert code == 2
 
+    def test_optimize_without_stable_point_exits_three(self, tmp_path, capsys, experiment):
+        per_amp = experiment.gain_norm_per_amplitude
+        code, _, err = run(
+            ["--out", str(tmp_path), "--points", "3", "optimize",
+             "--free", f"gain_amplitude:{1.05 / per_amp}:{1.5 / per_amp}"],
+            capsys,
+        )
+        assert code == 3
+        assert "no stable point" in err
+
+    def test_unknown_system_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"system": "bogus"}))
+        code, _, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "cooling"], capsys
+        )
+        assert code == 2
+        assert "unknown system" in err
+
 
 class TestPresetCommand:
     def test_fig3_bundle(self, tmp_path, capsys):

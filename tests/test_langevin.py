@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopcool import cooling, feedback, langevin, model
+from loopcool import cooling, feedback, langevin, model, optimize, presets
 from loopcool.errors import FitError, OptomechanicalInstabilityError
 from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
 from loopcool.spectra import Spectrum
@@ -100,6 +102,96 @@ class TestSolveRows:
         np.testing.assert_allclose(
             langevin.observable_spectrum(p, m, fb, w, "i_fb"), 1.0, rtol=1e-12
         )
+
+
+class TestClosedLoopDeterminant:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        w=st.floats(-30.0, 30.0),
+        coupling=st.floats(0.0, 2.0),
+        gain=st.floats(-1.5, 1.5),
+        phi=st.floats(-math.pi, math.pi),
+        eta=st.floats(0.0, 1.0),
+        delay=st.floats(0.0, 1.0),
+        port=st.sampled_from(list(Port)),
+    )
+    def test_matches_determinant_of_solved_system(
+        self, w, coupling, gain, phi, eta, delay, port
+    ):
+        p, m, _ = toy_system(coupling=coupling)
+        fb = FeedbackConfig(port=port, phi=phi, eta=eta, gain=FlatDelay(gain, delay))
+        entries, _, _ = langevin.system_entries(p, m, fb, w)
+        mat = np.zeros((5, 5), dtype=complex)
+        for (i, j), value in entries.items():
+            mat[i, j] = np.ravel(value)[0]
+        diag = mat[0, 0] * mat[1, 1] * mat[2, 2] * mat[3, 3]
+        r = langevin.closed_loop_determinant(p, m, fb, w)
+        np.testing.assert_allclose(r, np.linalg.det(mat) / diag, rtol=1e-10)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        gain=st.floats(-1.5, 1.5),
+        phi=st.floats(-math.pi, math.pi),
+        eta=st.floats(0.0, 1.0),
+        delay=st.floats(0.0, 1.0),
+        port=st.sampled_from(list(Port)),
+    )
+    def test_is_loop_denominator_without_coupling(self, gain, phi, eta, delay, port):
+        p, m, _ = toy_system(coupling=0.0)
+        fb = FeedbackConfig(port=port, phi=phi, eta=eta, gain=FlatDelay(gain, delay))
+        w = np.linspace(-30.0, 30.0, 601)
+        r = langevin.closed_loop_determinant(p, m, fb, w)
+        assert np.array_equal(r, feedback.loop_denominator(p, fb, w))
+
+
+def strong_coupling_case(name, coupling, detuning, amplitude, phi):
+    """Preset system with G, Delta in units of omega_m and the loop's gain
+    amplitude and homodyne phase replaced."""
+    sys = presets.get_system(name)
+    omega_m = sys.mechanics.omega_m
+    p = replace(sys.cavity, detuning=detuning * omega_m)
+    m = replace(sys.mechanics, G=coupling * omega_m)
+    fb = replace(sys.loop, phi=phi, gain=replace(sys.loop.gain, amplitude=amplitude))
+    return p, m, fb
+
+
+class TestClosedLoopStability:
+    # settings that a Nyquist test of the empty-cavity loop plus a Lorentzian
+    # fit of the trial spectrum reported stable (finite occupancies 0.340,
+    # 0.985, 13.9, 13.4) although closed-loop poles sit in the upper half
+    # plane: the zeros of R in omega_m units, the first three purely
+    # imaginary (static runaways no Lorentzian around omega_m can show)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("fig1_optical", 0.6, 0.5, 0.479, math.pi / 2),  # +0.346i
+            ("fig1_optical", 0.477, 1.021, 0.4996, 1.491),  # +0.0751i
+            ("fig1_microwave", 0.597, 0.834, 0.0661, -1.628),  # +0.00896i
+            ("fig1_microwave", 0.508, 1.077, 0.3113, 0.446),  # +-0.857 + 0.0113i
+        ],
+        ids=["optical-a", "optical-b", "microwave-a", "microwave-b"],
+    )
+    def test_strong_coupling_runaway_is_unstable(self, case):
+        p, m, fb = strong_coupling_case(*case)
+        assert langevin.closed_loop_stability(p, m, fb) is False
+        report = optimize.evaluate(p, m, fb, "langevin")
+        assert report.stable is False
+        assert report.n_final == math.inf
+        quiet = replace(fb, gain=replace(fb.gain, amplitude=0.0))
+        assert langevin.closed_loop_stability(p, m, quiet) is True
+
+    @pytest.mark.parametrize(
+        "name", ["experiment", "experiment_empty", "fig1_optical", "fig1_microwave"]
+    )
+    def test_preset_points_are_stable(self, name):
+        sys = presets.get_system(name)
+        assert langevin.closed_loop_stability(sys.cavity, sys.mechanics, sys.loop) is True
+
+    def test_experiment_gain_threshold(self, experiment):
+        sys = experiment
+        p, m = sys.cavity, sys.mechanics
+        assert langevin.closed_loop_stability(p, m, sys.with_gain_norm(0.9)) is True
+        assert langevin.closed_loop_stability(p, m, sys.with_gain_norm(1.05)) is False
 
 
 class TestObservableSpectrum:
