@@ -9,14 +9,12 @@ conjugate-reflection rule and are never stored.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import feedback, model
 from .errors import BandError, ParseError, ValidationError
 from .model import CavityParams, Port, Tabulated, TransferCurve
 from .spectra import TWO_PI, Spectrum
@@ -137,18 +135,17 @@ def cavity_response(
 ) -> np.ndarray:
     """Optical part of the open-loop response for the given detected port.
 
-    Transmission: sqrt(eta*kappa0*kappa1)/kappa * chi(w) * e^{-i theta}
-    (the resonant cavity-times-filter factorization).  Reflection has an
-    instantaneous path from the modulator straight to the detector, so the
-    full quadrature response 2*sqrt(eta)*zeta_out at phi = 0 is used.
+    The loop's open-loop transfer with a unit flat gain: for transmission
+    feedback.open_loop_transfer (the resonant cavity-times-filter
+    factorization).  Reflection has an instantaneous path from the modulator
+    straight to the detector, so the full quadrature response
+    feedback.loop_factor = 2*sqrt(eta)*zeta_out at phi = 0 is used.
     """
     omega = np.asarray(omega, dtype=float)
+    fb = model.FeedbackConfig(port=port, phi=0.0, eta=eta, gain=model.FlatDelay(1.0))
     if port is Port.TRANSMISSION:
-        theta, _ = model.input_phase_shifts(p)
-        pref = math.sqrt(eta * p.kappa0 * p.kappa1) / p.kappa
-        return pref * model.cavity_susceptibility(p, omega) * cmath.exp(-1j * theta)
-    fb = model.FeedbackConfig(port=Port.REFLECTION, phi=0.0, eta=eta)
-    return 2.0 * math.sqrt(eta) * np.asarray(model.zeta_out(p, fb, omega))
+        return np.asarray(feedback.open_loop_transfer(p, fb, omega))
+    return np.asarray(feedback.loop_factor(p, fb, omega))
 
 
 def compose_open_loop(

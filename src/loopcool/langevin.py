@@ -1,9 +1,12 @@
 """Exact frequency-domain solution of the closed-loop linearized dynamics.
 
-Per frequency the five unknowns (a, a_conj, b, b_conj, i_fb) are solved
-against the nine noise inputs; spectra follow by contracting transfer rows
-with the frequency-independent correlator matrix under the
-<O(w)O'(w')> = delta(w+w') S(w) convention.  Valid at any coupling where
+Per frequency the five unknowns x = (a, a_conj, b, b_conj, i_fb) obey
+M(w) x = N n against the nine noise inputs n.  An observable c^T x has the
+transfer row K = c^T M^-1 N, found by one transposed single-RHS solve.
+Because g_fb(-w) = g_fb(w)*, the partner observable's row at -w is the
+conjugate of K with each noise channel swapped for its partner, so under
+the <O(w)O'(w')> = delta(w+w') S(w) convention the spectrum is the
+input-noise sum S(w) = sum_j c_j |K_j(w)|^2.  Valid at any coupling where
 the linearized model applies (the photocurrent is carried as an explicit
 unknown so both ports and finite detection efficiency stay uniform).
 """
@@ -28,53 +31,30 @@ from .errors import (
 from .model import CavityParams, FeedbackConfig, MechanicsParams, Port, Tabulated
 from .spectra import Spectrum
 
-NOISE_LABELS = (
-    "a_in0",
-    "a_in0_conj",
-    "a_in1",
-    "a_in1_conj",
-    "a_prime",
-    "a_prime_conj",
-    "b_in",
-    "b_in_conj",
-    "x_vac",
-)
-
-#: conjugate partners of the solved/derived observables
-CONJUGATE_PARTNER = {
-    "a": "a_conj",
-    "a_conj": "a",
-    "b": "b_conj",
-    "b_conj": "b",
-    "i_fb": "i_fb",
-    "a_out0": "a_out0_conj",
-    "a_out0_conj": "a_out0",
-    "a_out1": "a_out1_conj",
-    "a_out1_conj": "a_out1",
-    "x_cavity": "x_cavity",
-    "q_mech": "q_mech",
+#: weights c over the unknowns x = (a, a_conj, b, b_conj, i_fb) of each
+#: observable c^T x.  n_mech is the phonon-number density <b^dag(w) b(w')>:
+#: its row is b_conj, and the partner row b(-w) closes the contraction.
+OBSERVABLES = {
+    "i_fb": np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+    "x_cavity": np.array([1.0, 1.0, 0.0, 0.0, 0.0]),
+    "q_mech": np.array([0.0, 0.0, 1.0, 1.0, 0.0]),
+    "n_mech": np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
 }
 
-#: noise-channel index swap under conjugation (pairs swap, x_vac fixed)
-_CONJ_CHANNEL = np.array([1, 0, 3, 2, 5, 4, 7, 6, 8])
 
-
-def correlator_matrix(n_th: float) -> np.ndarray:
-    """<n_j(w) n_k(w')> = C_jk delta(w+w'): vacuum optical ports, thermal
-    mechanical bath, unit detection vacuum."""
-    c = np.zeros((9, 9))
-    c[0, 1] = c[2, 3] = c[4, 5] = 1.0
-    c[6, 7] = n_th + 1.0
-    c[7, 6] = n_th
-    c[8, 8] = 1.0
-    return c
+def noise_weights(n_th: float) -> np.ndarray:
+    """c_j of S = sum_j c_j |K_j|^2: vacuum optical ports (only the
+    annihilation channel of each pair contributes), the thermal mechanical
+    bath (n_th + 1 on b_in, n_th on b_in_conj) and unit detection vacuum."""
+    return np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, n_th + 1.0, n_th, 1.0])
 
 
 def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega):
     """The closed-loop system M(w) x = N n that solve_rows solves, in the
-    unknowns x = (a, a_conj, b, b_conj, i_fb): the nonzero entries of M keyed
-    by (row, column), the frequency-independent (5, 9) noise matrix N, and
-    g_fb(w)."""
+    unknowns x = (a, a_conj, b, b_conj, i_fb) and the noises n = (a_in0,
+    a_in0_conj, a_in1, a_in1_conj, a_prime, a_prime_conj, b_in, b_in_conj,
+    x_vac): the nonzero entries of M keyed by (row, column), the
+    frequency-independent (5, 9) noise matrix N, and g_fb(w)."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     theta, theta_bar = model.input_phase_shifts(p)
     s0 = math.sqrt(2.0 * p.kappa0)
@@ -136,72 +116,26 @@ def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omeg
 
 
 def solve_rows(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega
-) -> dict[str, np.ndarray]:
-    """Transfer rows K_O(w) mapping the nine noises to each observable.
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega, weights
+) -> np.ndarray:
+    """Transfer row K(w) = c^T M(w)^-1 N of the observable c^T x, with c =
+    `weights` over the unknowns (a, a_conj, b, b_conj, i_fb).
 
-    Returns (N, 9) complex arrays keyed by observable name for the solved
-    unknowns, the two output fields, and the derived quadratures
-    x_cavity = a + a_conj and q_mech = b + b_conj.
+    One single-RHS solve per frequency: M^T y = c, then K = y N.  Returns an
+    (N, 9) complex array over the noise channels.
     """
     entries, noise, g = system_entries(p, m, fb, omega)
-    mat = np.zeros((g.size, 5, 5), dtype=complex)
+    mat_t = np.zeros((g.size, 5, 5), dtype=complex)
     for (i, j), value in entries.items():
-        mat[:, i, j] = value
-    theta, theta_bar = model.input_phase_shifts(p)
-    s0 = math.sqrt(2.0 * p.kappa0)
-    s1 = math.sqrt(2.0 * p.kappa1)
+        mat_t[:, j, i] = value
+    rhs = np.broadcast_to(np.asarray(weights, dtype=complex), (g.size, 5))
     try:
-        k = np.linalg.solve(mat, np.broadcast_to(noise, (g.size, 5, 9)))
+        y = np.linalg.solve(mat_t, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise OptomechanicalInstabilityError(
             "singular closed-loop system: frequency sits on an instability pole"
         ) from exc
-
-    rows = {
-        "a": k[:, 0, :],
-        "a_conj": k[:, 1, :],
-        "b": k[:, 2, :],
-        "b_conj": k[:, 3, :],
-        "i_fb": k[:, 4, :],
-    }
-
-    # input-output rows
-    delta0 = np.zeros(9)
-    delta0[0] = 1.0
-    delta0c = np.zeros(9)
-    delta0c[1] = 1.0
-    delta1 = np.zeros(9)
-    delta1[2] = 1.0
-    delta1c = np.zeros(9)
-    delta1c[3] = 1.0
-    e_ref = cmath.exp(1j * (theta - theta_bar))
-    rows["a_out0"] = (
-        s0 * e_ref * rows["a"]
-        - cmath.exp(-1j * theta_bar) * (delta0[None, :] + g[:, None] * rows["i_fb"])
-    )
-    rows["a_out0_conj"] = s0 * np.conjugate(e_ref) * rows["a_conj"] - cmath.exp(
-        1j * theta_bar
-    ) * (delta0c[None, :] + g[:, None] * rows["i_fb"])
-    rows["a_out1"] = s1 * rows["a"] - delta1[None, :]
-    rows["a_out1_conj"] = s1 * rows["a_conj"] - delta1c[None, :]
-    rows["x_cavity"] = rows["a"] + rows["a_conj"]
-    rows["q_mech"] = rows["b"] + rows["b_conj"]
-    return rows
-
-
-def conjugate_reflected(row: np.ndarray) -> np.ndarray:
-    """conj of a row with its noise channels swapped to their partners;
-    equals the partner observable's row at -w (reality structure)."""
-    return np.conjugate(row)[..., _CONJ_CHANNEL]
-
-
-_PAIRS = {
-    "i_fb": ("i_fb", "i_fb"),
-    "x_cavity": ("x_cavity", "x_cavity"),
-    "q_mech": ("q_mech", "q_mech"),
-    "n_mech": ("b_conj", "b"),
-}
+    return y @ noise
 
 
 def observable_spectrum(
@@ -211,24 +145,17 @@ def observable_spectrum(
     omega,
     observable: str = "i_fb",
 ) -> np.ndarray:
-    """Spectral density S(w) of a solved observable.
+    """Spectral density S(w) = sum_j c_j |K_j(w)|^2 of a solved observable,
+    c being noise_weights(n_th).
 
     `observable` is one of i_fb, x_cavity, q_mech (all hermitian
     quadratures) or n_mech for the phonon-number density <b^dag(w) b(w')>.
-    The result is checked real to 1e-12 of its scale.
+    The result is real and non-negative by construction.
     """
-    if observable not in _PAIRS:
+    if observable not in OBSERVABLES:
         raise ValidationError(f"unknown observable {observable!r}")
-    left_key, right_key = _PAIRS[observable]
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    rows_pos = solve_rows(p, m, fb, omega)
-    rows_neg = solve_rows(p, m, fb, -omega)
-    c = correlator_matrix(m.n_th)
-    s = np.einsum("nj,jk,nk->n", rows_pos[left_key], c, rows_neg[right_key])
-    scale = np.max(np.abs(s)) if s.size else 0.0
-    if scale and np.max(np.abs(s.imag)) > 1e-12 * scale:
-        raise LoopcoolError("spectrum acquired an imaginary part; solver inconsistency")
-    return s.real
+    row = solve_rows(p, m, fb, omega, OBSERVABLES[observable])
+    return np.abs(row) ** 2 @ noise_weights(m.n_th)
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +252,15 @@ def phonon_occupancy(
     The quadrature grid seeds dense panels around the mechanical and cavity
     resonances (both signs) and refines adaptively to `rtol`.
     """
-    if check_stability and not closed_loop_stability(p, m, fb):
+    edges = _occupancy_edges(p, m, fb)
+    if check_stability and not closed_loop_stability(p, m, fb, edges=edges):
         raise OptomechanicalInstabilityError(
             "closed loop unstable; no stationary occupancy"
         )
-    c = correlator_matrix(m.n_th)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        rows_pos = solve_rows(p, m, fb, omega)
-        rows_neg = solve_rows(p, m, fb, -omega)
-        s = np.einsum("nj,jk,nk->n", rows_pos["b_conj"], c, rows_neg["b"])
-        return s.real
+        return observable_spectrum(p, m, fb, omega, "n_mech")
 
-    edges = _occupancy_edges(p, m, fb)
     return adaptive_integral(integrand, edges, rtol=rtol) / (2.0 * math.pi)
 
 
@@ -360,16 +283,18 @@ def closed_loop_determinant(
 
 
 def closed_loop_stability(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, edges=None
 ) -> bool:
     """Generalized Nyquist criterion on the full closed loop: stable iff
     R(w) (closed_loop_determinant) winds zero times around 0 along the real
     axis.  R has no poles in the upper half plane and its zeros there are the
     unstable closed-loop poles, static runaways included.  Seeding the loop
     contour with the occupancy quadrature's first-round nodes resolves the
-    same mechanical features as the integral.
+    same mechanical features as the integral; `edges` hands over that
+    quadrature's panel edges when the caller has already built them.
     """
-    edges = _occupancy_edges(p, m, fb)
+    if edges is None:
+        edges = _occupancy_edges(p, m, fb)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
     if isinstance(fb.gain, Tabulated):

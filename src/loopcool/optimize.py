@@ -245,19 +245,6 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]
 # --------------------------------------------------------------------------
 # figure-study presets
 
-PRESET_NAMES = (
-    "fig1_optical",
-    "fig1_microwave",
-    "smfig1_delay",
-    "smfig1_detuning",
-    "smfig1_coupling",
-    "fig4_gain",
-    "fig4_detuning",
-    "fig2_squash",
-    "fig3_effective_cavity",
-)
-
-
 def figure_preset(name: str, outdir, points: int | None = None) -> dict:
     """Run a named figure study and write its CSV bundle plus a metadata
     JSON sidecar into `outdir`.  Returns the manifest."""
@@ -265,8 +252,7 @@ def figure_preset(name: str, outdir, points: int | None = None) -> dict:
         raise ValidationError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    builder = globals()[f"_preset_{name}"]
-    manifest = builder(outdir, points)
+    manifest = _PRESETS[name](outdir, points)
     manifest["preset"] = name
     manifest["artifact"] = "loopcool"
     meta_path = outdir / f"{name}.json"
@@ -301,15 +287,6 @@ def _describe_system(sys: presets.PresetSystem) -> dict:
     }
 
 
-def _write_gain_sweep_curves(outdir, tag, sys, gain_norms, reports):
-    n = np.array([r.n_final for r in reports])
-    files = {}
-    path = outdir / f"{tag}_occupancy.csv"
-    spectra.write_curve_csv(path, "gain_norm", "n_final", gain_norms, n)
-    files[path.name] = "stationary occupancy vs normalized gain"
-    return files
-
-
 def _preset_fig4_gain(outdir: Path, points: int | None) -> dict:
     sys = presets.experiment()
     pts = points or 25
@@ -318,7 +295,11 @@ def _preset_fig4_gain(outdir: Path, points: int | None) -> dict:
     for g in gain_norms:
         fb = sys.with_gain_norm(float(g))
         reports.append(evaluate(sys.cavity, sys.mechanics, fb, "langevin"))
-    files = _write_gain_sweep_curves(outdir, "fig4_gain", sys, gain_norms, reports)
+    files = {}
+    path = outdir / "fig4_gain_occupancy.csv"
+    n = np.array([r.n_final for r in reports])
+    spectra.write_curve_csv(path, "gain_norm", "n_final", gain_norms, n)
+    files[path.name] = "stationary occupancy vs normalized gain"
     temps = [r.temperature_final for r in reports]
     path = outdir / "fig4_gain_temperature.csv"
     spectra.write_curve_csv(path, "gain_norm", "temperature_k", gain_norms, temps)
@@ -454,14 +435,6 @@ def _fig1_curves(outdir: Path, sys: presets.PresetSystem, points: int | None) ->
     }
 
 
-def _preset_fig1_optical(outdir: Path, points: int | None) -> dict:
-    return _fig1_curves(outdir, presets.fig1_optical(), points)
-
-
-def _preset_fig1_microwave(outdir: Path, points: int | None) -> dict:
-    return _fig1_curves(outdir, presets.fig1_microwave(), points)
-
-
 def _smfig1(outdir: Path, variable: str, points: int | None) -> dict:
     pts = points or 15
     files = {}
@@ -489,13 +462,20 @@ def _smfig1(outdir: Path, variable: str, points: int | None) -> dict:
     return {"systems": meta_systems, "evaluator": "weak_coupling", "files": files}
 
 
-def _preset_smfig1_delay(outdir: Path, points: int | None) -> dict:
-    return _smfig1(outdir, "delay", points)
-
-
-def _preset_smfig1_detuning(outdir: Path, points: int | None) -> dict:
-    return _smfig1(outdir, "detuning", points)
-
-
-def _preset_smfig1_coupling(outdir: Path, points: int | None) -> dict:
-    return _smfig1(outdir, "coupling", points)
+#: preset name -> builder(outdir, points) returning the manifest
+_PRESETS = {
+    "fig1_optical": lambda outdir, points: _fig1_curves(
+        outdir, presets.fig1_optical(), points
+    ),
+    "fig1_microwave": lambda outdir, points: _fig1_curves(
+        outdir, presets.fig1_microwave(), points
+    ),
+    "smfig1_delay": lambda outdir, points: _smfig1(outdir, "delay", points),
+    "smfig1_detuning": lambda outdir, points: _smfig1(outdir, "detuning", points),
+    "smfig1_coupling": lambda outdir, points: _smfig1(outdir, "coupling", points),
+    "fig4_gain": _preset_fig4_gain,
+    "fig4_detuning": _preset_fig4_detuning,
+    "fig2_squash": _preset_fig2_squash,
+    "fig3_effective_cavity": _preset_fig3_effective_cavity,
+}
+PRESET_NAMES = tuple(_PRESETS)

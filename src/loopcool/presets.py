@@ -54,7 +54,9 @@ class PresetSystem:
     def with_gain_norm(self, gain_norm: float) -> FeedbackConfig:
         """Loop configuration scaled to the requested normalized gain."""
         if not math.isfinite(self.gain_norm_per_amplitude):
-            raise ValueError(f"{self.name} has no transmission gain normalization")
+            raise ValidationError(
+                f"{self.name} has no transmission gain normalization"
+            )
         amp = gain_norm / self.gain_norm_per_amplitude
         return replace(self.loop, gain=replace(self.loop.gain, amplitude=amp))
 

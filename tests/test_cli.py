@@ -37,6 +37,19 @@ class TestCooling:
         assert code == 3
         assert "stable=False" in out
 
+    def test_gain_norm_on_reflection_system_exits_two(self, tmp_path, capsys):
+        # the normalized gain is defined for the transmission loop only
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "fig1_optical",
+            "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.5}},
+        }))
+        code, _, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "cooling"], capsys
+        )
+        assert code == 2
+        assert "no transmission gain normalization" in err
+
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"system": "experiment", "bogus": 1}))

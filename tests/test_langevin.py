@@ -23,39 +23,52 @@ def toy_system(coupling=0.0, gain=0.0, detuning=5.0, eta=0.8, port=Port.TRANSMIS
     return p, m, fb
 
 
+#: unit weights selecting one unknown of x = (a, a_conj, b, b_conj, i_fb)
+A, A_CONJ, B, B_CONJ, I_FB = np.eye(5)
+#: conjugation swaps a <-> a_conj and b <-> b_conj among the unknowns ...
+PARTNER_UNKNOWN = [1, 0, 3, 2, 4]
+#: ... and each noise with its partner (x_vac is its own partner)
+PARTNER_NOISE = [1, 0, 3, 2, 5, 4, 7, 6, 8]
+
+
 class TestSolveRows:
     def test_decoupled_oscillator_row(self):
         p, m, fb = toy_system(coupling=0.0, gain=0.0)
         w = np.array([4.0, 5.0, 6.0])
-        rows = langevin.solve_rows(p, m, fb, w)
+        row = langevin.solve_rows(p, m, fb, w, B)
         expected = math.sqrt(m.gamma_m) / (m.gamma_m / 2 + 1j * (m.omega_m - w))
-        np.testing.assert_allclose(rows["b"][:, 6], expected, rtol=1e-14)
-        other = rows["b"][:, [0, 1, 2, 3, 4, 5, 7, 8]]
+        np.testing.assert_allclose(row[:, 6], expected, rtol=1e-14)
+        other = row[:, [0, 1, 2, 3, 4, 5, 7, 8]]
         np.testing.assert_allclose(other, 0.0, atol=1e-16)
 
     def test_residuals_of_linear_system(self, rng):
         p, m, fb = toy_system(coupling=0.3, gain=0.4, port=Port.REFLECTION)
         w = rng.uniform(-10, 10, size=7)
-        rows = langevin.solve_rows(p, m, fb, w)
+        row_a, row_ac, row_b = (
+            langevin.solve_rows(p, m, fb, w, unit) for unit in (A, A_CONJ, B)
+        )
         # re-assemble one equation: mechanical row must balance exactly
         lhs = (
-            (m.gamma_m / 2 + 1j * (m.omega_m - w))[:, None] * rows["b"]
-            - 1j * m.G * rows["a"]
-            - 1j * m.G * rows["a_conj"]
+            (m.gamma_m / 2 + 1j * (m.omega_m - w))[:, None] * row_b
+            - 1j * m.G * row_a
+            - 1j * m.G * row_ac
         )
         rhs = np.zeros((w.size, 9), complex)
         rhs[:, 6] = math.sqrt(m.gamma_m)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_reality_structure(self, rng):
+        # the partner observable's row at -w is the conjugate of the row at
+        # +w with every noise channel swapped for its partner
         p, m, fb = toy_system(coupling=0.2, gain=0.3, port=Port.REFLECTION)
         w = rng.uniform(0.1, 10, size=5)
-        rows_pos = langevin.solve_rows(p, m, fb, w)
-        rows_neg = langevin.solve_rows(p, m, fb, -w)
-        for name, partner in langevin.CONJUGATE_PARTNER.items():
+        unknowns = {"a": A, "a_conj": A_CONJ, "b": B, "b_conj": B_CONJ, "i_fb": I_FB}
+        for name, c in {**unknowns, **langevin.OBSERVABLES}.items():
+            row_pos = langevin.solve_rows(p, m, fb, w, c)
+            row_neg = langevin.solve_rows(p, m, fb, -w, c[PARTNER_UNKNOWN])
             np.testing.assert_allclose(
-                rows_neg[name],
-                langevin.conjugate_reflected(rows_pos[partner]),
+                row_neg,
+                np.conjugate(row_pos)[:, PARTNER_NOISE],
                 atol=1e-12,
                 err_msg=name,
             )
@@ -67,7 +80,7 @@ class TestSolveRows:
         # off the mechanical resonance)
         p, m, fb = toy_system(coupling=1e-6, gain=0.0)
         w = np.array([3.0, 6.5, 8.0])
-        rows = langevin.solve_rows(p, m, fb, w)
+        row = langevin.solve_rows(p, m, fb, w, langevin.OBSERVABLES["i_fb"])
         theta, _ = model.input_phase_shifts(p)
         chi = model.cavity_susceptibility(p, w)
         predicted = (
@@ -78,7 +91,7 @@ class TestSolveRows:
             * chi
             * np.exp(-1j * theta)
         )
-        np.testing.assert_allclose(rows["i_fb"][:, 0], predicted, rtol=1e-8)
+        np.testing.assert_allclose(row[:, 0], predicted, rtol=1e-8)
 
     def test_empty_cavity_photocurrent_matches_squash(self, rng):
         for port in Port:
@@ -194,7 +207,68 @@ class TestClosedLoopStability:
         assert langevin.closed_loop_stability(p, m, sys.with_gain_norm(1.05)) is False
 
 
+#: (left, right) unknowns summed into K_O and K_O': the hermitian
+#: quadratures pair with themselves, n_mech = <b^dag(w) b(w')> pairs b_conj
+#: at +w with b at -w
+CONTRACTION_ROWS = {
+    "i_fb": ([4], [4]),
+    "x_cavity": ([0, 1], [0, 1]),
+    "q_mech": ([2, 3], [2, 3]),
+    "n_mech": ([3], [2]),
+}
+
+
+def two_sided_contraction(p, m, fb, w, observable):
+    """K_O(w) C K_O'(-w)^T from the full 9-RHS solve of the system at +-w,
+    O' being the partner of O, with the 9x9 noise correlator
+    <n_j(w) n_k(w')> = C_jk delta(w+w')."""
+
+    def transfer(omega):
+        entries, noise, _ = langevin.system_entries(p, m, fb, omega)
+        mat = np.zeros((5, 5), dtype=complex)
+        for (i, j), value in entries.items():
+            mat[i, j] = np.ravel(value)[0]
+        return np.linalg.solve(mat, noise)
+
+    left_rows, right_rows = CONTRACTION_ROWS[observable]
+    corr = np.zeros((9, 9))
+    corr[0, 1] = corr[2, 3] = corr[4, 5] = 1.0
+    corr[6, 7] = m.n_th + 1.0
+    corr[7, 6] = m.n_th
+    corr[8, 8] = 1.0
+    left = transfer(w)[left_rows].sum(axis=0)
+    right = transfer(-w)[right_rows].sum(axis=0)
+    return left @ corr @ right, left
+
+
 class TestObservableSpectrum:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        w=st.floats(-30.0, 30.0),
+        coupling=st.floats(0.0, 2.0),
+        gain=st.floats(-1.5, 1.5),
+        phi=st.floats(-math.pi, math.pi),
+        eta=st.floats(0.0, 1.0),
+        delay=st.floats(0.0, 1.0),
+        n_th=st.floats(0.0, 100.0),
+        port=st.sampled_from(list(Port)),
+        observable=st.sampled_from(sorted(CONTRACTION_ROWS)),
+    )
+    def test_matches_two_sided_contraction(
+        self, w, coupling, gain, phi, eta, delay, n_th, port, observable
+    ):
+        p, m, _ = toy_system(coupling=coupling)
+        m = replace(m, n_th=n_th)
+        fb = FeedbackConfig(port=port, phi=phi, eta=eta, gain=FlatDelay(gain, delay))
+        s = langevin.observable_spectrum(p, m, fb, w, observable)
+        expected, row = two_sided_contraction(p, m, fb, w, observable)
+        # rounding floor of the contraction's nine terms, for spectra that
+        # vanish (a channel whose only weight is n_th = 0)
+        floor = 1e-14 * (n_th + 1.0) * np.sum(np.abs(row) ** 2)
+        assert abs(expected.imag) <= 1e-10 * abs(expected) + floor
+        np.testing.assert_allclose(s, [expected.real], rtol=1e-10, atol=floor)
+        assert s[0] >= 0.0
+
     def test_thermal_lorentzian(self):
         p, m, fb = toy_system()
         w = np.linspace(-m.omega_m - 0.05, -m.omega_m + 0.05, 2001)
