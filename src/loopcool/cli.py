@@ -447,22 +447,14 @@ def _cmd_ingest(args, outdir: Path) -> int:
 
 
 def _cmd_membrane(args, outdir: Path) -> int:
-    if args.sound_speed is None and args.stress is None:
-        geom = presets.membrane()
-        if args.radius is not None:
-            geom = replace(geom, radius=args.radius)
-        if args.thickness is not None:
-            geom = replace(geom, thickness=args.thickness)
-        if args.density is not None:
-            geom = replace(geom, density=args.density)
-    else:
-        geom = model.MembraneGeometry(
-            radius=args.radius if args.radius is not None else 0.615e-3,
-            thickness=args.thickness if args.thickness is not None else 97e-9,
-            density=args.density if args.density is not None else 3100.0,
-            sound_speed=args.sound_speed,
-            stress=args.stress,
-        )
+    given = {
+        name: getattr(args, name)
+        for name in ("radius", "thickness", "density")
+        if getattr(args, name) is not None
+    }
+    if args.sound_speed is not None or args.stress is not None:
+        given.update(sound_speed=args.sound_speed, stress=args.stress)
+    geom = replace(presets.membrane(), **given)
     modes = model.membrane_modes(geom, args.n, args.j)
     csv_path = outdir / "membrane_modes.csv"
     with open(csv_path, "w", newline="\n") as fh:

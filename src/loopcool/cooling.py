@@ -1,4 +1,4 @@
-"""Weak-coupling scattering rates, occupancancy formulas, and the analytic
+"""Weak-coupling scattering rates, occupancy formulas, and the analytic
 high-temperature cooling chain.
 
 The rate spectrum here is the empty-cavity amplitude-quadrature spectrum

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import cooling, feedback, model
 from .errors import (
@@ -331,9 +330,7 @@ def displacement_spectrum(
     omega = np.linspace(band[0], band[1], points)
     values = observable_spectrum(p, m, fb, omega, "q_mech")
     if m_eff is not None:
-        from scipy.constants import hbar
-
-        values = values * hbar / (2.0 * m_eff * m.omega_m)
+        values = values * model.hbar / (2.0 * m_eff * m.omega_m)
     return Spectrum(omega=omega, values=values)
 
 
@@ -352,6 +349,8 @@ def lorentzian_extract(spectrum: Spectrum) -> LorentzFit:
     Guards: the band must contain one interior peak, and any secondary
     local maximum must have prominence below 10% of the main one.
     """
+    from scipy.optimize import least_squares
+
     w = spectrum.omega
     s = spectrum.values
     baseline0 = float(np.median(np.sort(s)[: max(s.size // 4, 2)]))

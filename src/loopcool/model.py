@@ -17,12 +17,13 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special
-from scipy.constants import hbar, k as k_B
 
 from .errors import CurveDomainError, ValidationError
 
 TWO_PI = 2.0 * math.pi
+# exact SI values (2019 redefinition), bit-equal to scipy.constants
+hbar = 6.62607015e-34 / TWO_PI
+k_B = 1.380649e-23
 
 
 def _finite(name, value):
@@ -376,6 +377,8 @@ def membrane_modes(
 ) -> list[MembraneMode]:
     """Eigenfrequencies w_nj = (c_s/R) * a_nj and effective-mass ratios for
     azimuthal orders n = 0..n_max-1 and radial orders j = 1..j_max."""
+    from scipy import integrate, special
+
     if n_max < 1 or j_max < 1:
         raise ValidationError("n_max and j_max must be >= 1")
     modes = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loopcool import cli, ingest
-from loopcool.model import FlatDelay, Port
+from loopcool.model import FlatDelay, MembraneGeometry, Port, membrane_modes
 
 TWO_PI = 2 * math.pi
 
@@ -208,6 +208,16 @@ class TestMembraneCommand:
         rows = (tmp_path / "membrane_modes.csv").read_text().splitlines()
         assert rows[0] == "n,j,frequency_hz,m_eff_ratio"
         assert len(rows) == 4  # header + (0,1..3)
+
+    def test_stress_keeps_preset_geometry(self, tmp_path, capsys):
+        code, _, _ = run(["--out", str(tmp_path), "membrane", "--stress", "1e9"], capsys)
+        assert code == 0
+        geom = MembraneGeometry(0.615e-3, 97e-9, 3100.0, stress=1e9)
+        expected = ["n,j,frequency_hz,m_eff_ratio"] + [
+            f"{mode.n},{mode.j},{mode.omega / TWO_PI:.17g},{mode.m_eff_ratio:.17g}"
+            for mode in membrane_modes(geom, 1, 3)
+        ]
+        assert (tmp_path / "membrane_modes.csv").read_text().splitlines() == expected
 
 
 class TestEffectiveCavityCommand:
