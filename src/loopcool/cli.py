@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,9 +27,7 @@ from .errors import (
     OptomechanicalInstabilityError,
     ValidationError,
 )
-from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -350,7 +347,7 @@ def _cmd_spectrum(args, outdir: Path) -> int:
 def _cmd_solve(args, outdir: Path) -> int:
     p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
     n = langevin.phonon_occupancy(p, m, fb, rtol=evaluator["rtol"])
-    spec = langevin.displacement_spectrum(p, m, fb, check_stability=False)
+    spec = langevin.displacement_spectrum(p, m, fb)
     csv_path = outdir / f"{label}_displacement.csv"
     spectra.write_spectrum_csv(csv_path, spec)
     temperature = model.occupancy_to_temperature(n, m.omega_m)
@@ -424,7 +421,7 @@ def _cmd_preset(args, outdir: Path) -> int:
 def _cmd_ingest(args, outdir: Path) -> int:
     p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
     trace = ingest.parse_bode(args.bode)
-    filt = ingest.decompose_electronic_filter(trace, p, fb.port, eta=1.0)
+    filt = ingest.decompose_electronic_filter(trace, p, fb.port)
     curve = filt.curve
     csv_path = outdir / f"{label}_filter.csv"
     spectra.write_complex_csv(csv_path, curve.omega, curve.values)

@@ -32,6 +32,9 @@ _EDGE_LOOP_GUARD = 1e-3
 _CONTOUR_SAMPLES = 4096
 #: refinement cap of the winding test; beyond it the sampling is too coarse
 _MAX_CONTOUR_POINTS = 2_000_000
+#: optimal_bare_detuning: convergence step (1 Hz, in rad/s) and iteration cap
+_DETUNING_TOL = 2.0 * math.pi * 1.0
+_DETUNING_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -154,36 +157,28 @@ def _cavity_mediated_loop(p, fb, omega):
     return 2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(omega)
 
 
-def loop_contour(
-    p: CavityParams, fb: FeedbackConfig, band: tuple[float, float] | None = None
-) -> np.ndarray:
+def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
     """Sorted real-frequency contour for the winding tests, from -hi to +hi.
 
     The band must cover every frequency where the cavity-mediated loop is
-    non-negligible (|loop| < 1e-3 at the edges, else BandError).  For a flat
-    gain on the reflection port the direct (cavity-bypassing) term does not
-    decay with frequency; it is treated as band-limited, matching a filter
-    that is flat over the band and rolls off beyond it.  A tabulated gain
-    clips the contour to its measured band; the gap around zero carries no
-    winding provided the loop is negligible at its edges.
+    non-negligible (|loop| < 1e-3 at the edges).  For a flat gain the band
+    edge is searched (_flat_band_edge); on the reflection port the direct
+    (cavity-bypassing) term does not decay with frequency and is treated as
+    band-limited, matching a filter that is flat over the band and rolls off
+    beyond it.  A tabulated gain clips the contour to its measured band,
+    which must meet the guard (else BandError); the gap around zero carries
+    no winding provided the loop is negligible at its edges.
     """
-    if band is None:
-        band = _default_band(p, fb)
-    lo, hi = band
-    if not 0.0 <= lo < hi:
-        raise BandError("band must satisfy 0 <= lo < hi")
     if isinstance(fb.gain, Tabulated):
-        lo = max(lo, fb.gain.curve.domain[0])
-        hi = min(hi, fb.gain.curve.domain[1])
-
-    edges = np.array([-hi, hi] if lo == 0.0 else [-hi, -lo, lo, hi])
-    loop = loop_factor if isinstance(fb.gain, Tabulated) else _cavity_mediated_loop
-    edge_loop = np.abs(loop(p, fb, edges))
-    if np.any(edge_loop > _EDGE_LOOP_GUARD):
-        raise BandError(
-            f"band too narrow: loop factor {edge_loop.max():.2e} at the edges "
-            f"exceeds {_EDGE_LOOP_GUARD:g}"
-        )
+        lo, hi = fb.gain.curve.domain
+        edge_loop = np.abs(loop_factor(p, fb, np.array([-hi, -lo, lo, hi])))
+        if np.any(edge_loop > _EDGE_LOOP_GUARD):
+            raise BandError(
+                f"band too narrow: loop factor {edge_loop.max():.2e} at the edges "
+                f"exceeds {_EDGE_LOOP_GUARD:g}"
+            )
+    else:
+        lo, hi = 0.0, _flat_band_edge(p, fb)
 
     # dense windows around the resonant features, coarse contour elsewhere
     grid = [np.linspace(-hi, hi, _CONTOUR_SAMPLES)]
@@ -223,28 +218,24 @@ def winding_verdict(fn, omega: np.ndarray) -> StabilityVerdict:
     return StabilityVerdict(stable=(winding == 0), winding_number=winding, margin=margin)
 
 
-def nyquist_stability(
-    p: CavityParams, fb: FeedbackConfig, band: tuple[float, float] | None = None
-) -> StabilityVerdict:
+def nyquist_stability(p: CavityParams, fb: FeedbackConfig) -> StabilityVerdict:
     """Winding number of D(w) = 1 - 2*sqrt(eta)*zeta_out*g_fb around 0 as w
     runs over loop_contour; stable iff the winding number is zero.  This is
     the membrane-decoupled (G = 0) case of langevin.closed_loop_stability.
     """
     return winding_verdict(
-        lambda w: loop_denominator(p, fb, w), loop_contour(p, fb, band)
+        lambda w: loop_denominator(p, fb, w), loop_contour(p, fb)
     )
 
 
-def _default_band(p: CavityParams, fb: FeedbackConfig) -> tuple[float, float]:
-    """Smallest power-of-two multiple of kappa beyond |Delta| with the
-    cavity-mediated loop under the edge guard."""
-    if isinstance(fb.gain, Tabulated):
-        return 0.0, fb.gain.curve.domain[1]
+def _flat_band_edge(p: CavityParams, fb: FeedbackConfig) -> float:
+    """Band edge hi for a flat gain: |Delta| + 64 kappa, doubled until the
+    cavity-mediated loop is under the edge guard at +-hi."""
     hi = abs(p.detuning) + 64.0 * p.kappa
     for _ in range(24):
         probe = np.array([-hi, hi])
         if np.all(np.abs(_cavity_mediated_loop(p, fb, probe)) < _EDGE_LOOP_GUARD):
-            return 0.0, hi
+            return hi
         hi *= 2.0
     raise BandError("could not find a band edge with negligible loop factor")
 
@@ -303,24 +294,23 @@ def optimal_bare_detuning(
     p: CavityParams,
     fb: FeedbackConfig,
     omega_m: float,
-    tol: float = 2.0 * math.pi * 1.0,
-    max_iter: int = 200,
 ) -> float:
     """Bare detuning solving Delta_eff(Delta) = omega_m at the stability
     threshold (gain_norm = 1):
 
         Delta = omega_m + kappa * tan[phi_T(Delta) + phi]
 
-    found by damped fixed-point iteration (damping 0.5), converged to 1 Hz.
+    found by damped fixed-point iteration (damping 0.5), converged to 1 Hz
+    within 200 steps.
     """
     delta = p.detuning if p.detuning != 0 else omega_m
-    for _ in range(max_iter):
+    for _ in range(_DETUNING_MAX_ITER):
         phase = _transfer_phase(p, fb, delta)
         update = omega_m + p.kappa * math.tan(phase + fb.phi)
         new = 0.5 * delta + 0.5 * update
         if not math.isfinite(new):
             break
-        if abs(new - delta) < tol:
+        if abs(new - delta) < _DETUNING_TOL:
             return new
         delta = new
     raise ConvergenceError("no fixed point in band for the optimal bare detuning")

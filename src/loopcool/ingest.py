@@ -9,6 +9,7 @@ conjugate-reflection rule and are never stored.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,8 +17,13 @@ import numpy as np
 
 from . import feedback, model
 from .errors import BandError, ParseError, ValidationError
-from .model import CavityParams, Port, Tabulated, TransferCurve
-from .spectra import TWO_PI, Spectrum
+from .model import TWO_PI, CavityParams, Port, Tabulated, TransferCurve
+from .spectra import Spectrum
+
+#: decompose_electronic_filter drops samples whose cavity response is below this
+_MIN_RESPONSE = 1e-6
+#: delay_from_phase needs at least this many samples in its band
+_MIN_DELAY_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,12 @@ def _read_rows(path_or_stream, expected_header: tuple[str, ...], source: str):
             ):
                 raise ParseError(f"{source}:{lineno}: malformed row {line!r}")
             try:
-                rows.append(([float(part) for part in parts], lineno))
+                values = [float(part) for part in parts]
             except ValueError:
                 raise ParseError(f"{source}:{lineno}: malformed row {line!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{source}:{lineno}: non-finite value in row {line!r}")
+            rows.append((values, lineno))
         if not header_seen:
             raise ParseError(f"{source}: empty file")
         if not rows:
@@ -130,32 +139,28 @@ def parse_spectrum(path_or_stream) -> Spectrum:
     )
 
 
-def cavity_response(
-    p: CavityParams, port: Port, omega, eta: float = 1.0
-) -> np.ndarray:
+def cavity_response(p: CavityParams, port: Port, omega) -> np.ndarray:
     """Optical part of the open-loop response for the given detected port.
 
-    The loop's open-loop transfer with a unit flat gain: for transmission
-    feedback.open_loop_transfer (the resonant cavity-times-filter
+    The loop's open-loop transfer with a unit flat gain at eta = 1: for
+    transmission feedback.open_loop_transfer (the resonant cavity-times-filter
     factorization).  Reflection has an instantaneous path from the modulator
     straight to the detector, so the full quadrature response
-    feedback.loop_factor = 2*sqrt(eta)*zeta_out at phi = 0 is used.
+    feedback.loop_factor = 2*zeta_out at phi = 0 is used.
     """
     omega = np.asarray(omega, dtype=float)
-    fb = model.FeedbackConfig(port=port, phi=0.0, eta=eta, gain=model.FlatDelay(1.0))
+    fb = model.FeedbackConfig(port=port, phi=0.0, gain=model.FlatDelay(1.0))
     if port is Port.TRANSMISSION:
         return np.asarray(feedback.open_loop_transfer(p, fb, omega))
     return np.asarray(feedback.loop_factor(p, fb, omega))
 
 
-def compose_open_loop(
-    gain, p: CavityParams, port: Port, frequency_hz, eta: float = 1.0
-) -> BodeTrace:
+def compose_open_loop(gain, p: CavityParams, port: Port, frequency_hz) -> BodeTrace:
     """Synthesize the trace a network analyzer would record for a known
     electronic filter behind the given cavity/port."""
     f = np.asarray(frequency_hz, dtype=float)
     omega = TWO_PI * f
-    t = cavity_response(p, port, omega, eta) * np.asarray(gain(omega))
+    t = cavity_response(p, port, omega) * np.asarray(gain(omega))
     return BodeTrace(
         frequency_hz=f,
         magnitude_db=20.0 * np.log10(np.abs(t)),
@@ -168,25 +173,23 @@ def decompose_electronic_filter(
     trace: BodeTrace,
     p: CavityParams,
     fb_port: Port = Port.TRANSMISSION,
-    eta: float = 1.0,
-    min_response: float = 1e-6,
 ) -> Tabulated:
     """Divide the measured open-loop response by the cavity part, leaving
     the electronic filter g_fb as a tabulated curve.
 
     The detection efficiency cannot be separated from electronic gain by
-    this division; with the default eta = 1 the returned filter absorbs
-    sqrt(eta).  Samples where the cavity response magnitude falls below
-    `min_response` are dropped with a warning; losing more than 10% of the
-    trace is an error.
+    this division: the cavity part is taken at eta = 1, so the returned
+    filter always absorbs sqrt(eta).  Samples where the cavity response
+    magnitude falls below 1e-6 are dropped with a warning; losing more than
+    10% of the trace is an error.
     """
     omega = TWO_PI * trace.frequency_hz
-    response = cavity_response(p, fb_port, omega, eta)
-    keep = np.abs(response) >= min_response
+    response = cavity_response(p, fb_port, omega)
+    keep = np.abs(response) >= _MIN_RESPONSE
     dropped = int(np.count_nonzero(~keep))
     if dropped:
         warnings.warn(
-            f"dropped {dropped} samples with cavity response below {min_response:g}",
+            f"dropped {dropped} samples with cavity response below {_MIN_RESPONSE:g}",
             stacklevel=2,
         )
     if dropped > 0.1 * len(trace):
@@ -197,17 +200,15 @@ def decompose_electronic_filter(
     return Tabulated(TransferCurve(omega[keep], g))
 
 
-def delay_from_phase(
-    filt: Tabulated, band: tuple[float, float], min_samples: int = 10
-) -> float:
+def delay_from_phase(filt: Tabulated, band: tuple[float, float]) -> float:
     """Loop delay from the slope of the filter's unwrapped phase over the
     band (rad/s): a pure delay line e^{i w tau} fits slope +tau, constant
     offsets land in the intercept."""
     curve = filt.curve
     sel = (curve.omega >= band[0]) & (curve.omega <= band[1])
-    if int(sel.sum()) < min_samples:
+    if int(sel.sum()) < _MIN_DELAY_SAMPLES:
         raise BandError(
-            f"band too sparse: {int(sel.sum())} samples, need {min_samples}"
+            f"band too sparse: {int(sel.sum())} samples, need {_MIN_DELAY_SAMPLES}"
         )
     slope, _ = np.polyfit(curve.omega[sel], curve.unwrapped_phase[sel], 1)
     return float(slope)

@@ -161,6 +161,8 @@ def observable_spectrum(
 # adaptive quadrature
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+#: bisection rounds before adaptive_integral gives up
+_MAX_ROUNDS = 48
 
 
 def _gl_batch(fvec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,9 +173,7 @@ def _gl_batch(fvec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (y @ _GL_WEIGHTS) * half
 
 
-def adaptive_integral(
-    fvec, edges: np.ndarray, rtol: float = 2e-4, max_rounds: int = 48
-) -> float:
+def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     """Globally adaptive panel integration with vectorized evaluation.
 
     Each round every unconverged panel is bisected; a panel is retired when
@@ -186,7 +186,7 @@ def adaptive_integral(
     coarse = _gl_batch(fvec, a, b)
     done: list[tuple[float, float]] = []
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (a + b)
         left = _gl_batch(fvec, a, mid)
         right = _gl_batch(fvec, mid, b)
@@ -244,15 +244,15 @@ def phonon_occupancy(
     m: MechanicsParams,
     fb: FeedbackConfig,
     rtol: float = 2e-4,
-    check_stability: bool = True,
 ) -> float:
     """Stationary phonon number n = (1/2 pi) * integral of S_{b^dag b}(w) dw.
 
-    The quadrature grid seeds dense panels around the mechanical and cavity
-    resonances (both signs) and refines adaptively to `rtol`.
+    The closed loop is checked first (OptomechanicalInstabilityError if
+    unstable).  The quadrature grid seeds dense panels around the mechanical
+    and cavity resonances (both signs) and refines adaptively to `rtol`.
     """
     edges = _occupancy_edges(p, m, fb)
-    if check_stability and not closed_loop_stability(p, m, fb, edges=edges):
+    if not closed_loop_stability(p, m, fb, edges=edges):
         raise OptomechanicalInstabilityError(
             "closed loop unstable; no stationary occupancy"
         )
@@ -310,24 +310,21 @@ def displacement_spectrum(
     p: CavityParams,
     m: MechanicsParams,
     fb: FeedbackConfig,
-    band: tuple[float, float] | None = None,
     points: int = 2001,
     m_eff: float | None = None,
-    check_stability: bool = True,
 ) -> Spectrum:
-    """Spectrum of the mechanical quadrature q = b + b^dag on a band around
-    the resonance.
+    """Spectrum of the mechanical quadrature q = b + b^dag on a band of 30
+    estimated linewidths (at least 1e-4 omega_m) either side of the
+    resonance.  Like observable_spectrum it does not check stability; an
+    unstable loop gives a meaningless spectrum, so check first
+    (phonon_occupancy does).
 
     Natural (phonon) units by default; passing the effective mass converts
     to displacement units through x_zpf^2 = hbar / (2 m_eff omega_m).
     """
-    if check_stability and not closed_loop_stability(p, m, fb):
-        raise OptomechanicalInstabilityError("closed loop unstable")
-    if band is None:
-        gamma_eff = _mechanical_linewidth_guess(p, m, fb)
-        half = max(30.0 * gamma_eff, 1e-4 * m.omega_m)
-        band = (m.omega_m - half, m.omega_m + half)
-    omega = np.linspace(band[0], band[1], points)
+    gamma_eff = _mechanical_linewidth_guess(p, m, fb)
+    half = max(30.0 * gamma_eff, 1e-4 * m.omega_m)
+    omega = np.linspace(m.omega_m - half, m.omega_m + half, points)
     values = observable_spectrum(p, m, fb, omega, "q_mech")
     if m_eff is not None:
         values = values * model.hbar / (2.0 * m_eff * m.omega_m)

@@ -85,6 +85,10 @@ class MechanicsParams:
     G: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega_m", "gamma_m", "n_th", "G"):
+            _finite(name, getattr(self, name))
+        if self.g0 is not None:
+            _finite("g0", self.g0)
         if not self.omega_m > 0:
             raise ValidationError("omega_m must be > 0")
         if not self.gamma_m > 0:
@@ -326,8 +330,9 @@ def photon_number_and_coupling(
 
 @dataclass(frozen=True)
 class MembraneGeometry:
-    """Circular taut membrane.  Sound speed may be given directly or
-    derived from tensile stress (Pa) and density as c_s = sqrt(stress/rho)."""
+    """Circular taut membrane.  Sound speed is given directly or derived
+    from tensile stress (Pa) and density as c_s = sqrt(stress/rho); exactly
+    one of the two must be provided."""
 
     radius: float
     thickness: float
@@ -339,8 +344,8 @@ class MembraneGeometry:
         for name in ("radius", "thickness", "density"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
-        if self.sound_speed is None and self.stress is None:
-            raise ValidationError("provide sound_speed or stress")
+        if (self.sound_speed is None) == (self.stress is None):
+            raise ValidationError("provide sound_speed or stress, not both")
         if self.sound_speed is not None and not self.sound_speed > 0:
             raise ValidationError("sound_speed must be > 0")
         if self.stress is not None and not self.stress > 0:

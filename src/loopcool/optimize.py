@@ -22,6 +22,8 @@ from .errors import LoopcoolError, NoStablePointError, ValidationError
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: relative parameter tolerance of the golden-section refinement
+_REL_TOL = 1e-4
 
 VARIABLES = ("gain_amplitude", "homodyne_phase", "detuning", "delay", "coupling")
 EVALUATORS = ("weak_coupling", "langevin")
@@ -114,7 +116,7 @@ def evaluate(
             report = cooling.cooling_report(p, m, fb, check_stability=False)
             # the exact path carries the full closed-loop verdict (winding of
             # the closed-loop determinant) inside phonon_occupancy
-            n = langevin.phonon_occupancy(p, m, fb, check_stability=True)
+            n = langevin.phonon_occupancy(p, m, fb)
         except LoopcoolError as exc:
             return _unstable_report(m, f"unstable: {exc}")
         return replace(
@@ -154,10 +156,9 @@ def minimize_occupancy(
     evaluator: str = "weak_coupling",
     coarse_points: int = 9,
     max_cycles: int = 8,
-    rel_tol: float = 1e-4,
 ) -> OptimizationResult:
     """Coarse grid scan over up to three free variables, then cyclic
-    golden-section refinement per coordinate down to 1e-4 relative
+    golden-section refinement per coordinate down to a fixed 1e-4 relative
     parameter tolerance.  Every evaluation is stability-checked; the
     returned optimum is always a stable point."""
     if not 1 <= len(free) <= 3:
@@ -202,12 +203,12 @@ def minimize_occupancy(
                 lambda v: objective([*current[:k], v, *current[k + 1 :]]),
                 lo,
                 hi,
-                tol=rel_tol * scale,
+                tol=_REL_TOL * scale,
             )
             if fx < best:
                 moved = max(moved, abs(x - current[k]) / scale)
                 current[k], best = x, fx
-        if moved < rel_tol:
+        if moved < _REL_TOL:
             break
 
     final = objective(current)
@@ -268,15 +269,15 @@ def _describe_system(sys: presets.PresetSystem) -> dict:
     return {
         "system": sys.name,
         "cavity_hz": {
-            "kappa0": p.kappa0 / spectra.TWO_PI,
-            "kappa1": p.kappa1 / spectra.TWO_PI,
-            "kappa_prime": p.kappa_prime / spectra.TWO_PI,
-            "detuning": p.detuning / spectra.TWO_PI,
+            "kappa0": p.kappa0 / model.TWO_PI,
+            "kappa1": p.kappa1 / model.TWO_PI,
+            "kappa_prime": p.kappa_prime / model.TWO_PI,
+            "detuning": p.detuning / model.TWO_PI,
         },
         "mechanics_hz": {
-            "omega_m": m.omega_m / spectra.TWO_PI,
-            "gamma_m": m.gamma_m / spectra.TWO_PI,
-            "coupling": m.G / spectra.TWO_PI,
+            "omega_m": m.omega_m / model.TWO_PI,
+            "gamma_m": m.gamma_m / model.TWO_PI,
+            "coupling": m.G / model.TWO_PI,
             "n_th": m.n_th,
         },
         "feedback": {
@@ -317,7 +318,7 @@ def _preset_fig4_detuning(outdir: Path, points: int | None) -> dict:
     pts = points or 21
     gain_norm = 0.9
     fb = sys.with_gain_norm(gain_norm)
-    detunings = spectra.TWO_PI * np.linspace(320e3, 340e3, pts)
+    detunings = model.TWO_PI * np.linspace(320e3, 340e3, pts)
     rows = []
     for delta in detunings:
         p = replace(sys.cavity, detuning=float(delta))
@@ -328,7 +329,7 @@ def _preset_fig4_detuning(outdir: Path, points: int | None) -> dict:
         path,
         "detuning_hz",
         "n_final",
-        detunings / spectra.TWO_PI,
+        detunings / model.TWO_PI,
         rows,
     )
     files[path.name] = "stationary occupancy vs bare detuning at fixed gain"
@@ -371,7 +372,7 @@ def _preset_fig3_effective_cavity(outdir: Path, points: int | None) -> dict:
     for g in gain_norms:
         eff = feedback.effective_cavity(sys.cavity, sys.with_gain_norm(float(g)))
         kappa_ratio.append(eff.kappa_eff / sys.cavity.kappa)
-        delta_shift.append((eff.delta_eff - sys.cavity.detuning) / spectra.TWO_PI)
+        delta_shift.append((eff.delta_eff - sys.cavity.detuning) / model.TWO_PI)
     files = {}
     path = outdir / "fig3_kappa_eff.csv"
     spectra.write_curve_csv(path, "gain_norm", "kappa_eff_over_kappa", gain_norms, kappa_ratio)

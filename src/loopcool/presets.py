@@ -33,6 +33,7 @@ from functools import lru_cache
 from . import feedback, model
 from .errors import ValidationError
 from .model import (
+    TWO_PI,
     CavityParams,
     FeedbackConfig,
     FlatDelay,
@@ -40,8 +41,6 @@ from .model import (
     MembraneGeometry,
     Port,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

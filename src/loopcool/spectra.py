@@ -8,14 +8,12 @@ byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI
 
 
 def _fmt(x: float) -> str:
@@ -44,10 +42,6 @@ class Spectrum:
     @property
     def band(self) -> tuple[float, float]:
         return float(self.omega[0]), float(self.omega[-1])
-
-    def variance(self, noise_floor: float = 0.0) -> float:
-        """integral of (S - floor) d omega / (2 pi) over the sampled band."""
-        return float(np.trapezoid(self.values - noise_floor, self.omega)) / TWO_PI
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:

@@ -75,6 +75,20 @@ class TestCooling:
         assert code == 0
         assert "n_final=" in out
 
+    @pytest.mark.parametrize("key", ["coupling_hz", "n_th"])
+    def test_non_finite_mechanics_exits_two(self, tmp_path, capsys, key):
+        # 1e400 parses to inf; it must not reach the evaluator or the sidecar
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            '{"system": "experiment", "mechanics": {"%s": 1e400}}' % key
+        )
+        code, _, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "cooling"], capsys
+        )
+        assert code == 2
+        assert "must be finite" in err
+        assert not (tmp_path / "run_cooling.json").exists()
+
 
 class TestSpectrumCommand:
     def test_squash_spectrum_csv(self, tmp_path, capsys):
@@ -194,6 +208,26 @@ class TestIngestCommand:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "cooling"])
+    def test_non_finite_trace_exits_two(self, tmp_path, capsys, command):
+        # a nan magnitude on line 6, read as a trace and as a tabulated gain
+        path = tmp_path / "nan.csv"
+        rows = [f"{1e3 * k:g},0,0" for k in range(1, 21)]
+        rows[4] = "5e3,nan,0"
+        path.write_text("frequency_hz,magnitude_db,phase_rad\n" + "\n".join(rows) + "\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment",
+            "feedback": {"gain": {"type": "tabulated", "path": str(path)}},
+        }))
+        if command == "ingest":
+            args = ["--out", str(tmp_path), "ingest", "--bode", str(path)]
+        else:
+            args = ["--config", str(config), "--out", str(tmp_path), "cooling"]
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert f"{path}:6: non-finite" in err
+
 
 class TestMembraneCommand:
     def test_mode_table_led_by_fundamental(self, tmp_path, capsys):
@@ -218,6 +252,16 @@ class TestMembraneCommand:
             for mode in membrane_modes(geom, 1, 3)
         ]
         assert (tmp_path / "membrane_modes.csv").read_text().splitlines() == expected
+
+    def test_sound_speed_with_stress_exits_two(self, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "membrane", "--sound-speed", "551.3534489207402",
+             "--stress", "1e9"],
+            capsys,
+        )
+        assert code == 2
+        assert "not both" in err
+        assert not (tmp_path / "membrane_modes.csv").exists()
 
 
 class TestEffectiveCavityCommand:

@@ -231,10 +231,14 @@ class TestNyquist:
         assert abs(gain_norms[idx] - 1.0) <= (gain_norms[1] - gain_norms[0]) + 1e-12
 
     def test_band_too_narrow(self):
+        # measured gain whose band ends at Delta + 5 kappa, where the loop is
+        # still far above the edge guard
         p = resolved_cavity()
         fb = aligned_loop(p, 0.5)
+        w = np.linspace(p.kappa, p.detuning + 5 * p.kappa, 200)
+        tabulated = replace(fb, gain=model.Tabulated(model.TransferCurve(w, fb.gain(w))))
         with pytest.raises(BandError, match="band too narrow"):
-            feedback.nyquist_stability(p, fb, band=(0.0, p.detuning + 5 * p.kappa))
+            feedback.nyquist_stability(p, tabulated)
 
     def test_reflection_flat_gain_uses_cavity_guard(self):
         p = resolved_cavity()
@@ -306,6 +310,6 @@ class TestNyquistTabulated:
         lp = 2 * p.detuning / (2 * p.detuning + 1j * w)
         curve = TransferCurve(w, 2.0 * hp**3 * lp**3 * np.exp(1j * w * 1e-7))
         fb = FeedbackConfig(gain=Tabulated(curve))
-        verdict = feedback.nyquist_stability(p, fb, band=(0.0, w[-1]))
+        verdict = feedback.nyquist_stability(p, fb)
         assert isinstance(verdict.winding_number, int)
         assert verdict.margin > 0

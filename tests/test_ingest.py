@@ -203,7 +203,7 @@ class TestDecomposition:
         trace = ingest.compose_open_loop(FlatDelay(1.0), p, Port.TRANSMISSION, f)
         with pytest.warns(UserWarning, match="dropped 4 samples"):
             filt = ingest.decompose_electronic_filter(
-                trace, p, Port.TRANSMISSION, min_response=1e-6
+                trace, p, Port.TRANSMISSION
             )
         assert filt.curve.omega.size == 50
 
@@ -214,5 +214,5 @@ class TestDecomposition:
         with pytest.warns(UserWarning):
             with pytest.raises(ValidationError, match="too small"):
                 ingest.decompose_electronic_filter(
-                    trace, p, Port.TRANSMISSION, min_response=1e-6
+                    trace, p, Port.TRANSMISSION
                 )

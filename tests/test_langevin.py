@@ -300,8 +300,8 @@ class TestPhononOccupancy:
 
     def test_grid_refinement_convergence(self):
         p, m, fb = toy_system(coupling=0.05, gain=0.3)
-        coarse = langevin.phonon_occupancy(p, m, fb, rtol=2e-4, check_stability=False)
-        fine = langevin.phonon_occupancy(p, m, fb, rtol=1e-4, check_stability=False)
+        coarse = langevin.phonon_occupancy(p, m, fb, rtol=2e-4)
+        fine = langevin.phonon_occupancy(p, m, fb, rtol=1e-4)
         assert abs(fine - coarse) / fine < 1e-3
 
     def test_unstable_loop_raises(self):
@@ -323,7 +323,7 @@ class TestDisplacementSpectrum:
     def test_area_tracks_total_variance(self):
         # integral of S_q over both signs equals 2n + 1
         p, m, fb = toy_system(coupling=0.04, gain=0.25)
-        n = langevin.phonon_occupancy(p, m, fb, check_stability=False)
+        n = langevin.phonon_occupancy(p, m, fb)
 
         def integrand(w):
             return langevin.observable_spectrum(p, m, fb, w, "q_mech")
@@ -350,7 +350,7 @@ class TestDisplacementSpectrum:
         for gain_norm in (0.0, 0.45, 0.85):
             fb = sys.with_gain_norm(gain_norm)
             spec = langevin.displacement_spectrum(
-                p, m, fb, points=1601, check_stability=False
+                p, m, fb, points=1601
             )
             fit = langevin.lorentzian_extract(spec)
             gammas.append(fit.gamma_eff)
@@ -389,7 +389,7 @@ class TestLorentzianExtract:
         sys = experiment
         p, m = sys.cavity, sys.mechanics
         fb = sys.with_gain_norm(0.85)
-        spec = langevin.displacement_spectrum(p, m, fb, check_stability=False)
+        spec = langevin.displacement_spectrum(p, m, fb)
         fit = langevin.lorentzian_extract(spec)
         gamma_opt = cooling.scattering_rates(p, m, fb).gamma_opt
         assert fit.gamma_eff == pytest.approx(m.gamma_m + gamma_opt, rel=0.15)
