@@ -6,7 +6,6 @@ from . import cooling, feedback, ingest, langevin, model, optimize, presets, spe
 from .cooling import (
     CoolingReport,
     RatePair,
-    cavity_quadrature_spectrum,
     occupancy_weak_coupling,
     scattering_rates,
 )

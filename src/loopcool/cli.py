@@ -314,6 +314,13 @@ def _cmd_effective_cavity(args, outdir: Path) -> int:
 def _cmd_spectrum(args, outdir: Path) -> int:
     p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
     observable = args.observable
+    # squash is the photocurrent with the membrane decoupled (G = 0)
+    if observable == "squash":
+        stable = feedback.nyquist_stability(p, fb).stable
+    else:
+        stable = langevin.closed_loop_stability(p, m, fb)
+    if not stable:
+        raise OptomechanicalInstabilityError("closed loop unstable; no stationary spectrum")
     if observable in ("q_mech", "n_mech"):
         width = 60.0 * m.gamma_m + 4.0 * abs(m.G)
         default = (m.omega_m - width, m.omega_m + width)

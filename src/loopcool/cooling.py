@@ -1,21 +1,20 @@
 """Weak-coupling scattering rates, occupancy formulas, and the analytic
 high-temperature cooling chain.
 
-The rate spectrum here is the empty-cavity amplitude-quadrature spectrum
-S_X(w); Stokes and anti-Stokes rates follow as A+- = G^2 S_X(-+omega_m).
-All spectra use the <O(w)O(w')> = delta(w+w') S(w) convention with shot
-noise 1.
+The rate spectrum is the empty-cavity amplitude-quadrature spectrum S_X(w),
+taken from the exact closed-loop solve (langevin) at G = 0; Stokes and
+anti-Stokes rates follow as A+- = G^2 S_X(-+omega_m).  All spectra use the
+<O(w)O(w')> = delta(w+w') S(w) convention with shot noise 1.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import feedback, model
+from . import feedback, langevin, model
 from .errors import OptomechanicalInstabilityError, ValidationError
 from .feedback import EffectiveCavity
 from .model import CavityParams, FeedbackConfig, MechanicsParams
@@ -62,47 +61,16 @@ class CoolingReport:
         return self.rates.gamma_opt
 
 
-def feedback_lambda(p: CavityParams, fb: FeedbackConfig, omega):
-    """Lambda(w) = 2 zeta_c(w) g_fb(w) / [1 - 2 sqrt(eta) zeta_out(w) g_fb(w)],
-    the in-loop modification of the cavity amplitude quadrature."""
-    d = feedback.checked_loop_denominator(p, fb, omega)
-    num = 2.0 * np.asarray(model.zeta_cavity(p, 0.0, omega)) * np.asarray(
-        fb.gain(omega)
-    )
-    out = num / d
-    return out if out.ndim else complex(out)
-
-
-def cavity_quadrature_spectrum(p: CavityParams, fb: FeedbackConfig, omega):
-    """Empty-cavity spectrum of the coupled quadrature X = a + a^dag:
-
-    S_X(w) = (1/2 kappa) * { |chi(w) + sqrt(eta kappa_fb/kappa0)
-                              Lambda(w)* e^{-i phi_fb}|^2
-                             + (kappa - eta kappa_fb)/kappa0 * |Lambda(w)|^2 }
-
-    with (kappa_fb, phi_fb) fixed by the detected port.  This closed form
-    is exact for the linear loop (it matches the first-principles solve to
-    rounding), so rates built from it are valid at any gain below threshold.
-    """
-    kappa_fb, _theta_fb, _z = model.port_constants(p, fb)
-    phi_fb = model.detected_phase(p, fb)
-    lam = np.asarray(feedback_lambda(p, fb, omega))
-    chi = np.asarray(model.cavity_susceptibility(p, omega))
-    coherent = chi + math.sqrt(fb.eta * kappa_fb / p.kappa0) * np.conjugate(
-        lam
-    ) * cmath.exp(-1j * phi_fb)
-    incoherent = (p.kappa - fb.eta * kappa_fb) / p.kappa0 * np.abs(lam) ** 2
-    out = (np.abs(coherent) ** 2 + incoherent) / (2.0 * p.kappa)
-    return out if out.ndim else float(out)
-
-
 def weak_coupling_ok(m: MechanicsParams) -> bool:
     return m.G <= WEAK_COUPLING_RATIO * m.omega_m
 
 
 def scattering_rates(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> RatePair:
-    """A+- = G^2 S_X(-+omega_m)."""
-    s = cavity_quadrature_spectrum(p, fb, np.array([-m.omega_m, m.omega_m]))
+    """A+- = G^2 S_X(-+omega_m), S_X being the exact closed-loop solve of the
+    cavity quadrature at G = 0."""
+    s = langevin.observable_spectrum(
+        p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
+    )
     return RatePair(a_plus=m.G**2 * float(s[0]), a_minus=m.G**2 * float(s[1]))
 
 
@@ -128,17 +96,14 @@ def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
     )
 
 
-def cooling_report(
-    p: CavityParams,
-    m: MechanicsParams,
-    fb: FeedbackConfig,
-    check_stability: bool = True,
-) -> CoolingReport:
+def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> CoolingReport:
     """Assemble rates, occupancies and loop bookkeeping for one setting.
 
-    For the transmission port the single-pole effective-cavity numbers are
-    attached; for reflection they are reported as NaN (no transmission-style
-    normalization exists there).
+    No stability check happens here: the report comes back with stable=True
+    and optimize.evaluate decides the verdict.  For the transmission port
+    the single-pole effective-cavity numbers are attached; for reflection
+    they are reported as NaN (no transmission-style normalization exists
+    there).
     """
     warnings = ()
     if not weak_coupling_ok(m):
@@ -152,10 +117,6 @@ def cooling_report(
         kappa_eff, delta_eff, gain_norm = eff.kappa_eff, eff.delta_eff, eff.gain_norm
     else:
         kappa_eff = delta_eff = gain_norm = math.nan
-    stable = True
-    if check_stability:
-        verdict = feedback.nyquist_stability(p, fb)
-        stable = verdict.stable and rates.gamma_opt > -m.gamma_m
     return CoolingReport(
         rates=rates,
         n_backaction=occ.n_backaction,
@@ -163,7 +124,7 @@ def cooling_report(
         kappa_eff=kappa_eff,
         delta_eff=delta_eff,
         gain_norm=gain_norm,
-        stable=stable,
+        stable=True,
         temperature_final=occ.temperature_final,
         warnings=warnings,
     )

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cooling, feedback, model
+from . import feedback, model
 from .errors import (
     ConvergenceError,
     FitError,
@@ -213,9 +213,12 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
 def _mechanical_linewidth_guess(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
 ) -> float:
+    # Gamma_opt = G^2 [S_X(omega_m) - S_X(-omega_m)] from the G = 0 solve
     try:
-        rates = cooling.scattering_rates(p, m, fb)
-        gamma = m.gamma_m + abs(rates.gamma_opt)
+        s_x = observable_spectrum(
+            p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
+        )
+        gamma = m.gamma_m + abs(m.G**2 * s_x[1] - m.G**2 * s_x[0])
     except LoopcoolError:
         gamma = m.gamma_m
     return max(gamma, m.gamma_m)

@@ -106,31 +106,33 @@ def evaluate(
     fb: FeedbackConfig,
     evaluator: str = "weak_coupling",
 ) -> CoolingReport:
-    """One stability-checked operating point.
+    """One stability-checked operating point; the one place a verdict is
+    decided.  Both evaluators build the weak-coupling report first, so its
+    anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter.  The
+    exact evaluator then takes phonon_occupancy's closed-loop verdict, the
+    weak one the G = 0 Nyquist test plus the rate sign.
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.
     """
-    if evaluator == "langevin":
-        try:
-            report = cooling.cooling_report(p, m, fb, check_stability=False)
-            # the exact path carries the full closed-loop verdict (winding of
-            # the closed-loop determinant) inside phonon_occupancy
-            n = langevin.phonon_occupancy(p, m, fb)
-        except LoopcoolError as exc:
-            return _unstable_report(m, f"unstable: {exc}")
-        return replace(
-            report,
-            n_final=n,
-            temperature_final=model.occupancy_to_temperature(n, m.omega_m),
-            stable=True,
-        )
     try:
-        report = cooling.cooling_report(p, m, fb, check_stability=True)
+        report = cooling.cooling_report(p, m, fb)
+        if evaluator == "langevin":
+            # the exact verdict (winding of the closed-loop determinant) is
+            # taken inside phonon_occupancy
+            n = langevin.phonon_occupancy(p, m, fb)
+            return replace(
+                report,
+                n_final=n,
+                temperature_final=model.occupancy_to_temperature(n, m.omega_m),
+            )
+        verdict = feedback.nyquist_stability(p, fb)
+        # NaN rates fail the damping conjunct and so count as unstable
+        stable = verdict.stable and report.gamma_opt > -m.gamma_m
     except LoopcoolError as exc:
         return _unstable_report(m, f"unstable: {exc}")
-    if not report.stable:
-        return replace(report, n_final=math.inf, temperature_final=math.inf)
+    if not stable:
+        return replace(report, stable=False, n_final=math.inf, temperature_final=math.inf)
     return report
 
 

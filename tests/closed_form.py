@@ -1,0 +1,41 @@
+"""Closed-form empty-cavity rate spectrum, kept as an oracle for the exact
+solve that the package uses (langevin.observable_spectrum at G = 0)."""
+
+import cmath
+import math
+
+import numpy as np
+
+from loopcool import feedback, model
+
+
+def feedback_lambda(p, fb, omega):
+    """Lambda(w) = 2 zeta_c(w) g_fb(w) / [1 - 2 sqrt(eta) zeta_out(w) g_fb(w)],
+    the in-loop modification of the cavity amplitude quadrature."""
+    d = feedback.checked_loop_denominator(p, fb, omega)
+    num = 2.0 * np.asarray(model.zeta_cavity(p, 0.0, omega)) * np.asarray(
+        fb.gain(omega)
+    )
+    out = num / d
+    return out if out.ndim else complex(out)
+
+
+def cavity_quadrature_spectrum(p, fb, omega):
+    """Empty-cavity spectrum of the coupled quadrature X = a + a^dag:
+
+    S_X(w) = (1/2 kappa) * { |chi(w) + sqrt(eta kappa_fb/kappa0)
+                              Lambda(w)* e^{-i phi_fb}|^2
+                             + (kappa - eta kappa_fb)/kappa0 * |Lambda(w)|^2 }
+
+    with (kappa_fb, phi_fb) fixed by the detected port.
+    """
+    kappa_fb, _theta_fb, _z = model.port_constants(p, fb)
+    phi_fb = model.detected_phase(p, fb)
+    lam = np.asarray(feedback_lambda(p, fb, omega))
+    chi = np.asarray(model.cavity_susceptibility(p, omega))
+    coherent = chi + math.sqrt(fb.eta * kappa_fb / p.kappa0) * np.conjugate(
+        lam
+    ) * cmath.exp(-1j * phi_fb)
+    incoherent = (p.kappa - fb.eta * kappa_fb) / p.kappa0 * np.abs(lam) ** 2
+    out = (np.abs(coherent) ** 2 + incoherent) / (2.0 * p.kappa)
+    return out if out.ndim else float(out)

@@ -114,6 +114,23 @@ class TestSpectrumCommand:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize("observable", ["q_mech", "n_mech", "squash"])
+    def test_unstable_loop_exits_three(self, tmp_path, capsys, observable):
+        # past the loop threshold there is no stationary state to take a
+        # spectrum of, as for solve
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment",
+            "feedback": {"gain": {"type": "preset_gain_norm", "value": 1.05}},
+        }))
+        code, _, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "spectrum", observable],
+            capsys,
+        )
+        assert code == 3
+        assert "closed loop unstable" in err
+        assert not list(tmp_path.glob("run_spectrum*"))
+
 class TestSolveAndOptimize:
     def test_solve_reports_occupancy(self, tmp_path, capsys, experiment):
         config = tmp_path / "cfg.json"

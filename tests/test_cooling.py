@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loopcool import cooling, feedback, model
+import closed_form
+from loopcool import cooling, feedback, langevin, model
 from loopcool.errors import OptomechanicalInstabilityError, ValidationError
 from loopcool.feedback import EffectiveCavity
 from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
@@ -56,19 +57,14 @@ def stable_single_port_draw(rng):
 
 
 class TestSpectrumAndLambda:
-    def test_lambda_zero_gain(self):
-        p = single_port_cavity(1.0, 5.0)
-        fb = FeedbackConfig(port=Port.REFLECTION, gain=FlatDelay(0.0))
-        w = np.linspace(-8, 8, 31)
-        np.testing.assert_allclose(cooling.feedback_lambda(p, fb, w), 0.0)
-
     def test_spectrum_zero_gain_is_bare_cavity(self):
         p = CavityParams(kappa0=1.0, kappa1=0.6, kappa_prime=0.1, detuning=4.0)
         fb = FeedbackConfig(gain=FlatDelay(0.0))
         w = np.linspace(-8, 8, 101)
         expected = np.abs(model.cavity_susceptibility(p, w)) ** 2 / (2 * p.kappa)
+        m0 = MechanicsParams(omega_m=1.0, gamma_m=1e-3, n_th=5.0)
         np.testing.assert_allclose(
-            cooling.cavity_quadrature_spectrum(p, fb, w), expected, rtol=1e-14
+            langevin.observable_spectrum(p, m0, fb, w, "x_cavity"), expected, rtol=1e-14
         )
 
     def test_positivity_over_band(self, rng):
@@ -81,7 +77,7 @@ class TestSpectrumAndLambda:
             d = np.abs(feedback.loop_denominator(p, fb, w))
             if d.min() < 1e-3:
                 continue
-            s = cooling.cavity_quadrature_spectrum(p, fb, w)
+            s = langevin.observable_spectrum(p, replace(m, G=0.0), fb, w, "x_cavity")
             assert np.all(s >= 0.0)
 
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -97,7 +93,7 @@ class TestSpectrumAndLambda:
         )
         theta, _ = model.input_phase_shifts(p)
         w = sign * np.linspace(p.detuning - kappa, p.detuning + kappa, 41)
-        lam = cooling.feedback_lambda(p, fb, w)
+        lam = closed_form.feedback_lambda(p, fb, w)
         chi_eff = feedback.effective_susceptibility(p, fb, np.abs(w))
         if sign > 0:
             approx = (p.kappa0 / p.kappa) * fb.gain(w) * chi_eff * np.exp(-1j * theta)
@@ -385,8 +381,7 @@ class TestCoolingReportInvariants:
         sys = experiment
         for gain_norm in np.linspace(0.0, 0.95, 14):
             report = cooling.cooling_report(
-                sys.cavity, sys.mechanics, sys.with_gain_norm(float(gain_norm)),
-                check_stability=False,
+                sys.cavity, sys.mechanics, sys.with_gain_norm(float(gain_norm))
             )
             if report.gamma_opt > 0:
                 assert report.n_final <= sys.mechanics.n_th
@@ -402,8 +397,7 @@ class TestCoolingReportInvariants:
     def test_weak_coupling_advisory_flag(self):
         p = single_port_cavity(1.0, 5.0)
         m = MechanicsParams(omega_m=5.0, gamma_m=1e-3, n_th=7.0, G=1.0)
-        report = cooling.cooling_report(p, m, FeedbackConfig(gain=FlatDelay(0.0)),
-                                        check_stability=False)
+        report = cooling.cooling_report(p, m, FeedbackConfig(gain=FlatDelay(0.0)))
         assert any("advisory" in w for w in report.warnings)
 
 
@@ -414,8 +408,6 @@ class TestHighTemperatureVsExactRoute:
         # quadrature spectrum at -omega_m.  Deep sideband ratio and short
         # delay keep the neglected anti-resonant correction
         # ~ kappa*G/(2*Delta*(1-G)) under the tolerance.
-        from loopcool import langevin
-
         kappa = TWO_PI * 20e3
         omega_m = 120 * kappa
         p = CavityParams(

@@ -1,11 +1,14 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_form
 from loopcool import cooling, feedback, langevin, model, optimize, presets
 from loopcool.errors import FitError, OptomechanicalInstabilityError
 from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
@@ -106,7 +109,7 @@ class TestSolveRows:
             p, m, fb = toy_system(coupling=0.0, gain=0.3, port=port)
             w = rng.uniform(-12, 12, size=80)
             s_exact = langevin.observable_spectrum(p, m, fb, w, "x_cavity")
-            s_closed = cooling.cavity_quadrature_spectrum(p, fb, w)
+            s_closed = closed_form.cavity_quadrature_spectrum(p, fb, w)
             np.testing.assert_allclose(s_exact, s_closed, rtol=1e-10)
 
     def test_vacuum_photocurrent_is_shot_noise(self):
@@ -486,3 +489,17 @@ class TestDetailedBalanceAnchor:
         assert fit.gamma_eff == pytest.approx(expected, rel=0.10)
         gamma_opt = cooling.scattering_rates(p, m, fb).gamma_opt
         assert gamma_opt == pytest.approx(2 * m.G**2 / kappa, rel=0.01)
+
+
+class TestModuleGraph:
+    def test_langevin_does_not_import_cooling(self):
+        # cooling builds its rates on langevin, never the other way round
+        tree = ast.parse(Path(langevin.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert "cooling" not in imported

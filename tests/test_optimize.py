@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from loopcool import feedback, optimize
+from loopcool import cooling, feedback, langevin, optimize
 from loopcool.errors import LoopcoolError, ValidationError
+from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams
 from loopcool.optimize import SweepSpec
 
 TWO_PI = 2 * math.pi
@@ -20,6 +23,55 @@ class TestSweepSpec:
             SweepSpec("detuning", 0.0, 1.0, 1)
         with pytest.raises(ValidationError):
             SweepSpec("detuning", 0.0, 1.0, 5, evaluator="magic")
+
+
+def anti_damped_point():
+    """Blue-detuned drive with gamma_opt = -5e-3 against gamma_m = 1e-3."""
+    p = CavityParams(kappa0=1.0, kappa1=0.0, kappa_prime=0.0, detuning=-5.0)
+    m = MechanicsParams(omega_m=5.0, gamma_m=1e-3, n_th=7.0, G=0.05)
+    return p, m, FeedbackConfig(gain=FlatDelay(0.0))
+
+
+class TestEvaluate:
+    def test_weak_nyquist_unstable_keeps_rates(self, fig1_optical):
+        # the empty loop winds once while the rates still damp the mode
+        sys = fig1_optical
+        p, m = sys.cavity, sys.mechanics
+        fb = replace(sys.loop, phi=math.pi, gain=replace(sys.loop.gain, amplitude=0.55))
+        assert not feedback.nyquist_stability(p, fb).stable
+        rates = cooling.scattering_rates(p, m, fb)
+        assert rates.gamma_opt > -m.gamma_m
+        report = optimize.evaluate(p, m, fb, "weak_coupling")
+        assert not report.stable
+        assert math.isinf(report.n_final) and math.isinf(report.temperature_final)
+        assert math.isfinite(rates.gamma_opt) and report.rates == rates
+
+    def test_weak_anti_damped_is_unstable_report(self):
+        p, m, fb = anti_damped_point()
+        assert cooling.scattering_rates(p, m, fb).gamma_opt <= -m.gamma_m
+        report = optimize.evaluate(p, m, fb, "weak_coupling")
+        assert not report.stable and math.isinf(report.n_final)
+        assert math.isnan(report.rates.a_plus) and math.isnan(report.rates.a_minus)
+        assert report.warnings[0].startswith("unstable:")
+
+    def test_exact_anti_damped_skips_closed_loop_check(self, monkeypatch):
+        # the weak report's anti-damping raise is the exact path's pre-filter
+        original = langevin.closed_loop_stability
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(langevin, "closed_loop_stability", counting)
+        p, m, fb = anti_damped_point()
+        report = optimize.evaluate(p, m, fb, "langevin")
+        assert not report.stable and math.isinf(report.n_final)
+        assert report.warnings[0].startswith("unstable:")
+        assert calls == []
+        # the counter is live: a damped point goes through the exact check
+        assert optimize.evaluate(replace(p, detuning=5.0), m, fb, "langevin").stable
+        assert len(calls) == 1
 
 
 class TestSweep:
