@@ -9,6 +9,12 @@ the <O(w)O'(w')> = delta(w+w') S(w) convention the spectrum is the
 input-noise sum S(w) = sum_j c_j |K_j(w)|^2.  Valid at any coupling where
 the linearized model applies (the photocurrent is carried as an explicit
 unknown so both ports and finite detection efficiency stay uniform).
+
+The loop is stable iff det M(w) has no zeros in the upper half plane.  For
+a flat-delay gain they are counted exactly, without sampling, by following
+them across the real axis as the delay grows from 0 (delay crossings); for
+a tabulated gain the count is the winding of det M along a sampled real
+frequency contour.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ from . import feedback, model
 from .errors import (
     ConvergenceError,
     FitError,
+    InstabilityBoundaryError,
     LoopcoolError,
     OptomechanicalInstabilityError,
     ValidationError,
 )
-from .model import CavityParams, FeedbackConfig, MechanicsParams, Port, Tabulated
+from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
 from .spectra import Spectrum
 
 #: weights c over the unknowns x = (a, a_conj, b, b_conj, i_fb) of each
@@ -274,7 +281,8 @@ def closed_loop_determinant(
     Eliminating the mechanical rows gives R = D(w) + sigma(w) K(w): D is the
     empty-cavity loop denominator, sigma = G^2 (1/d_bc - 1/d_b) the
     mechanical self-energy and K the cavity/loop response it perturbs (the
-    sigma^2 terms cancel), so R equals D exactly at G = 0.
+    sigma^2 terms cancel), so R equals D exactly at G = 0.  The winding of R
+    decides stability for tabulated gains (closed_loop_stability).
     """
     e, _noise, _g = system_entries(p, m, fb, omega)
     d_a, d_ac = e[0, 0], e[1, 1]
@@ -284,24 +292,232 @@ def closed_loop_determinant(
     return feedback.loop_denominator(p, fb, omega) + sigma * k
 
 
+#: |Im| of a root, in units of the frequency scale, below which it counts as
+#: on the real axis
+_AXIS_TOL = 1e-12
+#: loop phase (rad) within which the delay counts as a crossing delay
+_CROSSING_PHASE_TOL = 1e-9
+#: largest half-width, in units of the frequency scale, of the probes either
+#: side of each crossing seed ...
+_SEED_PROBE = 1e-9
+#: ... and the offsets from omega_m, in units of gamma_m, probed as well
+_MECHANICAL_PROBES = 10.0 ** np.arange(-3.0, 5.0)
+#: Newton steps polishing each tau = 0 root, and the cap on bracketed ones
+_POLISH_STEPS = 2
+_NEWTON_STEPS = 100
+_EPS = float(np.finfo(float).eps)
+
+
+class _DetParts:
+    """det M(s x) = P(x) + g Q(x) at complex x = w / s, s the frequency scale.
+
+    g enters M only through column 4 (M04 = u0 g, M14 = u1 g, M44 = 1 + v g)
+    and every other entry is affine in w, so both parts are polynomials of
+    degree <= 4.  Eliminating the mechanical rows (rows 2, 3 couple only to
+    a, a_conj) gives, with A = d_a d_ac, B = d_b d_bc,
+    L = A v - u1 d_a M41 - u0 d_ac M40 and the self-energy numerator
+    G^2 (d_b - d_bc),
+
+        P = B A + G^2 (d_b - d_bc)(d_a - d_ac)
+        Q = B L + G^2 (d_b - d_bc)[(d_a - d_ac) v - (M40 - M41)(u0 + u1)].
+
+    Every value that decides something comes from these factored forms: near
+    +-omega_m, |P|^2 - |g|^2 |Q|^2 is a difference far below the scale of its
+    expanded coefficients, which only seed np.roots.
+    """
+
+    def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
+        self.scale = max(abs(p.detuning), m.omega_m, p.kappa)
+        grid = [0.0, self.scale]
+        off, _, _ = system_entries(p, m, replace(fb, gain=FlatDelay(0.0)), grid)
+        on, _, _ = system_entries(p, m, replace(fb, gain=FlatDelay(1.0)), grid)
+
+        def at_zero(value):
+            return complex(np.ravel(value)[0])
+
+        # (constant, slope per unit x) of d_a, d_ac, d_b, d_bc
+        self.diag = [
+            (complex(off[k, k][0]), complex(off[k, k][1] - off[k, k][0])) for k in range(4)
+        ]
+        self.m40, self.m41 = at_zero(off[4, 0]), at_zero(off[4, 1])
+        self.u0, self.u1 = at_zero(on[0, 4]), at_zero(on[1, 4])
+        self.v = at_zero(on[4, 4]) - at_zero(off[4, 4])
+        self.g2 = m.G**2
+
+    def __call__(self, x):
+        """P, Q and their x-derivatives at x (a scalar or an array)."""
+        (a0, a1), (ac0, ac1), (b0, b1), (bc0, bc1) = self.diag
+        a, ac, b, bc = a0 + a1 * x, ac0 + ac1 * x, b0 + b1 * x, bc0 + bc1 * x
+        prod_a, prod_b = a * ac, b * bc
+        dprod_a, dprod_b = a1 * ac + a * ac1, b1 * bc + b * bc1
+        split_a, split_b = a - ac, self.g2 * (b - bc)
+        dsplit_a, dsplit_b = a1 - ac1, self.g2 * (b1 - bc1)
+        loop = prod_a * self.v - self.u1 * self.m41 * a - self.u0 * self.m40 * ac
+        dloop = dprod_a * self.v - self.u1 * self.m41 * a1 - self.u0 * self.m40 * ac1
+        direct = split_a * self.v - (self.m40 - self.m41) * (self.u0 + self.u1)
+        p_val = prod_b * prod_a + split_b * split_a
+        q_val = prod_b * loop + split_b * direct
+        dp = dprod_b * prod_a + prod_b * dprod_a + dsplit_b * split_a + split_b * dsplit_a
+        dq = dprod_b * loop + prod_b * dloop + dsplit_b * direct + split_b * dsplit_a * self.v
+        return p_val, q_val, dp, dq
+
+    def coefficients(self, center: float) -> tuple[np.ndarray, np.ndarray]:
+        """Expanded coefficients of P and Q in x - center, highest first,
+        five each.  Centered at omega_m / s they carry the small d_b there
+        as a constant, so roots near omega_m keep their precision."""
+        a, ac, b, bc = (
+            np.array([slope, const + slope * center]) for const, slope in self.diag
+        )
+        conv = np.convolve
+        prod_a, prod_b = conv(a, ac), conv(b, bc)
+        split_a, split_b = a - ac, self.g2 * (b - bc)
+        loop = self.v * prod_a
+        loop[1:] -= self.u1 * self.m41 * a + self.u0 * self.m40 * ac
+        direct = self.v * split_a
+        direct[1] -= (self.m40 - self.m41) * (self.u0 + self.u1)
+        p_coef, q_coef = conv(prod_b, prod_a), conv(prod_b, loop)
+        p_coef[2:] += conv(split_b, split_a)
+        q_coef[2:] += conv(split_b, direct)
+        return p_coef, q_coef
+
+
+def _crossing_frequencies(
+    parts: _DetParts, c: complex, p_coef, q_coef, center: float, gamma: float
+) -> list[tuple[float, int]]:
+    """Positive real roots x of F = |P|^2 - |c|^2 |Q|^2, each with the sign
+    of F' there, from coefficients of P and Q in x - center (center =
+    omega_m / s).  The roots of the expanded F seed probes either side of
+    their real parts, probes geometric in gamma (= gamma_m / s) either side
+    of the center catch what the seeds miss, and every sign change of the
+    factored F between sorted probes is polished by safeguarded Newton.
+    A probe sits at most a quarter of the way to the next seed: for a
+    high-Q oscillator a pair of crossings near omega_m can lie closer
+    together than _SEED_PROBE."""
+    c2 = abs(c) ** 2
+    f_coef = (np.convolve(p_coef, p_coef.conj()) - c2 * np.convolve(q_coef, q_coef.conj())).real
+    seeds = np.roots(f_coef).real + center
+    seeds = np.unique(seeds[seeds > 0.0])
+    gaps = np.diff(seeds)
+    width = np.minimum(_SEED_PROBE, 0.25 * np.minimum(
+        np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)
+    ))
+    beyond = center + 1.0 + np.max(np.abs(f_coef[1:] / f_coef[0]))  # Cauchy bound
+    probes = np.concatenate([
+        [0.0, beyond],
+        seeds - width,
+        seeds + width,
+        center - gamma * _MECHANICAL_PROBES,
+        center + gamma * _MECHANICAL_PROBES,
+    ])
+    probes = np.unique(probes[probes >= 0.0])
+
+    def residual(x):
+        p_val, q_val, dp, dq = parts(x)
+        f = (p_val * p_val.conjugate()).real - c2 * (q_val * q_val.conjugate()).real
+        df = 2.0 * ((p_val.conjugate() * dp).real - c2 * (q_val.conjugate() * dq).real)
+        return f, df
+
+    f_probe = residual(probes)[0]
+    found = []
+    for k in np.flatnonzero(f_probe[:-1] * f_probe[1:] < 0.0).tolist():
+        lo, hi = float(probes[k]), float(probes[k + 1])
+        rising = bool(f_probe[k] < 0.0)
+        x = 0.5 * (lo + hi)
+        for _ in range(_NEWTON_STEPS):
+            f, df = residual(x)
+            if f == 0.0:
+                break
+            if (f < 0.0) == rising:
+                lo = x
+            else:
+                hi = x
+            step = x - f / df if df else 0.5 * (lo + hi)
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - x) <= 4.0 * _EPS * x:
+                x = step
+                break
+            x = step
+        found.append((x, 1 if rising else -1))
+    return found
+
+
+def _upper_half_plane_zeros(
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
+) -> float:
+    """Number of zeros of det M(w) = P(w) + c e^{i tau w} Q(w) in the upper
+    half plane for a FlatDelay gain c e^{i tau w}, by the delay-crossing
+    method (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac & Sipahi,
+    IEEE TAC 47, 793 (2002)).
+
+    The zeros of the polynomial P + c Q are counted at tau = 0.  As the delay
+    grows to tau, zeros cross the real axis only at the real roots w_c of
+    F = |P|^2 - |c|^2 |Q|^2, at the delays where tau w_c = arg(-P / (c Q))
+    mod 2 pi, moving up where w_c F'(w_c) > 0 and down otherwise.  Zeros come
+    in pairs w, -w*, so each crossing at w_c > 0 counts twice.  A loop of
+    neutral type (deg Q = deg P and |c Q_4| >= |P_4|, tau > 0) has infinitely
+    many unstable zeros.  A zero on the real axis, or a delay on a crossing,
+    raises InstabilityBoundaryError.
+    """
+    parts = _DetParts(p, m, fb)
+    c = complex(fb.gain(0.0))
+    tau = fb.gain.delay
+    center = m.omega_m / parts.scale
+    p_coef, q_coef = parts.coefficients(center)
+    if tau > 0.0 and abs(c * q_coef[0]) >= abs(p_coef[0]):
+        return math.inf
+
+    count = 0
+    for x in (np.roots(p_coef + c * q_coef) + center).tolist():
+        for _ in range(_POLISH_STEPS):
+            p_val, q_val, dp, dq = parts(x)
+            slope = dp + c * dq
+            if slope:
+                x -= (p_val + c * q_val) / slope
+        if abs(x.imag) < _AXIS_TOL:
+            raise InstabilityBoundaryError("closed-loop pole on the real frequency axis")
+        count += int(x.imag > 0.0)
+    if tau == 0.0 or c == 0.0:
+        return count
+
+    for x, direction in _crossing_frequencies(
+        parts, c, p_coef, q_coef, center, m.gamma_m / parts.scale
+    ):
+        p_val, q_val, _, _ = parts(x)
+        theta = cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi)
+        lag = tau * parts.scale * x - theta
+        if abs(math.remainder(lag, 2.0 * math.pi)) < _CROSSING_PHASE_TOL:
+            raise InstabilityBoundaryError("loop delay sits on a closed-loop pole crossing")
+        if lag > 0.0:
+            count += 2 * direction * (math.floor(lag / (2.0 * math.pi)) + 1)
+    if count < 0:
+        raise RuntimeError(f"delay-crossing count went negative ({count})")
+    return count
+
+
 def closed_loop_stability(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, edges=None
 ) -> bool:
-    """Generalized Nyquist criterion on the full closed loop: stable iff
-    R(w) (closed_loop_determinant) winds zero times around 0 along the real
-    axis.  R has no poles in the upper half plane and its zeros there are the
-    unstable closed-loop poles, static runaways included.  Seeding the loop
-    contour with the occupancy quadrature's first-round nodes resolves the
-    same mechanical features as the integral; `edges` hands over that
-    quadrature's panel edges when the caller has already built them.
+    """Stable iff det M(w) has no zeros in the upper half plane: they are the
+    unstable closed-loop poles, static runaways included.
+
+    For a FlatDelay gain the zeros are counted exactly by delay crossings
+    (_upper_half_plane_zeros); a loop of neutral type is unstable.  For a
+    Tabulated gain this is the generalized Nyquist criterion: R(w)
+    (closed_loop_determinant) must wind zero times around 0 along the real
+    axis.  Seeding that contour with the occupancy quadrature's first-round
+    nodes resolves the same mechanical features as the integral; `edges`
+    hands over that quadrature's panel edges when the caller has already
+    built them (it matters only for Tabulated gains).
     """
+    if isinstance(fb.gain, FlatDelay):
+        return _upper_half_plane_zeros(p, m, fb) == 0
     if edges is None:
         edges = _occupancy_edges(p, m, fb)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    if isinstance(fb.gain, Tabulated):
-        lo, hi = fb.gain.curve.domain
-        seeds = seeds[(np.abs(seeds) >= lo) & (np.abs(seeds) <= hi)]
+    lo, hi = fb.gain.curve.domain
+    seeds = seeds[(np.abs(seeds) >= lo) & (np.abs(seeds) <= hi)]
     omega = np.union1d(feedback.loop_contour(p, fb), seeds)
     verdict = feedback.winding_verdict(
         lambda w: closed_loop_determinant(p, m, fb, w), omega

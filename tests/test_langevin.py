@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import closed_form
@@ -208,6 +208,161 @@ class TestClosedLoopStability:
         p, m = sys.cavity, sys.mechanics
         assert langevin.closed_loop_stability(p, m, sys.with_gain_norm(0.9)) is True
         assert langevin.closed_loop_stability(p, m, sys.with_gain_norm(1.05)) is False
+
+
+def direct_ratio(p, fb):
+    """|c Q_4 / P_4| = 2 sqrt(eta) |A cos psi| of a flat loop: the weight of
+    the instantaneous reflection path, >= 1 for a loop of neutral type."""
+    _kappa_fb, theta_fb, z = model.port_constants(p, fb)
+    return (1 - z) * 2.0 * math.sqrt(fb.eta) * abs(fb.gain.amplitude * math.cos(fb.phi - theta_fb))
+
+
+@st.composite
+def flat_loops(draw, max_strength=1.5, max_ratio=0.9):
+    """Random closed loop in units of omega_m: either port, G from 1e-5 to
+    0.6, loop strength 2 sqrt(eta) |zeta_out A| at the cavity resonance up to
+    `max_strength`, direct-path ratio at most `max_ratio`."""
+    port = draw(st.sampled_from(list(Port)))
+    p = CavityParams(
+        kappa0=draw(st.floats(0.02, 0.6)),
+        kappa1=draw(st.floats(0.01, 0.5)),
+        kappa_prime=draw(st.floats(0.0, 0.05)),
+        detuning=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 1.8)),
+    )
+    m = MechanicsParams(
+        omega_m=1.0,
+        gamma_m=10.0 ** draw(st.floats(-10.0, -3.0)),
+        n_th=10.0,
+        G=10.0 ** draw(st.floats(-5.0, math.log10(0.6))),
+    )
+    fb = FeedbackConfig(
+        port=port,
+        phi=draw(st.floats(-math.pi, math.pi)),
+        eta=draw(st.floats(0.05, 1.0)),
+        gain=FlatDelay(1.0),
+    )
+    strength = draw(st.floats(0.0, max_strength))
+    amplitude = strength / (2.0 * math.sqrt(fb.eta) * abs(model.zeta_out(p, fb, abs(p.detuning))))
+    gain = FlatDelay(
+        amplitude, draw(st.floats(0.0, 5.0)), draw(st.sampled_from([0.0, math.pi]))
+    )
+    fb = replace(fb, gain=gain)
+    assume(direct_ratio(p, fb) <= max_ratio)
+    return p, m, fb
+
+
+def box_zero_count(p, m, fb, half_width, height):
+    """Zeros of det M(w) inside the box |Re w| < half_width, 0 < Im w <
+    height, by the argument principle, independently of the kernel: every
+    entry of M is affine in w apart from g, so M(w) = M0 + w M1 + g(w) Mg
+    with M0, M1, Mg read from system_entries at w = 0, 1 and g = 0, 1, and
+    g(w) = c e^{i tau w} continues to complex w."""
+
+    def assemble(gain):
+        entries, _, _ = langevin.system_entries(p, m, replace(fb, gain=gain), [0.0, 1.0])
+        mat = np.zeros((2, 5, 5), dtype=complex)
+        for (i, j), value in entries.items():
+            mat[:, i, j] = value
+        return mat
+
+    off, on = assemble(FlatDelay(0.0)), assemble(FlatDelay(1.0))
+    m0, m1, mg = off[0], off[1] - off[0], on[0] - off[0]
+    c, tau = complex(fb.gain(0.0)), fb.gain.delay
+
+    def edge(t):
+        # counter-clockwise perimeter, t in [0, 4]: real axis, right side,
+        # top, left side
+        t = np.asarray(t, dtype=float)
+        x, y = half_width, height
+        return np.select(
+            [t <= 1.0, t <= 2.0, t <= 3.0],
+            [-x + 2.0 * x * t + 0j, x + 1j * y * (t - 1.0), x - 2.0 * x * (t - 2.0) + 1j * y],
+            -x + 1j * y * (4.0 - t),
+        )
+
+    def det(t):
+        w = edge(t)[..., None, None]
+        return np.linalg.det(m0 + w * m1 + c * np.exp(1j * tau * w) * mg)
+
+    # dense real-axis samples, geometric in gamma_m around +-omega_m
+    offsets = m.gamma_m * 10.0 ** np.arange(-3.0, 5.0)
+    features = np.concatenate([s * m.omega_m + d for s in (-1, 1) for d in (-offsets, offsets)])
+    on_axis = (features[np.abs(features) < half_width] + half_width) / (2.0 * half_width)
+    t = np.union1d(np.linspace(0.0, 4.0, 8001), on_axis)
+    return feedback.winding_verdict(det, t).winding_number
+
+
+class TestDelayCrossingCount:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops())
+    def test_matches_argument_principle(self, loop):
+        p, m, fb = loop
+        scale = max(abs(p.detuning), m.omega_m, p.kappa)
+        count = langevin._upper_half_plane_zeros(p, m, fb)
+        assert count == box_zero_count(p, m, fb, 6.0 * scale, 3.0 * scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops(max_strength=4.0))
+    def test_decoupled_loop_is_nyquist(self, loop):
+        p, m, fb = loop
+        decoupled = replace(m, G=0.0)
+        stable = feedback.nyquist_stability(p, fb).stable
+        assert langevin.closed_loop_stability(p, decoupled, fb) is stable
+
+    def test_weak_coupling_mechanical_crossings(self, fig1_optical):
+        # crossings within ~gamma_m of omega_m: an evaluation of the expanded
+        # coefficients of |P|^2 - |c|^2 |Q|^2 counts -1 zeros here
+        omega_m = fig1_optical.mechanics.omega_m
+        p = replace(fig1_optical.cavity, detuning=0.9897144959094339 * omega_m)
+        m = replace(
+            fig1_optical.mechanics,
+            G=1.1565951037832985e-4 * omega_m,
+            gamma_m=1.1381363528628408e-6 * omega_m,
+        )
+        fb = replace(
+            fig1_optical.loop,
+            phi=-0.3594680053165016,
+            eta=0.21718823219160763,
+            gain=FlatDelay(0.5957231017838691, 3.360158059968303e-08),
+        )
+        assert langevin.closed_loop_stability(p, m, fb) is True
+
+    # experiment system, red-detuned, G < 1e-3 omega_m: the crossings lie
+    # within a few gamma_m of omega_m, which the roots of |P|^2 - |c|^2 |Q|^2
+    # expanded about w = 0 do not resolve.  The mechanical zero of det M sits
+    # at Im w = -0.134 gamma_m (stable) and +0.490 gamma_m (unstable).
+    @pytest.mark.parametrize(
+        "detuning, gamma_m, coupling, phi, eta, gain, stable",
+        [
+            (-2602777.5195220425, 3.3493222104010933, 1696.851174262114,
+             1.854728546979148, 0.7813890152776057,
+             FlatDelay(0.4321242256102605, 1.7302726145129193e-06, math.pi), True),
+            (-2463007.7984330077, 1.1813025082580466, 752.4198078784801,
+             1.006653745754842, 0.5742594486662428,
+             FlatDelay(0.7828615168641846, 6.893593238720507e-07), False),
+        ],
+        ids=["stable", "unstable"],
+    )
+    def test_mechanical_crossings_near_omega_m(
+        self, experiment, detuning, gamma_m, coupling, phi, eta, gain, stable
+    ):
+        p = replace(experiment.cavity, detuning=detuning)
+        m = replace(experiment.mechanics, gamma_m=gamma_m, G=coupling)
+        fb = FeedbackConfig(port=Port.TRANSMISSION, phi=phi, eta=eta, gain=gain)
+        assert langevin.closed_loop_stability(p, m, fb) is stable
+
+    def test_neutral_loop_is_unstable(self, fig1_optical):
+        p, m = fig1_optical.cavity, fig1_optical.mechanics
+        _kappa_fb, theta_fb, _z = model.port_constants(p, fig1_optical.loop)
+        fb = replace(
+            fig1_optical.loop, phi=theta_fb, eta=1.0, gain=FlatDelay(-0.6, 1e-8)
+        )
+        assert direct_ratio(p, fb) == pytest.approx(1.2)
+        assert langevin._upper_half_plane_zeros(p, m, fb) == math.inf
+        assert langevin.closed_loop_stability(p, m, fb) is False
+        report = optimize.evaluate(p, m, fb, "langevin")
+        assert report.stable is False
+        assert report.n_final == math.inf
 
 
 #: (left, right) unknowns summed into K_O and K_O': the hermitian
