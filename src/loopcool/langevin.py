@@ -2,13 +2,17 @@
 
 Per frequency the five unknowns x = (a, a_conj, b, b_conj, i_fb) obey
 M(w) x = N n against the nine noise inputs n.  An observable c^T x has the
-transfer row K = c^T M^-1 N, found by one transposed single-RHS solve.
-Because g_fb(-w) = g_fb(w)*, the partner observable's row at -w is the
-conjugate of K with each noise channel swapped for its partner, so under
-the <O(w)O'(w')> = delta(w+w') S(w) convention the spectrum is the
-input-noise sum S(w) = sum_j c_j |K_j(w)|^2.  Valid at any coupling where
-the linearized model applies (the photocurrent is carried as an explicit
-unknown so both ports and finite detection efficiency stay uniform).
+transfer row K = c^T M^-1 N, found by one transposed single-RHS solve in
+closed form: the mechanical rows couple only to a and a_conj, so they are
+eliminated exactly (the mechanical self-energy reduction of Genes et al.,
+PRA 77, 033804 (2008)), leaving a 3x3 system solved by cofactors,
+elementwise over the frequencies.  Because g_fb(-w) = g_fb(w)*, the
+partner observable's row at -w is the conjugate of K with each noise
+channel swapped for its partner, so under the <O(w)O'(w')> = delta(w+w')
+S(w) convention the spectrum is the input-noise sum S(w) = sum_j c_j
+|K_j(w)|^2.  Valid at any coupling where the linearized model applies
+(the photocurrent is carried as an explicit unknown so both ports and
+finite detection efficiency stay uniform).
 
 The loop is stable iff det M(w) has no zeros in the upper half plane.  For
 a flat-delay gain they are counted exactly, without sampling, by following
@@ -127,20 +131,70 @@ def solve_rows(
     """Transfer row K(w) = c^T M(w)^-1 N of the observable c^T x, with c =
     `weights` over the unknowns (a, a_conj, b, b_conj, i_fb).
 
-    One single-RHS solve per frequency: M^T y = c, then K = y N.  Returns an
-    (N, 9) complex array over the noise channels.
+    One single-RHS solve per frequency, M^T y = c, then K = y N; returns an
+    (N, 9) complex array over the noise channels.  The solve is closed-form
+    block elimination, elementwise over the frequencies.  The mechanical
+    columns give y2 = (c2 + iG D) / d_b and y3 = (c3 + iG D) / d_bc with
+    D = y0 - y1 (d_b, d_bc != 0 on the real axis since gamma_m > 0).  What
+    remains is a 3x3 system A (D, y1, y4) = r: cavity column 0 minus column
+    1 (the self-energy sigma = G^2 (1/d_bc - 1/d_b) drops out), column 1
+    times d_b d_bc (sigma never forms) and column 4, with det A = det M.
+    It is solved by cofactors, written so that
+    - no terms cancel identically;
+    - y2 and y3 come with d_b or d_bc divided out of their numerators
+      exactly, not as c + iG D over d (near w = -+omega_m that sum cancels
+      to ~gamma_m / Gamma_opt of its terms);
+    - for c0 = c1 the partner problem at -w runs the conjugate operations,
+      so S(omega_m) - S(-omega_m) keeps its precision in the rates;
+    - no entry is pivoted on, M44 included (on the reflection port it
+      vanishes at real w while M stays regular).
+    A zero or non-finite det M raises OptomechanicalInstabilityError.
     """
-    entries, noise, g = system_entries(p, m, fb, omega)
-    mat_t = np.zeros((g.size, 5, 5), dtype=complex)
-    for (i, j), value in entries.items():
-        mat_t[:, j, i] = value
-    rhs = np.broadcast_to(np.asarray(weights, dtype=complex), (g.size, 5))
-    try:
-        y = np.linalg.solve(mat_t, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise OptomechanicalInstabilityError(
-            "singular closed-loop system: frequency sits on an instability pole"
-        ) from exc
+    e, noise, _g = system_entries(p, m, fb, omega)
+    c0, c1, c2, c3, c4 = np.asarray(weights, dtype=complex).tolist()
+    ig, g2 = 1j * m.G, m.G**2
+    d_a, d_ac, d_b, d_bc = e[0, 0], e[1, 1], e[2, 2], e[3, 3]
+    m40, m41, m44, m04, m14 = e[4, 0], e[4, 1], e[4, 4], e[0, 4], e[1, 4]
+    m_diff = m40 - m41
+    r1, r3 = c0 - c1, c4
+    with np.errstate(all="ignore"):
+        prod_a, prod_b, s = d_a * d_ac, d_b * d_bc, g2 * (d_bc - d_b)
+        r2 = c1 * prod_b - ig * (c3 * d_b - c2 * d_bc)
+        dm = d_ac * m44
+        # det A = d_b d_bc loop + s cof_s: loop = d_a d_ac M44 - g (d_a M41
+        # u1 + d_ac M40 u0) is the loop denominator times d_a d_ac, cof_s
+        # the cofactor of s in A
+        loop = prod_a * m44 - (d_a * m41 * m14 + d_ac * m40 * m04)
+        cof_s = m_diff * (m04 + m14) - (d_a - d_ac) * m44
+        det = prod_b * loop + s * cof_s
+        if not (np.isfinite(det).all() and det.all()):
+            raise OptomechanicalInstabilityError(
+                "singular closed-loop system: frequency sits on an instability pole"
+            )
+        # (y0, y1, y4) det = adj(A) r with y0 = D + y1.  r1 = c0 - c1 is 0
+        # for every OBSERVABLES row and r3 = c4 for all but i_fb, so their
+        # columns are added only when needed; d_rest is their part of
+        # D det / (d_b d_bc)
+        num_0 = (dm + m_diff * m14) * r2
+        num_1 = (d_a * m44 - m_diff * m04) * r2
+        num_4 = -(d_ac * m04 + d_a * m14) * r2
+        d_rest = 0.0
+        if r1:
+            d_rest = d_rest + (dm - m41 * (m04 + m14)) * r1
+            num_0 = num_0 + (prod_b * (dm - m41 * m14) - s * m44) * r1
+            num_1 = num_1 + (prod_b * m41 * m04 - s * m44) * r1
+            num_4 = num_4 + (s * (m04 + m14) - prod_b * d_ac * m04) * r1
+        if r3:
+            d_rest = d_rest + (d_a * m41 - d_ac * m40) * r3
+            num_0 = num_0 + (m_diff * s - prod_b * d_ac * m40) * r3
+            num_1 = num_1 + (m_diff * s - prod_b * d_a * m41) * r3
+            num_4 = num_4 + (prod_b * prod_a - (d_a - d_ac) * s) * r3
+        # y2 det = (c2 + iG D) det / d_b and y3 det = (c3 + iG D) det / d_bc
+        common, split = ig * (d_rest + c1 * cof_s), g2 * (c3 - c2) * cof_s
+        num_2 = d_bc * (c2 * loop + common) + split
+        num_3 = d_b * (c3 * loop + common) + split
+        y = np.stack((num_0, num_1, num_2, num_3, num_4), axis=-1)
+        y /= det[:, None]
     return y @ noise
 
 
@@ -183,10 +237,12 @@ def _gl_batch(fvec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     """Globally adaptive panel integration with vectorized evaluation.
 
-    Each round every unconverged panel is bisected; a panel is retired when
-    its refinement error is below its share of the global budget.  The final
-    sum is accumulated position-sorted with compensated summation so the
-    result is independent of evaluation order.
+    Each round every unconverged panel is bisected and both halves of all
+    of them are evaluated in one call of `fvec`, so a run makes 1 + rounds
+    calls; a panel is retired when its refinement error is below its share
+    of the global budget.  The final sum is accumulated position-sorted
+    with compensated summation so the result is independent of evaluation
+    order.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
@@ -195,8 +251,8 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
 
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (a + b)
-        left = _gl_batch(fvec, a, mid)
-        right = _gl_batch(fvec, mid, b)
+        halves = _gl_batch(fvec, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = halves[: a.size], halves[a.size :]
         refined = left + right
         err = np.abs(coarse - refined)
         total = math.fsum(v for _, v in done) + math.fsum(refined.tolist())
@@ -328,20 +384,20 @@ class _DetParts:
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         self.scale = max(abs(p.detuning), m.omega_m, p.kappa)
-        grid = [0.0, self.scale]
-        off, _, _ = system_entries(p, m, replace(fb, gain=FlatDelay(0.0)), grid)
-        on, _, _ = system_entries(p, m, replace(fb, gain=FlatDelay(1.0)), grid)
+        # at g = 1: column 4 holds u0, u1 and 1 + v, and no other entry
+        # depends on g (at g = 0 column 4 reads 0, 0 and 1)
+        on, _, _ = system_entries(p, m, replace(fb, gain=FlatDelay(1.0)), [0.0, self.scale])
 
         def at_zero(value):
             return complex(np.ravel(value)[0])
 
         # (constant, slope per unit x) of d_a, d_ac, d_b, d_bc
         self.diag = [
-            (complex(off[k, k][0]), complex(off[k, k][1] - off[k, k][0])) for k in range(4)
+            (complex(on[k, k][0]), complex(on[k, k][1] - on[k, k][0])) for k in range(4)
         ]
-        self.m40, self.m41 = at_zero(off[4, 0]), at_zero(off[4, 1])
+        self.m40, self.m41 = at_zero(on[4, 0]), at_zero(on[4, 1])
         self.u0, self.u1 = at_zero(on[0, 4]), at_zero(on[1, 4])
-        self.v = at_zero(on[4, 4]) - at_zero(off[4, 4])
+        self.v = at_zero(on[4, 4]) - 1.0
         self.g2 = m.G**2
 
     def __call__(self, x):

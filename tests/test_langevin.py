@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +33,17 @@ A, A_CONJ, B, B_CONJ, I_FB = np.eye(5)
 PARTNER_UNKNOWN = [1, 0, 3, 2, 4]
 #: ... and each noise with its partner (x_vac is its own partner)
 PARTNER_NOISE = [1, 0, 3, 2, 5, 4, 7, 6, 8]
+
+
+def dense_rows(p, m, fb, omega, weights):
+    """Oracle for solve_rows: the batched dense 5x5 solve of M^T y = c,
+    LAPACK with partial pivoting, then K = y N."""
+    entries, noise, g = langevin.system_entries(p, m, fb, omega)
+    mat_t = np.zeros((g.size, 5, 5), dtype=complex)
+    for (i, j), value in entries.items():
+        mat_t[:, j, i] = value
+    rhs = np.broadcast_to(np.asarray(weights, dtype=complex), (g.size, 5))
+    return np.linalg.solve(mat_t, rhs[..., None])[..., 0] @ noise
 
 
 class TestSolveRows:
@@ -111,6 +123,64 @@ class TestSolveRows:
             s_exact = langevin.observable_spectrum(p, m, fb, w, "x_cavity")
             s_closed = closed_form.cavity_quadrature_spectrum(p, fb, w)
             np.testing.assert_allclose(s_exact, s_closed, rtol=1e-10)
+
+    # w = +-omega_m is a node of every occupancy quadrature; there 1/d_b or
+    # 1/d_bc is ~omega_m/gamma_m.  An elimination that forms the self-energy
+    # G^2 (1/d_bc - 1/d_b) loses up to 7e-10 of the spectrum on fig1_microwave,
+    # and (c3 + iG D) / d_bc up to 1e-11; LAPACK is exact there to 1e-15
+    @pytest.mark.parametrize("port", list(Port), ids=lambda port: port.value)
+    @pytest.mark.parametrize("name", ["experiment", "fig1_optical", "fig1_microwave"])
+    def test_spectra_match_dense_solve_on_mechanical_resonance(self, name, port):
+        sys = presets.get_system(name)
+        p, m0 = sys.cavity, sys.mechanics
+        fb = replace(sys.loop, port=port)
+        w = m0.omega_m * np.array([-1.0, 1.0, -1.0 - 1e-7, 1.0 + 1e-7, 0.5, 2.0])
+        weights = langevin.noise_weights(m0.n_th)
+        for scale in (0.0, 0.3, 1.0, 3.0):
+            m = replace(m0, G=scale * m0.G)
+            for observable, c in langevin.OBSERVABLES.items():
+                s = np.abs(langevin.solve_rows(p, m, fb, w, c)) ** 2 @ weights
+                expected = np.abs(dense_rows(p, m, fb, w, c)) ** 2 @ weights
+                np.testing.assert_allclose(
+                    s, expected, rtol=1e-12, err_msg=f"{observable} G x {scale}"
+                )
+
+    def test_vanishing_photocurrent_diagonal(self, rng):
+        # reflection with 2 sqrt(eta) A cos(phi - theta_bar) = -1 and no
+        # delay: M44 = 1 + 2 sqrt(eta) g cos psi is exactly 0 at every real
+        # w while M stays regular, so nothing may pivot on it
+        p, m, _ = toy_system(coupling=0.3)
+        _theta, theta_bar = model.input_phase_shifts(p)
+        fb = FeedbackConfig(
+            port=Port.REFLECTION, phi=theta_bar, eta=1.0, gain=FlatDelay(-0.5)
+        )
+        w = np.concatenate([rng.uniform(-12, 12, size=40), [-m.omega_m, m.omega_m]])
+        entries, _, _ = langevin.system_entries(p, m, fb, w)
+        assert np.all(entries[4, 4] == 0.0)
+        for c in (A, A_CONJ, B, B_CONJ, I_FB, *langevin.OBSERVABLES.values()):
+            np.testing.assert_allclose(
+                langevin.solve_rows(p, m, fb, w, c),
+                dense_rows(p, m, fb, w, c),
+                rtol=1e-11,
+                atol=1e-13,
+            )
+
+    def test_singular_system_raises_typed_error(self):
+        # empty cavity loop exactly at threshold: kappa = 1, s0 = s1 = 1,
+        # eta = 1 and g = 1/2 give det M(0) = 0 in exact arithmetic, so w =
+        # 0 sits on a pole; a gain of 1e308 overflows det M to inf/nan
+        p = CavityParams(kappa0=0.5, kappa1=0.5, kappa_prime=0.0, detuning=0.0)
+        m = MechanicsParams(omega_m=5.0, gamma_m=1e-3, n_th=12.5, G=0.0)
+        on_pole = FeedbackConfig(port=Port.TRANSMISSION, phi=0.0, eta=1.0, gain=FlatDelay(0.5))
+        overflow = replace(on_pole, gain=FlatDelay(1e308))
+        for fb, w in ((on_pole, [1.0, 0.0]), (overflow, [1.0, 2.0])):
+            for c in (A, I_FB, langevin.OBSERVABLES["n_mech"]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(
+                        OptomechanicalInstabilityError, match="singular closed-loop system"
+                    ):
+                        langevin.solve_rows(p, m, fb, np.array(w), c)
 
     def test_vacuum_photocurrent_is_shot_noise(self):
         p, m, fb = toy_system(coupling=0.0, gain=0.0, eta=0.55)
@@ -351,6 +421,30 @@ class TestDelayCrossingCount:
         fb = FeedbackConfig(port=Port.TRANSMISSION, phi=phi, eta=eta, gain=gain)
         assert langevin.closed_loop_stability(p, m, fb) is stable
 
+    @pytest.mark.parametrize("port", list(Port), ids=lambda port: port.value)
+    @pytest.mark.parametrize("name", ["experiment", "fig1_optical", "fig1_microwave"])
+    def test_parts_read_at_unit_gain_only(self, name, port):
+        # column 4 of M at g = 0 is exactly (0, 0, 1), so one read of M at
+        # g = 1 gives the same constants as reading it at g = 0 and g = 1
+        sys = presets.get_system(name)
+        p, m = sys.cavity, sys.mechanics
+        fb = replace(sys.loop, port=port)
+        parts = langevin._DetParts(p, m, fb)
+        grid = [0.0, parts.scale]
+        off, _, _ = langevin.system_entries(p, m, replace(fb, gain=FlatDelay(0.0)), grid)
+        on, _, _ = langevin.system_entries(p, m, replace(fb, gain=FlatDelay(1.0)), grid)
+
+        def at_zero(value):
+            return complex(np.ravel(value)[0])
+
+        diag = [
+            (complex(off[k, k][0]), complex(off[k, k][1] - off[k, k][0])) for k in range(4)
+        ]
+        assert parts.diag == diag
+        assert (parts.m40, parts.m41) == (at_zero(off[4, 0]), at_zero(off[4, 1]))
+        assert (parts.u0, parts.u1) == (at_zero(on[0, 4]), at_zero(on[1, 4]))
+        assert parts.v == at_zero(on[4, 4]) - at_zero(off[4, 4])
+
     def test_neutral_loop_is_unstable(self, fig1_optical):
         p, m = fig1_optical.cavity, fig1_optical.mechanics
         _kappa_fb, theta_fb, _z = model.port_constants(p, fig1_optical.loop)
@@ -475,6 +569,23 @@ class TestPhononOccupancy:
             lambda x: np.exp(-(x**2)), edges, rtol=1e-6
         )
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-6)
+
+    def test_adaptive_integral_one_call_per_round(self):
+        # from one seed panel, round k evaluates both halves of every open
+        # panel, all of width L / 2^k, in a single integrand call
+        nodes = []
+
+        def lorentzian(x):
+            nodes.append(x.reshape(-1, langevin._GL_NODES.size))
+            return 1.0 / (1.0 + x**2)
+
+        val = langevin.adaptive_integral(lorentzian, np.array([-50.0, 50.0]), rtol=1e-9)
+        assert val == pytest.approx(2.0 * math.atan(50.0), rel=1e-9)
+        rounds = len(nodes) - 1
+        assert rounds >= 3
+        span = 100.0 * np.ptp(langevin._GL_NODES) / 2.0
+        for k, x in enumerate(nodes):
+            np.testing.assert_allclose(np.ptp(x, axis=1), span / 2.0**k, rtol=1e-12)
 
 
 class TestDisplacementSpectrum:
@@ -658,3 +769,17 @@ class TestModuleGraph:
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
         assert "cooling" not in imported
+
+    def test_no_dense_solve_in_package(self):
+        # the per-frequency solve is closed form; the dense 5x5 solve lives
+        # on only as the oracle in these tests
+        calls = []
+        for path in sorted(Path(langevin.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "solve":
+                    if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                        calls.append((path.name, node.lineno))
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                    if any(alias.name == "solve" for alias in node.names):
+                        calls.append((path.name, node.lineno))
+        assert calls == []
