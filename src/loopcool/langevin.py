@@ -1,18 +1,21 @@
 """Exact frequency-domain solution of the closed-loop linearized dynamics.
 
 Per frequency the five unknowns x = (a, a_conj, b, b_conj, i_fb) obey
-M(w) x = N n against the nine noise inputs n.  An observable c^T x has the
-transfer row K = c^T M^-1 N, found by one transposed single-RHS solve in
-closed form: the mechanical rows couple only to a and a_conj, so they are
-eliminated exactly (the mechanical self-energy reduction of Genes et al.,
-PRA 77, 033804 (2008)), leaving a 3x3 system solved by cofactors,
-elementwise over the frequencies.  Because g_fb(-w) = g_fb(w)*, the
-partner observable's row at -w is the conjugate of K with each noise
-channel swapped for its partner, so under the <O(w)O'(w')> = delta(w+w')
-S(w) convention the spectrum is the input-noise sum S(w) = sum_j c_j
-|K_j(w)|^2.  Valid at any coupling where the linearized model applies
-(the photocurrent is carried as an explicit unknown so both ports and
-finite detection efficiency stay uniform).
+M(w) x = N n against the nine noise inputs n.  One kernel per operating
+point holds every frequency-independent constant of M and N; the solve,
+the determinant and the zero count all read M from it, and only the
+diagonal and the gain column are evaluated per frequency.  An observable
+c^T x has the transfer row K = c^T M^-1 N, found by one transposed
+single-RHS solve in closed form: the mechanical rows couple only to a and
+a_conj, so they are eliminated exactly (the mechanical self-energy
+reduction of Genes et al., PRA 77, 033804 (2008)), leaving a 3x3 system
+solved by cofactors, elementwise over the frequencies.  Because g_fb(-w) =
+g_fb(w)*, the partner observable's row at -w is the conjugate of K with
+each noise channel swapped for its partner, so under the <O(w)O'(w')> =
+delta(w+w') S(w) convention the spectrum is the input-noise sum S(w) =
+sum_j c_j |K_j(w)|^2.  Valid at any coupling where the linearized model
+applies (the photocurrent is carried as an explicit unknown so both ports
+and finite detection efficiency stay uniform).
 
 The loop is stable iff det M(w) has no zeros in the upper half plane.  For
 a flat-delay gain they are counted exactly, without sampling, by following
@@ -59,70 +62,75 @@ def noise_weights(n_th: float) -> np.ndarray:
     return np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, n_th + 1.0, n_th, 1.0])
 
 
-def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega):
-    """The closed-loop system M(w) x = N n that solve_rows solves, in the
-    unknowns x = (a, a_conj, b, b_conj, i_fb) and the noises n = (a_in0,
+class _Kernel:
+    """The frequency-independent constants of M(w) x = N n at one operating
+    point, with x = (a, a_conj, b, b_conj, i_fb) and the noises n = (a_in0,
     a_in0_conj, a_in1, a_in1_conj, a_prime, a_prime_conj, b_in, b_in_conj,
-    x_vac): the nonzero entries of M keyed by (row, column), the
-    frequency-independent (5, 9) noise matrix N, and g_fb(w)."""
+    x_vac).  The frequency enters M only through the diagonal of rows 0-3
+    and through g = g_fb(w) in column 4 (`at`); row 4 reads m40, m41 in
+    columns 0, 1, the mechanical couplings are -+iG, and N is `noise`."""
+
+    def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
+        theta, theta_bar = model.input_phase_shifts(p)
+        s0, s1, sp = (math.sqrt(2.0 * k) for k in (p.kappa0, p.kappa1, p.kappa_prime))
+        e_th = cmath.exp(-1j * theta)
+        self.kappa, self.detuning = p.kappa, p.detuning
+        self.half_gamma, self.omega_m = m.gamma_m / 2.0, m.omega_m
+        self.u0, self.u1 = -s0 * e_th, -s0 * np.conjugate(e_th)
+        self.noise = noise = np.zeros((5, 9), dtype=complex)
+        noise[0, 0], noise[0, 2], noise[0, 4] = s0 * e_th, s1, sp
+        noise[1, 1], noise[1, 3], noise[1, 5] = s0 * np.conjugate(e_th), s1, sp
+        noise[2, 6] = noise[3, 7] = math.sqrt(m.gamma_m)
+
+        # photocurrent, with the detected-port input-output relation inlined
+        self.sqrt_eta = sqrt_eta = math.sqrt(fb.eta)
+        noise[4, 8] = math.sqrt(1.0 - fb.eta)
+        if fb.port is Port.TRANSMISSION:
+            self.m40 = -sqrt_eta * s1 * cmath.exp(1j * fb.phi)
+            self.m41 = -sqrt_eta * s1 * cmath.exp(-1j * fb.phi)
+            self.direct = None
+            noise[4, 2] = -sqrt_eta * cmath.exp(1j * fb.phi)
+            noise[4, 3] = -sqrt_eta * cmath.exp(-1j * fb.phi)
+        else:
+            e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
+            e_dir = cmath.exp(1j * (fb.phi - theta_bar))
+            self.m40 = -sqrt_eta * s0 * e_out
+            self.m41 = -sqrt_eta * s0 * np.conjugate(e_out)
+            # the detected direct term: M44 = 1 + sqrt(eta) g (e_dir + e_dir*)
+            self.direct = e_dir + np.conjugate(e_dir)
+            noise[4, 0] = -sqrt_eta * e_dir
+            noise[4, 1] = -sqrt_eta * np.conjugate(e_dir)
+
+    def at(self, omega, g):
+        """d_a, d_ac, d_b, d_bc (M00 to M33) at the real frequencies omega,
+        and M04 = u0 g, M14 = u1 g, M44 at the gain values g."""
+        m44 = 1.0 if self.direct is None else 1.0 + self.sqrt_eta * g * self.direct
+        return (
+            self.kappa + 1j * (self.detuning - omega),
+            self.kappa - 1j * (self.detuning + omega),
+            self.half_gamma + 1j * (self.omega_m - omega),
+            self.half_gamma - 1j * (self.omega_m + omega),
+            self.u0 * g, self.u1 * g, m44,
+        )
+
+
+def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega):
+    """The closed-loop system M(w) x = N n as the test oracles read it: the
+    nonzero entries of M keyed by (row, column), the (5, 9) noise matrix N
+    and g_fb(w), all from the kernel the package solves on."""
+    kernel = _Kernel(p, m, fb)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    theta, theta_bar = model.input_phase_shifts(p)
-    s0 = math.sqrt(2.0 * p.kappa0)
-    s1 = math.sqrt(2.0 * p.kappa1)
-    sp = math.sqrt(2.0 * p.kappa_prime)
-    sg = math.sqrt(m.gamma_m)
-    e_th = cmath.exp(-1j * theta)
     g = np.asarray(fb.gain(omega), dtype=complex)
-    noise = np.zeros((5, 9), dtype=complex)
-
-    mat = {}
-
-    # cavity field and its conjugate partner
-    mat[0, 0] = p.kappa + 1j * (p.detuning - omega)
-    mat[0, 2] = -1j * m.G
-    mat[0, 3] = -1j * m.G
-    mat[0, 4] = -s0 * e_th * g
-    noise[0, 0] = s0 * e_th
-    noise[0, 2] = s1
-    noise[0, 4] = sp
-
-    mat[1, 1] = p.kappa - 1j * (p.detuning + omega)
-    mat[1, 2] = 1j * m.G
-    mat[1, 3] = 1j * m.G
-    mat[1, 4] = -s0 * np.conjugate(e_th) * g
-    noise[1, 1] = s0 * np.conjugate(e_th)
-    noise[1, 3] = s1
-    noise[1, 5] = sp
-
-    # mechanical mode
-    mat[2, 2] = m.gamma_m / 2.0 + 1j * (m.omega_m - omega)
-    mat[2, 0] = -1j * m.G
-    mat[2, 1] = -1j * m.G
-    noise[2, 6] = sg
-
-    mat[3, 3] = m.gamma_m / 2.0 - 1j * (m.omega_m + omega)
-    mat[3, 0] = 1j * m.G
-    mat[3, 1] = 1j * m.G
-    noise[3, 7] = sg
-
-    # photocurrent, with the detected-port input-output relation inlined
-    sqrt_eta = math.sqrt(fb.eta)
-    mat[4, 4] = 1.0
-    noise[4, 8] = math.sqrt(1.0 - fb.eta)
-    if fb.port is Port.TRANSMISSION:
-        mat[4, 0] = -sqrt_eta * s1 * cmath.exp(1j * fb.phi)
-        mat[4, 1] = -sqrt_eta * s1 * cmath.exp(-1j * fb.phi)
-        noise[4, 2] = -sqrt_eta * cmath.exp(1j * fb.phi)
-        noise[4, 3] = -sqrt_eta * cmath.exp(-1j * fb.phi)
-    else:
-        e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
-        e_dir = cmath.exp(1j * (fb.phi - theta_bar))
-        mat[4, 0] = -sqrt_eta * s0 * e_out
-        mat[4, 1] = -sqrt_eta * s0 * np.conjugate(e_out)
-        mat[4, 4] = 1.0 + sqrt_eta * g * (e_dir + np.conjugate(e_dir))
-        noise[4, 0] = -sqrt_eta * e_dir
-        noise[4, 1] = -sqrt_eta * np.conjugate(e_dir)
-    return mat, noise, g
+    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(omega, g)
+    ig, mig = 1j * m.G, -1j * m.G
+    mat = {
+        (0, 0): d_a, (0, 2): mig, (0, 3): mig, (0, 4): m04,
+        (1, 1): d_ac, (1, 2): ig, (1, 3): ig, (1, 4): m14,
+        (2, 2): d_b, (2, 0): mig, (2, 1): mig,
+        (3, 3): d_bc, (3, 0): ig, (3, 1): ig,
+        (4, 0): kernel.m40, (4, 1): kernel.m41, (4, 4): m44,
+    }
+    return mat, kernel.noise, g
 
 
 def solve_rows(
@@ -133,12 +141,13 @@ def solve_rows(
 
     One single-RHS solve per frequency, M^T y = c, then K = y N; returns an
     (N, 9) complex array over the noise channels.  The solve is closed-form
-    block elimination, elementwise over the frequencies.  The mechanical
-    columns give y2 = (c2 + iG D) / d_b and y3 = (c3 + iG D) / d_bc with
-    D = y0 - y1 (d_b, d_bc != 0 on the real axis since gamma_m > 0).  What
-    remains is a 3x3 system A (D, y1, y4) = r: cavity column 0 minus column
-    1 (the self-energy sigma = G^2 (1/d_bc - 1/d_b) drops out), column 1
-    times d_b d_bc (sigma never forms) and column 4, with det A = det M.
+    block elimination on the kernel's entries, elementwise over the
+    frequencies.  The mechanical columns give y2 = (c2 + iG D) / d_b and y3
+    = (c3 + iG D) / d_bc with D = y0 - y1 (d_b, d_bc != 0 on the real axis
+    since gamma_m > 0).  What remains is a 3x3 system A (D, y1, y4) = r:
+    cavity column 0 minus column 1 (the self-energy sigma = G^2 (1/d_bc -
+    1/d_b) drops out), column 1 times d_b d_bc (sigma never forms) and
+    column 4, with det A = det M.
     It is solved by cofactors, written so that
     - no terms cancel identically;
     - y2 and y3 come with d_b or d_bc divided out of their numerators
@@ -150,11 +159,12 @@ def solve_rows(
       vanishes at real w while M stays regular).
     A zero or non-finite det M raises OptomechanicalInstabilityError.
     """
-    e, noise, _g = system_entries(p, m, fb, omega)
+    kernel = _Kernel(p, m, fb)
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
     c0, c1, c2, c3, c4 = np.asarray(weights, dtype=complex).tolist()
     ig, g2 = 1j * m.G, m.G**2
-    d_a, d_ac, d_b, d_bc = e[0, 0], e[1, 1], e[2, 2], e[3, 3]
-    m40, m41, m44, m04, m14 = e[4, 0], e[4, 1], e[4, 4], e[0, 4], e[1, 4]
+    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(omega, np.asarray(fb.gain(omega), complex))
+    m40, m41 = kernel.m40, kernel.m41
     m_diff = m40 - m41
     r1, r3 = c0 - c1, c4
     with np.errstate(all="ignore"):
@@ -195,7 +205,7 @@ def solve_rows(
         num_3 = d_b * (c3 * loop + common) + split
         y = np.stack((num_0, num_1, num_2, num_3, num_4), axis=-1)
         y /= det[:, None]
-    return y @ noise
+    return y @ kernel.noise
 
 
 def observable_spectrum(
@@ -240,14 +250,14 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     Each round every unconverged panel is bisected and both halves of all
     of them are evaluated in one call of `fvec`, so a run makes 1 + rounds
     calls; a panel is retired when its refinement error is below its share
-    of the global budget.  The final sum is accumulated position-sorted
-    with compensated summation so the result is independent of evaluation
-    order.
+    of the global budget.  Open panels stay sorted by position, which fixes
+    the node order of every call.  Sums are math.fsum, correctly rounded, so
+    they do not depend on the order in which panels were retired.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     coarse = _gl_batch(fvec, a, b)
-    done: list[tuple[float, float]] = []
+    done: list[float] = []
 
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (a + b)
@@ -255,16 +265,12 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
         left, right = halves[: a.size], halves[a.size :]
         refined = left + right
         err = np.abs(coarse - refined)
-        total = math.fsum(v for _, v in done) + math.fsum(refined.tolist())
+        total = math.fsum(done) + math.fsum(refined.tolist())
         budget = rtol * abs(total)
         if math.fsum(err.tolist()) <= budget:
-            for lo, val in zip(a, refined):
-                done.append((lo, val))
-            done.sort(key=lambda item: item[0])
-            return math.fsum(v for _, v in done)
+            return math.fsum(done + refined.tolist())
         keep = err <= budget / (4.0 * max(err.size, 1))
-        for lo, val in zip(a[keep], refined[keep]):
-            done.append((lo, val))
+        done += refined[keep].tolist()
         a = np.concatenate([a[~keep], mid[~keep]])
         b = np.concatenate([mid[~keep], b[~keep]])
         coarse = np.concatenate([left[~keep], right[~keep]])
@@ -274,23 +280,24 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
 
 
 def _mechanical_linewidth_guess(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, gamma_opt: float | None = None
 ) -> float:
-    # Gamma_opt = G^2 [S_X(omega_m) - S_X(-omega_m)] from the G = 0 solve
-    try:
-        s_x = observable_spectrum(
-            p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
-        )
-        gamma = m.gamma_m + abs(m.G**2 * s_x[1] - m.G**2 * s_x[0])
-    except LoopcoolError:
-        gamma = m.gamma_m
-    return max(gamma, m.gamma_m)
+    # Gamma_opt = G^2 [S_X(omega_m) - S_X(-omega_m)] at G = 0, unless the caller has it
+    if gamma_opt is None:
+        try:
+            s_x = observable_spectrum(
+                p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
+            )
+            gamma_opt = m.G**2 * s_x[1] - m.G**2 * s_x[0]
+        except LoopcoolError:
+            gamma_opt = 0.0
+    return max(m.gamma_m + abs(gamma_opt), m.gamma_m)
 
 
 def _occupancy_edges(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, gamma_opt: float | None = None
 ) -> np.ndarray:
-    gamma_eff = _mechanical_linewidth_guess(p, m, fb)
+    gamma_eff = _mechanical_linewidth_guess(p, m, fb, gamma_opt)
     delta = abs(p.detuning)
     cutoff = 10.0 * (delta + m.omega_m)
     points = {-cutoff, cutoff, 0.0}
@@ -301,8 +308,7 @@ def _occupancy_edges(
     for center in (-delta, delta):
         points.add(center - 3.0 * p.kappa)
         points.add(center + 3.0 * p.kappa)
-    edges = np.array(sorted(pt for pt in points if -cutoff <= pt <= cutoff))
-    return edges
+    return np.array(sorted(pt for pt in points if -cutoff <= pt <= cutoff))
 
 
 def phonon_occupancy(
@@ -310,14 +316,18 @@ def phonon_occupancy(
     m: MechanicsParams,
     fb: FeedbackConfig,
     rtol: float = 2e-4,
+    *,
+    gamma_opt: float | None = None,
 ) -> float:
     """Stationary phonon number n = (1/2 pi) * integral of S_{b^dag b}(w) dw.
 
     The closed loop is checked first (OptomechanicalInstabilityError if
     unstable).  The quadrature grid seeds dense panels around the mechanical
-    and cavity resonances (both signs) and refines adaptively to `rtol`.
+    and cavity resonances (both signs), scaled by gamma_m + |Gamma_opt|, and
+    refines adaptively to `rtol`.  A caller holding the weak-coupling
+    Gamma_opt passes it as `gamma_opt`, saving its G = 0 solve; n is the same.
     """
-    edges = _occupancy_edges(p, m, fb)
+    edges = _occupancy_edges(p, m, fb, gamma_opt)
     if not closed_loop_stability(p, m, fb, edges=edges):
         raise OptomechanicalInstabilityError(
             "closed loop unstable; no stationary occupancy"
@@ -340,11 +350,12 @@ def closed_loop_determinant(
     sigma^2 terms cancel), so R equals D exactly at G = 0.  The winding of R
     decides stability for tabulated gains (closed_loop_stability).
     """
-    e, _noise, _g = system_entries(p, m, fb, omega)
-    d_a, d_ac = e[0, 0], e[1, 1]
-    sigma = m.G**2 * (1.0 / e[3, 3] - 1.0 / e[2, 2])
-    feed = (e[0, 4] + e[1, 4]) * (e[4, 0] - e[4, 1]) / (d_a * d_ac)
-    k = e[4, 4] * (1.0 / d_ac - 1.0 / d_a) - feed
+    kernel = _Kernel(p, m, fb)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(w, np.asarray(fb.gain(w), complex))
+    sigma = m.G**2 * (1.0 / d_bc - 1.0 / d_b)
+    feed = (m04 + m14) * (kernel.m40 - kernel.m41) / (d_a * d_ac)
+    k = m44 * (1.0 / d_ac - 1.0 / d_a) - feed
     return feedback.loop_denominator(p, fb, omega) + sigma * k
 
 
@@ -357,7 +368,7 @@ _CROSSING_PHASE_TOL = 1e-9
 #: side of each crossing seed ...
 _SEED_PROBE = 1e-9
 #: ... and the offsets from omega_m, in units of gamma_m, probed as well
-_MECHANICAL_PROBES = 10.0 ** np.arange(-3.0, 5.0)
+_MECHANICAL_PROBES = tuple(10.0**k for k in range(-3, 5))
 #: Newton steps polishing each tau = 0 root, and the cap on bracketed ones
 _POLISH_STEPS = 2
 _NEWTON_STEPS = 100
@@ -384,20 +395,13 @@ class _DetParts:
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         self.scale = max(abs(p.detuning), m.omega_m, p.kappa)
-        # at g = 1: column 4 holds u0, u1 and 1 + v, and no other entry
-        # depends on g (at g = 0 column 4 reads 0, 0 and 1)
-        on, _, _ = system_entries(p, m, replace(fb, gain=FlatDelay(1.0)), [0.0, self.scale])
-
-        def at_zero(value):
-            return complex(np.ravel(value)[0])
-
+        kernel = _Kernel(p, m, fb)
+        # at g = 1 column 4 holds u0, u1 and 1 + v (at g = 0: 0, 0 and 1)
+        *diag, u0, u1, m44 = kernel.at(np.array([0.0, self.scale]), 1.0)
         # (constant, slope per unit x) of d_a, d_ac, d_b, d_bc
-        self.diag = [
-            (complex(on[k, k][0]), complex(on[k, k][1] - on[k, k][0])) for k in range(4)
-        ]
-        self.m40, self.m41 = at_zero(on[4, 0]), at_zero(on[4, 1])
-        self.u0, self.u1 = at_zero(on[0, 4]), at_zero(on[1, 4])
-        self.v = at_zero(on[4, 4]) - 1.0
+        self.diag = [(complex(d[0]), complex(d[1] - d[0])) for d in diag]
+        self.m40, self.m41 = complex(kernel.m40), complex(kernel.m41)
+        self.u0, self.u1, self.v = complex(u0), complex(u1), complex(m44) - 1.0
         self.g2 = m.G**2
 
     def __call__(self, x):
@@ -451,21 +455,16 @@ def _crossing_frequencies(
     together than _SEED_PROBE."""
     c2 = abs(c) ** 2
     f_coef = (np.convolve(p_coef, p_coef.conj()) - c2 * np.convolve(q_coef, q_coef.conj())).real
-    seeds = np.roots(f_coef).real + center
-    seeds = np.unique(seeds[seeds > 0.0])
-    gaps = np.diff(seeds)
-    width = np.minimum(_SEED_PROBE, 0.25 * np.minimum(
-        np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)
-    ))
-    beyond = center + 1.0 + np.max(np.abs(f_coef[1:] / f_coef[0]))  # Cauchy bound
-    probes = np.concatenate([
-        [0.0, beyond],
-        seeds - width,
-        seeds + width,
-        center - gamma * _MECHANICAL_PROBES,
-        center + gamma * _MECHANICAL_PROBES,
-    ])
-    probes = np.unique(probes[probes >= 0.0])
+    seeds = sorted({x + center for x in np.roots(f_coef).real.tolist() if x + center > 0.0})
+    gaps = [hi - lo for lo, hi in zip(seeds, seeds[1:])]
+    beyond = center + 1.0 + float(np.abs(f_coef[1:] / f_coef[0]).max())  # Cauchy bound
+    probes = {0.0, beyond}
+    for x, below, above in zip(seeds, [math.inf, *gaps], [*gaps, math.inf]):
+        width = min(_SEED_PROBE, 0.25 * min(above, below))
+        probes.update((x - width, x + width))
+    for offset in _MECHANICAL_PROBES:
+        probes.update((center - gamma * offset, center + gamma * offset))
+    probes = sorted(x for x in probes if x >= 0.0)
 
     def residual(x):
         p_val, q_val, dp, dq = parts(x)
@@ -473,10 +472,10 @@ def _crossing_frequencies(
         df = 2.0 * ((p_val.conjugate() * dp).real - c2 * (q_val.conjugate() * dq).real)
         return f, df
 
-    f_probe = residual(probes)[0]
+    f_probe = residual(np.array(probes))[0]
     found = []
     for k in np.flatnonzero(f_probe[:-1] * f_probe[1:] < 0.0).tolist():
-        lo, hi = float(probes[k]), float(probes[k + 1])
+        lo, hi = probes[k], probes[k + 1]
         rising = bool(f_probe[k] < 0.0)
         x = 0.5 * (lo + hi)
         for _ in range(_NEWTON_STEPS):

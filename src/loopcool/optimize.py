@@ -109,8 +109,9 @@ def evaluate(
     """One stability-checked operating point; the one place a verdict is
     decided.  Both evaluators build the weak-coupling report first, so its
     anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter.  The
-    exact evaluator then takes phonon_occupancy's closed-loop verdict, the
-    weak one the G = 0 Nyquist test plus the rate sign.
+    exact evaluator then hands the report's gamma_opt to phonon_occupancy and
+    takes its closed-loop verdict, the weak one the G = 0 Nyquist test plus
+    the rate sign.
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.
@@ -118,9 +119,8 @@ def evaluate(
     try:
         report = cooling.cooling_report(p, m, fb)
         if evaluator == "langevin":
-            # the exact verdict (winding of the closed-loop determinant) is
-            # taken inside phonon_occupancy
-            n = langevin.phonon_occupancy(p, m, fb)
+            # the exact closed-loop verdict is taken inside phonon_occupancy
+            n = langevin.phonon_occupancy(p, m, fb, gamma_opt=report.gamma_opt)
             return replace(
                 report,
                 n_final=n,

@@ -538,7 +538,70 @@ class TestObservableSpectrum:
             assert np.all(s > -1e-12)
 
 
+def occupancy_outcome(p, m, fb, **kwargs):
+    """phonon_occupancy's value, or the type of the error it raised."""
+    try:
+        return langevin.phonon_occupancy(p, m, fb, **kwargs)
+    except OptomechanicalInstabilityError as exc:
+        return type(exc)
+
+
 class TestPhononOccupancy:
+    @pytest.mark.parametrize("port", list(Port), ids=lambda port: port.value)
+    @pytest.mark.parametrize("name", ["experiment", "fig1_optical", "fig1_microwave"])
+    def test_handed_gamma_opt_is_bit_identical(self, name, port):
+        # the weak report's Gamma_opt is the linewidth guess's own G = 0
+        # solve, so handing it over changes no bit of the result
+        sys = presets.get_system(name)
+        p, m = sys.cavity, sys.mechanics
+        amplitude = 0.4 * abs(feedback.stokes_suppression_gain(p, sys.loop, m.omega_m))
+        fb = replace(sys.loop, port=port, gain=replace(sys.loop.gain, amplitude=amplitude))
+        gamma_opt = cooling.scattering_rates(p, m, fb).gamma_opt
+        n = langevin.phonon_occupancy(p, m, fb)
+        assert math.isfinite(n)
+        assert langevin.phonon_occupancy(p, m, fb, gamma_opt=gamma_opt) == n
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops())
+    def test_handed_gamma_opt_is_bit_identical_on_flat_loops(self, loop):
+        p, m, fb = loop
+        gamma_opt = cooling.scattering_rates(p, m, fb).gamma_opt
+        expected = occupancy_outcome(p, m, fb)
+        assert occupancy_outcome(p, m, fb, gamma_opt=gamma_opt) == expected
+
+    def test_integrand_solves_through_module_attribute(self, monkeypatch, fig1_optical):
+        # the tracer wraps langevin.solve_rows: every quadrature round must
+        # reach it, so solve_rows.points keeps measuring the quadrature
+        solve_rows, adaptive_integral = langevin.solve_rows, langevin.adaptive_integral
+        solved, integrated = [], []
+
+        def counting_solve(p, m, fb, omega, weights):
+            solved.append(np.size(omega))
+            return solve_rows(p, m, fb, omega, weights)
+
+        def counting_integral(fvec, edges, rtol):
+            def counted(x):
+                integrated.append(x.size)
+                return fvec(x)
+
+            return adaptive_integral(counted, edges, rtol=rtol)
+
+        monkeypatch.setattr(langevin, "solve_rows", counting_solve)
+        monkeypatch.setattr(langevin, "adaptive_integral", counting_integral)
+        sys = fig1_optical
+        p, m = sys.cavity, sys.mechanics
+        fb = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=0.4))
+        gamma_opt = cooling.scattering_rates(p, m, fb).gamma_opt
+        solved.clear()
+        langevin.phonon_occupancy(p, m, fb, gamma_opt=gamma_opt)
+        # 1 + rounds integrand calls, each one solve over the same nodes
+        assert len(integrated) >= 2
+        assert solved == integrated
+        solved.clear()
+        integrated.clear()
+        langevin.phonon_occupancy(p, m, fb)
+        assert solved == [2, *integrated]
+
     def test_thermal_fixed_point_with_active_loop(self):
         p, m, fb = toy_system(coupling=0.0, gain=0.45)
         n = langevin.phonon_occupancy(p, m, fb)
@@ -769,6 +832,28 @@ class TestModuleGraph:
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
         assert "cooling" not in imported
+
+    def test_one_home_for_the_system_constants(self):
+        # the input phases are read only where the kernel builds M's
+        # constants, and no code rebuilds a config to read M at another gain
+        tree = ast.parse(Path(langevin.__file__).read_text())
+        kernel = next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "_Kernel"
+        )
+        inside = {id(node) for node in ast.walk(kernel)}
+        phase_reads, gain_replaces = [], []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "input_phase_shifts":
+                phase_reads.append(id(node) in inside)
+            if name == "replace" and any(kw.arg == "gain" for kw in node.keywords):
+                gain_replaces.append(node.lineno)
+        assert phase_reads == [True]
+        assert gain_replaces == []
 
     def test_no_dense_solve_in_package(self):
         # the per-frequency solve is closed form; the dense 5x5 solve lives

@@ -73,6 +73,24 @@ class TestEvaluate:
         assert optimize.evaluate(replace(p, detuning=5.0), m, fb, "langevin").stable
         assert len(calls) == 1
 
+    def test_exact_evaluate_solves_rates_once(self, monkeypatch, fig1_optical):
+        # the weak report's rates and the quadrature grid's linewidth guess
+        # share one two-point G = 0 solve
+        original = langevin.solve_rows
+        solves = []
+
+        def counting(p, m, fb, omega, weights):
+            solves.append((m.G, np.size(omega)))
+            return original(p, m, fb, omega, weights)
+
+        monkeypatch.setattr(langevin, "solve_rows", counting)
+        sys = fig1_optical
+        fb = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=0.4))
+        report = optimize.evaluate(sys.cavity, sys.mechanics, fb, "langevin")
+        assert report.stable and math.isfinite(report.n_final)
+        assert solves.count((0.0, 2)) == 1
+        assert all(m_g == sys.mechanics.G for m_g, _ in solves[1:])
+
 
 class TestSweep:
     def test_gain_sweep_flags_instability(self, experiment):
