@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -244,6 +245,8 @@ def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, 
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
         raise ValidationError(f"--band expects lo:hi in Hz, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"--band bounds must be finite, got {text!r}")
     if not lo < hi:
         raise ValidationError("--band needs lo < hi")
     return TWO_PI * lo, TWO_PI * hi

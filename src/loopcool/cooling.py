@@ -61,10 +61,6 @@ class CoolingReport:
         return self.rates.gamma_opt
 
 
-def weak_coupling_ok(m: MechanicsParams) -> bool:
-    return m.G <= WEAK_COUPLING_RATIO * m.omega_m
-
-
 def scattering_rates(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> RatePair:
     """A+- = G^2 S_X(-+omega_m), S_X being the exact closed-loop solve of the
     cavity quadrature at G = 0."""
@@ -106,7 +102,7 @@ def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> C
     there).
     """
     warnings = ()
-    if not weak_coupling_ok(m):
+    if m.G > WEAK_COUPLING_RATIO * m.omega_m:
         warnings = ("weak-coupling advisory: G > omega_m/20, exact solver is authoritative",)
     rates = scattering_rates(p, m, fb)
     if rates.gamma_opt < 0:

@@ -2,14 +2,14 @@
 
 Per frequency the five unknowns x = (a, a_conj, b, b_conj, i_fb) obey
 M(w) x = N n against the nine noise inputs n.  One kernel per operating
-point holds every frequency-independent constant of M and N; the solve,
-the determinant and the zero count all read M from it, and only the
-diagonal and the gain column are evaluated per frequency.  An observable
-c^T x has the transfer row K = c^T M^-1 N, found by one transposed
-single-RHS solve in closed form: the mechanical rows couple only to a and
-a_conj, so they are eliminated exactly (the mechanical self-energy
-reduction of Genes et al., PRA 77, 033804 (2008)), leaving a 3x3 system
-solved by cofactors, elementwise over the frequencies.  Because g_fb(-w) =
+point holds every frequency-independent constant of M and N and one
+elimination formula for det M: the mechanical rows couple only to a and
+a_conj, so they are eliminated exactly (the mechanical self-energy reduction
+of Genes et al., PRA 77, 033804 (2008)).  The solve, the determinant and the
+zero count all take det M from it.  An observable c^T x has the transfer row
+K = c^T M^-1 N, found by one transposed single-RHS solve in closed form: the
+elimination leaves a 3x3 system, solved by cofactors, elementwise over the
+frequencies.  Because g_fb(-w) =
 g_fb(w)*, the partner observable's row at -w is the conjugate of K with
 each noise channel swapped for its partner, so under the <O(w)O'(w')> =
 delta(w+w') S(w) convention the spectrum is the input-noise sum S(w) =
@@ -68,18 +68,19 @@ class _Kernel:
     a_in0_conj, a_in1, a_in1_conj, a_prime, a_prime_conj, b_in, b_in_conj,
     x_vac).  The frequency enters M only through the diagonal of rows 0-3
     and through g = g_fb(w) in column 4 (`at`); row 4 reads m40, m41 in
-    columns 0, 1, the mechanical couplings are -+iG, and N is `noise`."""
+    columns 0, 1, the mechanical couplings are -+iG, and N is `noise`.
+    Scalars are Python complex, cheap in per-point arithmetic."""
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         theta, theta_bar = model.input_phase_shifts(p)
         s0, s1, sp = (math.sqrt(2.0 * k) for k in (p.kappa0, p.kappa1, p.kappa_prime))
         e_th = cmath.exp(-1j * theta)
         self.kappa, self.detuning = p.kappa, p.detuning
-        self.half_gamma, self.omega_m = m.gamma_m / 2.0, m.omega_m
-        self.u0, self.u1 = -s0 * e_th, -s0 * np.conjugate(e_th)
+        self.half_gamma, self.omega_m, self.g2 = m.gamma_m / 2.0, m.omega_m, m.G**2
+        self.u0, self.u1 = -s0 * e_th, -s0 * e_th.conjugate()
         self.noise = noise = np.zeros((5, 9), dtype=complex)
         noise[0, 0], noise[0, 2], noise[0, 4] = s0 * e_th, s1, sp
-        noise[1, 1], noise[1, 3], noise[1, 5] = s0 * np.conjugate(e_th), s1, sp
+        noise[1, 1], noise[1, 3], noise[1, 5] = s0 * e_th.conjugate(), s1, sp
         noise[2, 6] = noise[3, 7] = math.sqrt(m.gamma_m)
 
         # photocurrent, with the detected-port input-output relation inlined
@@ -95,11 +96,11 @@ class _Kernel:
             e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
             e_dir = cmath.exp(1j * (fb.phi - theta_bar))
             self.m40 = -sqrt_eta * s0 * e_out
-            self.m41 = -sqrt_eta * s0 * np.conjugate(e_out)
+            self.m41 = -sqrt_eta * s0 * e_out.conjugate()
             # the detected direct term: M44 = 1 + sqrt(eta) g (e_dir + e_dir*)
-            self.direct = e_dir + np.conjugate(e_dir)
+            self.direct = e_dir + e_dir.conjugate()
             noise[4, 0] = -sqrt_eta * e_dir
-            noise[4, 1] = -sqrt_eta * np.conjugate(e_dir)
+            noise[4, 1] = -sqrt_eta * e_dir.conjugate()
 
     def at(self, omega, g):
         """d_a, d_ac, d_b, d_bc (M00 to M33) at the real frequencies omega,
@@ -112,6 +113,17 @@ class _Kernel:
             self.half_gamma - 1j * (self.omega_m + omega),
             self.u0 * g, self.u1 * g, m44,
         )
+
+    def eliminate(self, d_a, d_ac, d_b, d_bc, m04, m14, m44):
+        """(loop, s, cof_s, det M) from M's diagonal and column 4 as `at`
+        returns them (at real or complex w), the mechanical rows eliminated:
+        det M = d_b d_bc loop + s cof_s, loop = d_a d_ac M44 - (d_a M41 M14 +
+        d_ac M40 M04) being the loop denominator times d_a d_ac, s = G^2 (d_bc
+        - d_b) the mechanical self-energy numerator and cof_s its cofactor."""
+        s = self.g2 * (d_bc - d_b)
+        loop = d_a * d_ac * m44 - (d_a * self.m41 * m14 + d_ac * self.m40 * m04)
+        cof_s = (self.m40 - self.m41) * (m04 + m14) - (d_a - d_ac) * m44
+        return loop, s, cof_s, d_b * d_bc * loop + s * cof_s
 
 
 def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega):
@@ -162,21 +174,19 @@ def solve_rows(
     kernel = _Kernel(p, m, fb)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     c0, c1, c2, c3, c4 = np.asarray(weights, dtype=complex).tolist()
-    ig, g2 = 1j * m.G, m.G**2
-    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(omega, np.asarray(fb.gain(omega), complex))
+    ig = 1j * m.G
+    d_a, d_ac, d_b, d_bc, m04, m14, m44 = entries = kernel.at(
+        omega, np.asarray(fb.gain(omega), complex)
+    )
     m40, m41 = kernel.m40, kernel.m41
     m_diff = m40 - m41
     r1, r3 = c0 - c1, c4
     with np.errstate(all="ignore"):
-        prod_a, prod_b, s = d_a * d_ac, d_b * d_bc, g2 * (d_bc - d_b)
+        # det A = det M = d_b d_bc loop + s cof_s, cof_s the cofactor of s in A
+        loop, s, cof_s, det = kernel.eliminate(*entries)
+        prod_a, prod_b = d_a * d_ac, d_b * d_bc
         r2 = c1 * prod_b - ig * (c3 * d_b - c2 * d_bc)
         dm = d_ac * m44
-        # det A = d_b d_bc loop + s cof_s: loop = d_a d_ac M44 - g (d_a M41
-        # u1 + d_ac M40 u0) is the loop denominator times d_a d_ac, cof_s
-        # the cofactor of s in A
-        loop = prod_a * m44 - (d_a * m41 * m14 + d_ac * m40 * m04)
-        cof_s = m_diff * (m04 + m14) - (d_a - d_ac) * m44
-        det = prod_b * loop + s * cof_s
         if not (np.isfinite(det).all() and det.all()):
             raise OptomechanicalInstabilityError(
                 "singular closed-loop system: frequency sits on an instability pole"
@@ -200,7 +210,7 @@ def solve_rows(
             num_1 = num_1 + (m_diff * s - prod_b * d_a * m41) * r3
             num_4 = num_4 + (prod_b * prod_a - (d_a - d_ac) * s) * r3
         # y2 det = (c2 + iG D) det / d_b and y3 det = (c3 + iG D) det / d_bc
-        common, split = ig * (d_rest + c1 * cof_s), g2 * (c3 - c2) * cof_s
+        common, split = ig * (d_rest + c1 * cof_s), kernel.g2 * (c3 - c2) * cof_s
         num_2 = d_bc * (c2 * loop + common) + split
         num_3 = d_b * (c3 * loop + common) + split
         y = np.stack((num_0, num_1, num_2, num_3, num_4), axis=-1)
@@ -234,6 +244,9 @@ def observable_spectrum(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: bisection rounds before adaptive_integral gives up
 _MAX_ROUNDS = 48
+#: smallest rtol adaptive_integral accepts: below it the error budget sits
+#: under rounding and every open panel is bisected each round
+_MIN_RTOL = 1e-12
 
 
 def _gl_batch(fvec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,6 +267,8 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     the node order of every call.  Sums are math.fsum, correctly rounded, so
     they do not depend on the order in which panels were retired.
     """
+    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
+        raise ValidationError(f"rtol must be finite and at least {_MIN_RTOL:g}, got {rtol!r}")
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     coarse = _gl_batch(fvec, a, b)
@@ -344,19 +359,17 @@ def closed_loop_determinant(
 ) -> np.ndarray:
     """R(w) = det M(w) / (d_a d_ac d_b d_bc) for the system solve_rows solves.
 
-    Eliminating the mechanical rows gives R = D(w) + sigma(w) K(w): D is the
-    empty-cavity loop denominator, sigma = G^2 (1/d_bc - 1/d_b) the
-    mechanical self-energy and K the cavity/loop response it perturbs (the
-    sigma^2 terms cancel), so R equals D exactly at G = 0.  The winding of R
-    decides stability for tabulated gains (closed_loop_stability).
+    By the kernel's elimination R = D(w) + s cof_s / (d_a d_ac d_b d_bc): D
+    = loop / (d_a d_ac) is the empty-cavity loop denominator and s = G^2
+    (d_bc - d_b) vanishes at G = 0, so there R equals D exactly.  The
+    winding of R decides stability for tabulated gains
+    (closed_loop_stability).
     """
     kernel = _Kernel(p, m, fb)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(w, np.asarray(fb.gain(w), complex))
-    sigma = m.G**2 * (1.0 / d_bc - 1.0 / d_b)
-    feed = (m04 + m14) * (kernel.m40 - kernel.m41) / (d_a * d_ac)
-    k = m44 * (1.0 / d_ac - 1.0 / d_a) - feed
-    return feedback.loop_denominator(p, fb, omega) + sigma * k
+    d_a, d_ac, d_b, d_bc, *_ = entries = kernel.at(w, np.asarray(fb.gain(w), complex))
+    _loop, s, cof_s, _det = kernel.eliminate(*entries)
+    return feedback.loop_denominator(p, fb, omega) + s * cof_s / (d_a * d_ac * d_b * d_bc)
 
 
 #: |Im| of a root, in units of the frequency scale, below which it counts as
@@ -379,81 +392,67 @@ class _DetParts:
     """det M(s x) = P(x) + g Q(x) at complex x = w / s, s the frequency scale.
 
     g enters M only through column 4 (M04 = u0 g, M14 = u1 g, M44 = 1 + v g)
-    and every other entry is affine in w, so both parts are polynomials of
-    degree <= 4.  Eliminating the mechanical rows (rows 2, 3 couple only to
-    a, a_conj) gives, with A = d_a d_ac, B = d_b d_bc,
-    L = A v - u1 d_a M41 - u0 d_ac M40 and the self-energy numerator
-    G^2 (d_b - d_bc),
+    and det M is linear in it, so the kernel's elimination gives P with
+    column 4 = (0, 0, 1) and Q with (u0, u1, v).  Every other entry is affine
+    in w, so both are polynomials of degree <= 4.
 
-        P = B A + G^2 (d_b - d_bc)(d_a - d_ac)
-        Q = B L + G^2 (d_b - d_bc)[(d_a - d_ac) v - (M40 - M41)(u0 + u1)].
-
-    Every value that decides something comes from these factored forms: near
-    +-omega_m, |P|^2 - |g|^2 |Q|^2 is a difference far below the scale of its
-    expanded coefficients, which only seed np.roots.
+    Every value that decides something comes from the elimination: near
+    +-omega_m, |P|^2 - |g|^2 |Q|^2 is a difference far below the scale of the
+    expanded coefficients p_coef, q_coef (highest first), which only seed
+    np.roots and give the derivatives that steer Newton steps.  Expanded in
+    x - center, center = omega_m / s, they carry the small d_b there as a
+    constant, so roots near omega_m keep their precision.
     """
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         self.scale = max(abs(p.detuning), m.omega_m, p.kappa)
-        kernel = _Kernel(p, m, fb)
+        self.center = m.omega_m / self.scale
+        self.kernel = kernel = _Kernel(p, m, fb)
         # at g = 1 column 4 holds u0, u1 and 1 + v (at g = 0: 0, 0 and 1)
-        *diag, u0, u1, m44 = kernel.at(np.array([0.0, self.scale]), 1.0)
+        *diag, self.u0, self.u1, m44 = kernel.at(np.array([0.0, self.scale]), 1.0)
+        self.v = m44 - 1.0
         # (constant, slope per unit x) of d_a, d_ac, d_b, d_bc
         self.diag = [(complex(d[0]), complex(d[1] - d[0])) for d in diag]
-        self.m40, self.m41 = complex(kernel.m40), complex(kernel.m41)
-        self.u0, self.u1, self.v = complex(u0), complex(u1), complex(m44) - 1.0
-        self.g2 = m.G**2
 
-    def __call__(self, x):
-        """P, Q and their x-derivatives at x (a scalar or an array)."""
-        (a0, a1), (ac0, ac1), (b0, b1), (bc0, bc1) = self.diag
-        a, ac, b, bc = a0 + a1 * x, ac0 + ac1 * x, b0 + b1 * x, bc0 + bc1 * x
-        prod_a, prod_b = a * ac, b * bc
-        dprod_a, dprod_b = a1 * ac + a * ac1, b1 * bc + b * bc1
-        split_a, split_b = a - ac, self.g2 * (b - bc)
-        dsplit_a, dsplit_b = a1 - ac1, self.g2 * (b1 - bc1)
-        loop = prod_a * self.v - self.u1 * self.m41 * a - self.u0 * self.m40 * ac
-        dloop = dprod_a * self.v - self.u1 * self.m41 * a1 - self.u0 * self.m40 * ac1
-        direct = split_a * self.v - (self.m40 - self.m41) * (self.u0 + self.u1)
-        p_val = prod_b * prod_a + split_b * split_a
-        q_val = prod_b * loop + split_b * direct
-        dp = dprod_b * prod_a + prod_b * dprod_a + dsplit_b * split_a + split_b * dsplit_a
-        dq = dprod_b * loop + prod_b * dloop + dsplit_b * direct + split_b * dsplit_a * self.v
-        return p_val, q_val, dp, dq
-
-    def coefficients(self, center: float) -> tuple[np.ndarray, np.ndarray]:
-        """Expanded coefficients of P and Q in x - center, highest first,
-        five each.  Centered at omega_m / s they carry the small d_b there
-        as a constant, so roots near omega_m keep their precision."""
         a, ac, b, bc = (
-            np.array([slope, const + slope * center]) for const, slope in self.diag
+            np.array([slope, const + slope * self.center]) for const, slope in self.diag
         )
         conv = np.convolve
         prod_a, prod_b = conv(a, ac), conv(b, bc)
-        split_a, split_b = a - ac, self.g2 * (b - bc)
+        split_a, split_b = a - ac, kernel.g2 * (b - bc)
         loop = self.v * prod_a
-        loop[1:] -= self.u1 * self.m41 * a + self.u0 * self.m40 * ac
+        loop[1:] -= self.u1 * kernel.m41 * a + self.u0 * kernel.m40 * ac
         direct = self.v * split_a
-        direct[1] -= (self.m40 - self.m41) * (self.u0 + self.u1)
-        p_coef, q_coef = conv(prod_b, prod_a), conv(prod_b, loop)
-        p_coef[2:] += conv(split_b, split_a)
-        q_coef[2:] += conv(split_b, direct)
-        return p_coef, q_coef
+        direct[1] -= (kernel.m40 - kernel.m41) * (self.u0 + self.u1)
+        self.p_coef, self.q_coef = conv(prod_b, prod_a), conv(prod_b, loop)
+        self.p_coef[2:] += conv(split_b, split_a)
+        self.q_coef[2:] += conv(split_b, direct)
+        self.dp_coef = np.polyder(self.p_coef).tolist()
+        self.dq_coef = np.polyder(self.q_coef).tolist()
+
+    def __call__(self, x):
+        """P, Q and their x-derivatives at x (a scalar or an array)."""
+        diag = [const + slope * x for const, slope in self.diag]
+        p_val = self.kernel.eliminate(*diag, 0.0, 0.0, 1.0)[3]
+        q_val = self.kernel.eliminate(*diag, self.u0, self.u1, self.v)[3]
+        t, dp, dq = x - self.center, 0.0, 0.0
+        for p_k, q_k in zip(self.dp_coef, self.dq_coef):
+            dp, dq = dp * t + p_k, dq * t + q_k
+        return p_val, q_val, dp, dq
 
 
 def _crossing_frequencies(
-    parts: _DetParts, c: complex, p_coef, q_coef, center: float, gamma: float
+    parts: _DetParts, c: complex, gamma: float
 ) -> list[tuple[float, int]]:
     """Positive real roots x of F = |P|^2 - |c|^2 |Q|^2, each with the sign
-    of F' there, from coefficients of P and Q in x - center (center =
-    omega_m / s).  The roots of the expanded F seed probes either side of
+    of F' there.  The roots of the expanded F seed probes either side of
     their real parts, probes geometric in gamma (= gamma_m / s) either side
-    of the center catch what the seeds miss, and every sign change of the
+    of omega_m / s catch what the seeds miss, and every sign change of the
     factored F between sorted probes is polished by safeguarded Newton.
     A probe sits at most a quarter of the way to the next seed: for a
     high-Q oscillator a pair of crossings near omega_m can lie closer
     together than _SEED_PROBE."""
-    c2 = abs(c) ** 2
+    c2, center, p_coef, q_coef = abs(c) ** 2, parts.center, parts.p_coef, parts.q_coef
     f_coef = (np.convolve(p_coef, p_coef.conj()) - c2 * np.convolve(q_coef, q_coef.conj())).real
     seeds = sorted({x + center for x in np.roots(f_coef).real.tolist() if x + center > 0.0})
     gaps = [hi - lo for lo, hi in zip(seeds, seeds[1:])]
@@ -517,13 +516,11 @@ def _upper_half_plane_zeros(
     parts = _DetParts(p, m, fb)
     c = complex(fb.gain(0.0))
     tau = fb.gain.delay
-    center = m.omega_m / parts.scale
-    p_coef, q_coef = parts.coefficients(center)
-    if tau > 0.0 and abs(c * q_coef[0]) >= abs(p_coef[0]):
+    if tau > 0.0 and abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0]):
         return math.inf
 
     count = 0
-    for x in (np.roots(p_coef + c * q_coef) + center).tolist():
+    for x in (np.roots(parts.p_coef + c * parts.q_coef) + parts.center).tolist():
         for _ in range(_POLISH_STEPS):
             p_val, q_val, dp, dq = parts(x)
             slope = dp + c * dq
@@ -535,9 +532,7 @@ def _upper_half_plane_zeros(
     if tau == 0.0 or c == 0.0:
         return count
 
-    for x, direction in _crossing_frequencies(
-        parts, c, p_coef, q_coef, center, m.gamma_m / parts.scale
-    ):
+    for x, direction in _crossing_frequencies(parts, c, m.gamma_m / parts.scale):
         p_val, q_val, _, _ = parts(x)
         theta = cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi)
         lag = tau * parts.scale * x - theta

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from loopcool import cli, ingest
+from loopcool import cli, ingest, langevin
 from loopcool.model import FlatDelay, MembraneGeometry, Port, membrane_modes
 
 TWO_PI = 2 * math.pi
@@ -131,6 +131,18 @@ class TestSpectrumCommand:
         assert "closed loop unstable" in err
         assert not list(tmp_path.glob("run_spectrum*"))
 
+    @pytest.mark.parametrize(
+        "observable, band", [("x_cavity", "1e5:inf"), ("n_mech", "-inf:1e6")]
+    )
+    def test_non_finite_band_exits_two(self, tmp_path, capsys, observable, band):
+        code, _, err = run(
+            ["--out", str(tmp_path), f"--band={band}", "spectrum", observable], capsys
+        )
+        assert code == 2
+        assert "--band bounds must be finite" in err
+        assert not list(tmp_path.glob("run_spectrum*"))
+
+
 class TestSolveAndOptimize:
     def test_solve_reports_occupancy(self, tmp_path, capsys, experiment):
         config = tmp_path / "cfg.json"
@@ -144,6 +156,21 @@ class TestSolveAndOptimize:
         assert code == 0
         assert "n_final=" in out
         assert (tmp_path / "run_displacement.csv").exists()
+
+    @pytest.mark.parametrize("rtol", [0.0, 1e-20, -1e-3])
+    def test_out_of_range_rtol_exits_two(self, tmp_path, capsys, monkeypatch, rtol):
+        # a lowered refinement cap keeps a runaway quadrature short
+        monkeypatch.setattr(langevin, "_MAX_ROUNDS", 4)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment",
+            "evaluator": {"kind": "langevin", "rtol": rtol},
+        }))
+        code, _, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "solve"], capsys
+        )
+        assert code == 2
+        assert "rtol" in err
 
     def test_optimize_gain(self, tmp_path, capsys, experiment):
         sys = experiment

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import closed_form
 from loopcool import cooling, feedback, langevin, model, optimize, presets
-from loopcool.errors import FitError, OptomechanicalInstabilityError
+from loopcool.errors import FitError, OptomechanicalInstabilityError, ValidationError
 from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
 from loopcool.spectra import Spectrum
 
@@ -211,8 +211,13 @@ class TestClosedLoopDeterminant:
         for (i, j), value in entries.items():
             mat[i, j] = np.ravel(value)[0]
         diag = mat[0, 0] * mat[1, 1] * mat[2, 2] * mat[3, 3]
+        det = np.linalg.det(mat)
         r = langevin.closed_loop_determinant(p, m, fb, w)
-        np.testing.assert_allclose(r, np.linalg.det(mat) / diag, rtol=1e-10)
+        np.testing.assert_allclose(r, det / diag, rtol=1e-10)
+        # the delay-crossing count reads the same det M as P + g Q at w / s
+        parts = langevin._DetParts(p, m, fb)
+        p_val, q_val, _, _ = parts(w / parts.scale)
+        np.testing.assert_allclose(p_val + complex(fb.gain(w)) * q_val, det, rtol=1e-10)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -441,9 +446,33 @@ class TestDelayCrossingCount:
             (complex(off[k, k][0]), complex(off[k, k][1] - off[k, k][0])) for k in range(4)
         ]
         assert parts.diag == diag
-        assert (parts.m40, parts.m41) == (at_zero(off[4, 0]), at_zero(off[4, 1]))
+        assert (parts.kernel.m40, parts.kernel.m41) == (at_zero(off[4, 0]), at_zero(off[4, 1]))
         assert (parts.u0, parts.u1) == (at_zero(on[0, 4]), at_zero(on[1, 4]))
         assert parts.v == at_zero(on[4, 4]) - at_zero(off[4, 4])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops(), x=st.complex_numbers(max_magnitude=3.0))
+    def test_derivatives_match_central_difference(self, loop, x):
+        # dP, dQ come from the expanded coefficients, P and Q from the
+        # elimination; a central difference of a quartic is off by exactly
+        # h^2 / 6 times its third derivative, which Richardson extrapolation
+        # removes
+        parts = langevin._DetParts(*loop)
+        h = 1e-3
+
+        def central(step):
+            (p_hi, q_hi, _, _), (p_lo, q_lo, _, _) = parts(x + step), parts(x - step)
+            return np.array([p_hi - p_lo, q_hi - q_lo]) / (2.0 * step)
+
+        _, _, dp, dq = parts(x)
+        richardson = (4.0 * central(h / 2.0) - central(h)) / 3.0
+        t = abs(x - parts.center) + 1.0
+        for derivative, coef, estimate in zip(
+            (dp, dq), (parts.p_coef, parts.q_coef), richardson
+        ):
+            # scale: the coefficients' terms at |x - center| + 1
+            scale = sum(abs(c) * t ** k for k, c in enumerate(coef[::-1]))
+            assert abs(derivative - estimate) <= 1e-9 * scale
 
     def test_neutral_loop_is_unstable(self, fig1_optical):
         p, m = fig1_optical.cavity, fig1_optical.mechanics
@@ -632,6 +661,21 @@ class TestPhononOccupancy:
             lambda x: np.exp(-(x**2)), edges, rtol=1e-6
         )
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-6)
+
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-3, 0.0, 1e-20])
+    def test_adaptive_integral_rejects_out_of_range_rtol(self, rtol):
+        # such an rtol would bisect every open panel each round; the
+        # integrand stops a runaway after a few calls instead of the cap
+        calls = []
+
+        def gaussian(x):
+            calls.append(x.size)
+            if len(calls) > 4:
+                raise RuntimeError("quadrature ran away")
+            return np.exp(-(x**2))
+
+        with pytest.raises(ValidationError, match="rtol"):
+            langevin.adaptive_integral(gaussian, np.array([-8.0, 0.5, 8.0]), rtol=rtol)
 
     def test_adaptive_integral_one_call_per_round(self):
         # from one seed panel, round k evaluates both halves of every open
@@ -854,6 +898,22 @@ class TestModuleGraph:
                 gain_replaces.append(node.lineno)
         assert phase_reads == [True]
         assert gain_replaces == []
+
+    def test_one_elimination_formula_for_det_m(self):
+        # the solve, R and the delay-crossing parts all take det M from the
+        # kernel's elimination
+        tree = ast.parse(Path(langevin.__file__).read_text())
+        consumers = {"solve_rows", "closed_loop_determinant", "_DetParts"}
+        calls = {}
+        for node in tree.body:
+            if getattr(node, "name", None) in consumers:
+                calls[node.name] = any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "eliminate"
+                    for call in ast.walk(node)
+                )
+        assert calls == dict.fromkeys(consumers, True)
 
     def test_no_dense_solve_in_package(self):
         # the per-frequency solve is closed form; the dense 5x5 solve lives
