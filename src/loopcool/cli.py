@@ -259,8 +259,8 @@ def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, 
 def _cmd_cooling(args, outdir: Path) -> int:
     p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
     kind = args.evaluator or evaluator["kind"]
-    report = optimize.evaluate(p, m, fb, kind)
-    resolved = _resolved_dict(p, m, fb, {"kind": kind})
+    report = optimize.evaluate(p, m, fb, kind, rtol=evaluator["rtol"])
+    resolved = _resolved_dict(p, m, fb, {**evaluator, "kind": kind})
     _write_sidecar(
         outdir,
         label,
@@ -394,13 +394,13 @@ def _cmd_optimize(args, outdir: Path) -> int:
     if not free:
         raise ValidationError("optimize needs at least one --free variable")
     result = optimize.minimize_occupancy(
-        p, m, fb, free, evaluator=kind, coarse_points=args.points or 9
+        p, m, fb, free, evaluator=kind, coarse_points=args.points or 9, rtol=evaluator["rtol"]
     )
     best = dict(result.best_params)
     for name in ("detuning", "coupling"):
         if name in best:
             best[name] /= TWO_PI
-    resolved = _resolved_dict(p, m, fb, {"kind": kind})
+    resolved = _resolved_dict(p, m, fb, {**evaluator, "kind": kind})
     _write_sidecar(
         outdir,
         label,

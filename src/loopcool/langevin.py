@@ -260,24 +260,30 @@ def _gl_batch(fvec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     """Globally adaptive panel integration with vectorized evaluation.
 
-    Each round every unconverged panel is bisected and both halves of all
-    of them are evaluated in one call of `fvec`, so a run makes 1 + rounds
-    calls; a panel is retired when its refinement error is below its share
-    of the global budget.  Open panels stay sorted by position, which fixes
-    the node order of every call.  Sums are math.fsum, correctly rounded, so
-    they do not depend on the order in which panels were retired.
+    Each round evaluates both halves of every open panel in one call of
+    `fvec`, so a run makes `rounds` calls.  A panel's own estimate comes
+    from the round that bisected its parent; the seed panels have none, so
+    the first round's call evaluates them beside their halves.  A panel is
+    retired when its refinement error is below its share of the global
+    budget.  Open panels stay sorted by position, which fixes the node order
+    of every call.  Sums are math.fsum, correctly rounded, so they do not
+    depend on the order in which panels were retired.
     """
     if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
         raise ValidationError(f"rtol must be finite and at least {_MIN_RTOL:g}, got {rtol!r}")
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
-    coarse = _gl_batch(fvec, a, b)
+    coarse = np.empty(0)
     done: list[float] = []
 
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (a + b)
-        halves = _gl_batch(fvec, np.concatenate([a, mid]), np.concatenate([mid, b]))
-        left, right = halves[: a.size], halves[a.size :]
+        # the panels from coarse.size on have no estimate yet
+        fresh = slice(coarse.size, None)
+        values = _gl_batch(
+            fvec, np.concatenate([a[fresh], a, mid]), np.concatenate([b[fresh], mid, b])
+        )
+        coarse, left, right = np.split(np.concatenate([coarse, values]), 3)
         refined = left + right
         err = np.abs(coarse - refined)
         total = math.fsum(done) + math.fsum(refined.tolist())
@@ -388,6 +394,27 @@ _NEWTON_STEPS = 100
 _EPS = float(np.finfo(float).eps)
 
 
+def _convolve(a: list, b: list) -> list:
+    """Coefficients (highest first) of the product of two polynomials."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, a_i in enumerate(a):
+        for j, b_j in enumerate(b):
+            out[i + j] += a_i * b_j
+    return out
+
+
+def _roots(coef) -> np.ndarray:
+    """np.roots of float or complex coefficients without its wrapper: the
+    eigenvalues of the same companion matrix.  Zero end coefficients go to
+    np.roots, which strips them (a trailing zero is an exact zero root)."""
+    coef = np.asarray(coef)
+    if not (coef[0] and coef[-1]):
+        return np.roots(coef)
+    companion = np.diag(np.ones(coef.size - 2, coef.dtype), -1)
+    companion[0] = -coef[1:] / coef[0]
+    return np.linalg.eigvals(companion)
+
+
 class _DetParts:
     """det M(s x) = P(x) + g Q(x) at complex x = w / s, s the frequency scale.
 
@@ -399,42 +426,51 @@ class _DetParts:
     Every value that decides something comes from the elimination: near
     +-omega_m, |P|^2 - |g|^2 |Q|^2 is a difference far below the scale of the
     expanded coefficients p_coef, q_coef (highest first), which only seed
-    np.roots and give the derivatives that steer Newton steps.  Expanded in
-    x - center, center = omega_m / s, they carry the small d_b there as a
-    constant, so roots near omega_m keep their precision.
+    the root finder and give the derivatives that steer Newton steps.
+    Expanded in x - center, center = omega_m / s, they carry the small d_b
+    there as a constant, so roots near omega_m keep their precision.  They
+    are lists of Python complex, expanded from two scalar reads of M: at
+    degree 4, numpy's per-call cost would exceed the arithmetic.
     """
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         self.scale = max(abs(p.detuning), m.omega_m, p.kappa)
-        self.center = m.omega_m / self.scale
+        self.center = center = m.omega_m / self.scale
         self.kernel = kernel = _Kernel(p, m, fb)
         # at g = 1 column 4 holds u0, u1 and 1 + v (at g = 0: 0, 0 and 1)
-        *diag, self.u0, self.u1, m44 = kernel.at(np.array([0.0, self.scale]), 1.0)
+        *at_zero, _, _, _ = kernel.at(0.0, 1.0)
+        *at_scale, self.u0, self.u1, m44 = kernel.at(self.scale, 1.0)
         self.v = m44 - 1.0
         # (constant, slope per unit x) of d_a, d_ac, d_b, d_bc
-        self.diag = [(complex(d[0]), complex(d[1] - d[0])) for d in diag]
+        self.diag = [(complex(d0), complex(d1 - d0)) for d0, d1 in zip(at_zero, at_scale)]
 
-        a, ac, b, bc = (
-            np.array([slope, const + slope * self.center]) for const, slope in self.diag
-        )
-        conv = np.convolve
-        prod_a, prod_b = conv(a, ac), conv(b, bc)
-        split_a, split_b = a - ac, kernel.g2 * (b - bc)
-        loop = self.v * prod_a
-        loop[1:] -= self.u1 * kernel.m41 * a + self.u0 * kernel.m40 * ac
-        direct = self.v * split_a
+        a, ac, b, bc = ([slope, const + slope * center] for const, slope in self.diag)
+        prod_a, prod_b = _convolve(a, ac), _convolve(b, bc)
+        split_a = [x - y for x, y in zip(a, ac)]
+        split_b = [kernel.g2 * (x - y) for x, y in zip(b, bc)]
+        feed = [self.u1 * kernel.m41 * x + self.u0 * kernel.m40 * y for x, y in zip(a, ac)]
+        loop = [self.v * x - y for x, y in zip(prod_a, [0.0, *feed])]
+        direct = [self.v * x for x in split_a]
         direct[1] -= (kernel.m40 - kernel.m41) * (self.u0 + self.u1)
-        self.p_coef, self.q_coef = conv(prod_b, prod_a), conv(prod_b, loop)
-        self.p_coef[2:] += conv(split_b, split_a)
-        self.q_coef[2:] += conv(split_b, direct)
-        self.dp_coef = np.polyder(self.p_coef).tolist()
-        self.dq_coef = np.polyder(self.q_coef).tolist()
+        # the self-energy terms are of degree 2, the products of degree 4
+        self.p_coef, self.q_coef = (
+            [x + y for x, y in zip(_convolve(prod_b, head), [0.0, 0.0, *_convolve(split_b, tail)])]
+            for head, tail in ((prod_a, split_a), (loop, direct))
+        )
+        self.dp_coef, self.dq_coef = (
+            [k * c for k, c in zip(range(4, 0, -1), coef)] for coef in (self.p_coef, self.q_coef)
+        )
 
-    def __call__(self, x):
-        """P, Q and their x-derivatives at x (a scalar or an array)."""
+    def values(self, x):
+        """P and Q at x (a scalar or an array)."""
         diag = [const + slope * x for const, slope in self.diag]
         p_val = self.kernel.eliminate(*diag, 0.0, 0.0, 1.0)[3]
         q_val = self.kernel.eliminate(*diag, self.u0, self.u1, self.v)[3]
+        return p_val, q_val
+
+    def __call__(self, x):
+        """P, Q and their x-derivatives at a scalar x."""
+        p_val, q_val = self.values(x)
         t, dp, dq = x - self.center, 0.0, 0.0
         for p_k, q_k in zip(self.dp_coef, self.dq_coef):
             dp, dq = dp * t + p_k, dq * t + q_k
@@ -449,12 +485,15 @@ def _crossing_frequencies(
     their real parts, probes geometric in gamma (= gamma_m / s) either side
     of omega_m / s catch what the seeds miss, and every sign change of the
     factored F between sorted probes is polished by safeguarded Newton.
+    The probes read only P and Q; the derivatives enter the Newton steps.
     A probe sits at most a quarter of the way to the next seed: for a
     high-Q oscillator a pair of crossings near omega_m can lie closer
     together than _SEED_PROBE."""
     c2, center, p_coef, q_coef = abs(c) ** 2, parts.center, parts.p_coef, parts.q_coef
-    f_coef = (np.convolve(p_coef, p_coef.conj()) - c2 * np.convolve(q_coef, q_coef.conj())).real
-    seeds = sorted({x + center for x in np.roots(f_coef).real.tolist() if x + center > 0.0})
+    p_sq = _convolve(p_coef, [z.conjugate() for z in p_coef])
+    q_sq = _convolve(q_coef, [z.conjugate() for z in q_coef])
+    f_coef = np.array([(pp - c2 * qq).real for pp, qq in zip(p_sq, q_sq)])
+    seeds = sorted({x + center for x in _roots(f_coef).real.tolist() if x + center > 0.0})
     gaps = [hi - lo for lo, hi in zip(seeds, seeds[1:])]
     beyond = center + 1.0 + float(np.abs(f_coef[1:] / f_coef[0]).max())  # Cauchy bound
     probes = {0.0, beyond}
@@ -465,26 +504,25 @@ def _crossing_frequencies(
         probes.update((center - gamma * offset, center + gamma * offset))
     probes = sorted(x for x in probes if x >= 0.0)
 
-    def residual(x):
-        p_val, q_val, dp, dq = parts(x)
-        f = (p_val * p_val.conjugate()).real - c2 * (q_val * q_val.conjugate()).real
-        df = 2.0 * ((p_val.conjugate() * dp).real - c2 * (q_val.conjugate() * dq).real)
-        return f, df
+    def residual(p_val, q_val):
+        return (p_val * p_val.conjugate()).real - c2 * (q_val * q_val.conjugate()).real
 
-    f_probe = residual(np.array(probes))[0]
+    f_probe = residual(*parts.values(np.array(probes)))
     found = []
     for k in np.flatnonzero(f_probe[:-1] * f_probe[1:] < 0.0).tolist():
         lo, hi = probes[k], probes[k + 1]
         rising = bool(f_probe[k] < 0.0)
         x = 0.5 * (lo + hi)
         for _ in range(_NEWTON_STEPS):
-            f, df = residual(x)
+            p_val, q_val, dp, dq = parts(x)
+            f = residual(p_val, q_val)
             if f == 0.0:
                 break
             if (f < 0.0) == rising:
                 lo = x
             else:
                 hi = x
+            df = 2.0 * ((p_val.conjugate() * dp).real - c2 * (q_val.conjugate() * dq).real)
             step = x - f / df if df else 0.5 * (lo + hi)
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
@@ -520,7 +558,8 @@ def _upper_half_plane_zeros(
         return math.inf
 
     count = 0
-    for x in (np.roots(parts.p_coef + c * parts.q_coef) + parts.center).tolist():
+    coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
+    for x in (_roots(coef) + parts.center).tolist():
         for _ in range(_POLISH_STEPS):
             p_val, q_val, dp, dq = parts(x)
             slope = dp + c * dq
@@ -533,7 +572,7 @@ def _upper_half_plane_zeros(
         return count
 
     for x, direction in _crossing_frequencies(parts, c, m.gamma_m / parts.scale):
-        p_val, q_val, _, _ = parts(x)
+        p_val, q_val = parts.values(x)
         theta = cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi)
         lag = tau * parts.scale * x - theta
         if abs(math.remainder(lag, 2.0 * math.pi)) < _CROSSING_PHASE_TOL:

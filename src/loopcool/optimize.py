@@ -105,22 +105,25 @@ def evaluate(
     m: MechanicsParams,
     fb: FeedbackConfig,
     evaluator: str = "weak_coupling",
+    *,
+    rtol: float = 2e-4,
 ) -> CoolingReport:
     """One stability-checked operating point; the one place a verdict is
     decided.  Both evaluators build the weak-coupling report first, so its
     anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter.  The
-    exact evaluator then hands the report's gamma_opt to phonon_occupancy and
-    takes its closed-loop verdict, the weak one the G = 0 Nyquist test plus
-    the rate sign.
+    exact evaluator then hands the report's gamma_opt to phonon_occupancy,
+    which integrates to `rtol`, and takes its closed-loop verdict, the weak
+    one the G = 0 Nyquist test plus the rate sign.
 
     Unstable or boundary configurations come back flagged with infinite
-    occupancy instead of raising, so sweep traces stay complete.
+    occupancy instead of raising, so sweep traces stay complete.  Invalid
+    input, such as an out-of-range rtol, raises ValidationError.
     """
     try:
         report = cooling.cooling_report(p, m, fb)
         if evaluator == "langevin":
             # the exact closed-loop verdict is taken inside phonon_occupancy
-            n = langevin.phonon_occupancy(p, m, fb, gamma_opt=report.gamma_opt)
+            n = langevin.phonon_occupancy(p, m, fb, rtol, gamma_opt=report.gamma_opt)
             return replace(
                 report,
                 n_final=n,
@@ -129,6 +132,8 @@ def evaluate(
         verdict = feedback.nyquist_stability(p, fb)
         # NaN rates fail the damping conjunct and so count as unstable
         stable = verdict.stable and report.gamma_opt > -m.gamma_m
+    except ValidationError:
+        raise
     except LoopcoolError as exc:
         return _unstable_report(m, f"unstable: {exc}")
     if not stable:
@@ -158,11 +163,14 @@ def minimize_occupancy(
     evaluator: str = "weak_coupling",
     coarse_points: int = 9,
     max_cycles: int = 8,
+    *,
+    rtol: float = 2e-4,
 ) -> OptimizationResult:
     """Coarse grid scan over up to three free variables, then cyclic
     golden-section refinement per coordinate down to a fixed 1e-4 relative
     parameter tolerance.  Every evaluation is stability-checked; the
-    returned optimum is always a stable point."""
+    returned optimum is always a stable point.  `rtol` is the exact
+    evaluator's quadrature tolerance (evaluate)."""
     if not 1 <= len(free) <= 3:
         raise ValidationError("minimize_occupancy takes 1 to 3 free variables")
     names = list(free)
@@ -176,7 +184,7 @@ def minimize_occupancy(
         p2, m2, fb2 = p, m, fb
         for name, value in zip(names, values):
             p2, m2, fb2 = apply_variable(p2, m2, fb2, name, value)
-        report = evaluate(p2, m2, fb2, evaluator)
+        report = evaluate(p2, m2, fb2, evaluator, rtol=rtol)
         n = report.n_final if report.stable else math.inf
         trace.append((dict(zip(names, values)), n))
         return n

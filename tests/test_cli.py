@@ -166,11 +166,38 @@ class TestSolveAndOptimize:
             "system": "experiment",
             "evaluator": {"kind": "langevin", "rtol": rtol},
         }))
-        code, _, err = run(
-            ["--config", str(config), "--out", str(tmp_path), "solve"], capsys
-        )
-        assert code == 2
-        assert "rtol" in err
+        for command in (
+            ["solve"], ["cooling"], ["--points", "2", "optimize", "--free", "homodyne_phase:0:1"]
+        ):
+            code, _, err = run(
+                ["--config", str(config), "--out", str(tmp_path), *command], capsys
+            )
+            assert code == 2, command
+            assert "rtol" in err
+
+    @pytest.mark.parametrize("command, printed", [
+        (["cooling"], "n_final="),
+        (["--points", "2", "optimize", "--free", "homodyne_phase:2.9:3.0"], "n_min="),
+    ], ids=["cooling", "optimize"])
+    def test_configured_rtol_reaches_the_quadrature(
+        self, tmp_path, capsys, experiment, command, printed
+    ):
+        outputs = {}
+        for rtol in (1e-3, 1e-9):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({
+                "system": "experiment",
+                "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.85}},
+                "evaluator": {"kind": "langevin", "rtol": rtol},
+            }))
+            code, out, _ = run(
+                ["--config", str(config), "--out", str(tmp_path), *command], capsys
+            )
+            assert code == 0
+            sidecar = json.loads(next(tmp_path.glob("run_*.json")).read_text())
+            assert sidecar["config"]["evaluator"] == {"kind": "langevin", "rtol": rtol}
+            outputs[rtol] = out.split(printed)[1].split()[0]
+        assert outputs[1e-3] != outputs[1e-9]
 
     def test_optimize_gain(self, tmp_path, capsys, experiment):
         sys = experiment

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import closed_form
 from loopcool import cooling, feedback, langevin, model, optimize, presets
-from loopcool.errors import FitError, OptomechanicalInstabilityError, ValidationError
+from loopcool.errors import (
+    ConvergenceError,
+    FitError,
+    InstabilityBoundaryError,
+    OptomechanicalInstabilityError,
+    ValidationError,
+)
 from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
 from loopcool.spectra import Spectrum
 
@@ -487,6 +493,50 @@ class TestDelayCrossingCount:
         assert report.stable is False
         assert report.n_final == math.inf
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        real=st.lists(st.floats(-1e6, 1e6), min_size=9, max_size=9),
+        cplx=st.lists(
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            min_size=5, max_size=5,
+        ),
+    )
+    def test_roots_are_np_roots(self, real, cplx):
+        # the degrees of |P|^2 - |c|^2 |Q|^2 and of P + c Q; zero end
+        # coefficients included, which np.roots strips
+        def outcome(roots, coef):
+            try:
+                with np.errstate(over="ignore"):
+                    found = roots(coef)
+            except np.linalg.LinAlgError as exc:  # an overflowed companion matrix
+                return type(exc)
+            return found.dtype, found.tobytes()
+
+        for coef in (real, cplx, [0.0, *real[1:]], [*cplx[:-1], 0j], [0.0, 1.0, -3.0, 2.0, 0.0]):
+            assert outcome(langevin._roots, coef) == outcome(np.roots, coef)
+
+    def test_exact_zero_root_is_on_the_axis(self, monkeypatch, fig1_optical):
+        # a zero constant coefficient of P + c Q, in t = x - center, is an
+        # exact root at w = omega_m: the count must call it a real-axis pole
+        class ZeroAtCenter(langevin._DetParts):
+            # P = t (t^3 - i), Q = 0: the other three roots are off the axis
+            def __init__(self, p, m, fb):
+                super().__init__(p, m, fb)
+                self.p_coef, self.q_coef = [1.0, 0.0, 0.0, -1j, 0.0], [0.0] * 5
+
+            def values(self, x):
+                t = x - self.center
+                return t * (t**3 - 1j), 0.0
+
+            def __call__(self, x):
+                t = x - self.center
+                return (*self.values(x), 4.0 * t**3 - 1j, 0.0)
+
+        monkeypatch.setattr(langevin, "_DetParts", ZeroAtCenter)
+        sys = fig1_optical
+        with pytest.raises(InstabilityBoundaryError, match="real frequency axis"):
+            langevin._upper_half_plane_zeros(sys.cavity, sys.mechanics, sys.loop)
+
 
 #: (left, right) unknowns summed into K_O and K_O': the hermitian
 #: quadratures pair with themselves, n_mech = <b^dag(w) b(w')> pairs b_conj
@@ -623,7 +673,7 @@ class TestPhononOccupancy:
         gamma_opt = cooling.scattering_rates(p, m, fb).gamma_opt
         solved.clear()
         langevin.phonon_occupancy(p, m, fb, gamma_opt=gamma_opt)
-        # 1 + rounds integrand calls, each one solve over the same nodes
+        # one integrand call per round, each one solve over the same nodes
         assert len(integrated) >= 2
         assert solved == integrated
         solved.clear()
@@ -678,8 +728,9 @@ class TestPhononOccupancy:
             langevin.adaptive_integral(gaussian, np.array([-8.0, 0.5, 8.0]), rtol=rtol)
 
     def test_adaptive_integral_one_call_per_round(self):
-        # from one seed panel, round k evaluates both halves of every open
-        # panel, all of width L / 2^k, in a single integrand call
+        # from one seed panel of width L, call 0 evaluates the panel beside
+        # both of its halves and call k >= 1 both halves of every open panel,
+        # all of width L / 2^(k+1): n calls are n bisection rounds
         nodes = []
 
         def lorentzian(x):
@@ -688,11 +739,29 @@ class TestPhononOccupancy:
 
         val = langevin.adaptive_integral(lorentzian, np.array([-50.0, 50.0]), rtol=1e-9)
         assert val == pytest.approx(2.0 * math.atan(50.0), rel=1e-9)
-        rounds = len(nodes) - 1
-        assert rounds >= 3
+        assert len(nodes) >= 3
         span = 100.0 * np.ptp(langevin._GL_NODES) / 2.0
-        for k, x in enumerate(nodes):
-            np.testing.assert_allclose(np.ptp(x, axis=1), span / 2.0**k, rtol=1e-12)
+        np.testing.assert_allclose(np.ptp(nodes[0], axis=1), [span, span / 2.0, span / 2.0])
+        np.testing.assert_allclose(nodes[0].mean(axis=1), [0.0, -25.0, 25.0], atol=1e-12)
+        for k, x in enumerate(nodes[1:], start=1):
+            np.testing.assert_allclose(np.ptp(x, axis=1), span / 2.0 ** (k + 1), rtol=1e-12)
+
+    def test_adaptive_integral_round_cap(self):
+        # 1 / |x - x0| never converges on the panel holding x0: the cap stops
+        # it after _MAX_ROUNDS rounds, one call each, the last on panels of
+        # width L / 2^_MAX_ROUNDS
+        widths = []
+
+        def pole(x):
+            widths.append(np.ptp(x.reshape(-1, langevin._GL_NODES.size), axis=1).min())
+            return 1.0 / np.abs(x - 1.0 / math.pi)
+
+        with pytest.raises(ConvergenceError):
+            langevin.adaptive_integral(pole, np.array([-1.0, 2.0]), rtol=1e-6)
+        assert len(widths) == langevin._MAX_ROUNDS
+        finest = 3.0 * np.ptp(langevin._GL_NODES) / 2.0 ** (langevin._MAX_ROUNDS + 1)
+        # the 1e-14 width is read off nodes near x0 ~ 0.3, rounded to 6e-17
+        assert widths[-1] / finest == pytest.approx(1.0, rel=0.05)
 
 
 class TestDisplacementSpectrum:
