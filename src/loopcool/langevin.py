@@ -126,25 +126,6 @@ class _Kernel:
         return loop, s, cof_s, d_b * d_bc * loop + s * cof_s
 
 
-def system_entries(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega):
-    """The closed-loop system M(w) x = N n as the test oracles read it: the
-    nonzero entries of M keyed by (row, column), the (5, 9) noise matrix N
-    and g_fb(w), all from the kernel the package solves on."""
-    kernel = _Kernel(p, m, fb)
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    g = np.asarray(fb.gain(omega), dtype=complex)
-    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(omega, g)
-    ig, mig = 1j * m.G, -1j * m.G
-    mat = {
-        (0, 0): d_a, (0, 2): mig, (0, 3): mig, (0, 4): m04,
-        (1, 1): d_ac, (1, 2): ig, (1, 3): ig, (1, 4): m14,
-        (2, 2): d_b, (2, 0): mig, (2, 1): mig,
-        (3, 3): d_bc, (3, 0): ig, (3, 1): ig,
-        (4, 0): kernel.m40, (4, 1): kernel.m41, (4, 4): m44,
-    }
-    return mat, kernel.noise, g
-
-
 def solve_rows(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, omega, weights
 ) -> np.ndarray:
@@ -249,6 +230,12 @@ _MAX_ROUNDS = 48
 _MIN_RTOL = 1e-12
 
 
+def check_rtol(rtol: float) -> None:
+    """ValidationError unless rtol is finite and at least _MIN_RTOL."""
+    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
+        raise ValidationError(f"rtol must be finite and at least {_MIN_RTOL:g}, got {rtol!r}")
+
+
 def _gl_batch(fvec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -269,8 +256,7 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     of every call.  Sums are math.fsum, correctly rounded, so they do not
     depend on the order in which panels were retired.
     """
-    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
-        raise ValidationError(f"rtol must be finite and at least {_MIN_RTOL:g}, got {rtol!r}")
+    check_rtol(rtol)
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     coarse = np.empty(0)
@@ -342,12 +328,13 @@ def phonon_occupancy(
 ) -> float:
     """Stationary phonon number n = (1/2 pi) * integral of S_{b^dag b}(w) dw.
 
-    The closed loop is checked first (OptomechanicalInstabilityError if
-    unstable).  The quadrature grid seeds dense panels around the mechanical
-    and cavity resonances (both signs), scaled by gamma_m + |Gamma_opt|, and
-    refines adaptively to `rtol`.  A caller holding the weak-coupling
-    Gamma_opt passes it as `gamma_opt`, saving its G = 0 solve; n is the same.
+    Checks `rtol`, then the closed loop (OptomechanicalInstabilityError if
+    unstable).  Panels seeded densely around the mechanical and cavity
+    resonances (both signs), scaled by gamma_m + |Gamma_opt|, refine
+    adaptively to `rtol`.  A caller holding the weak-coupling Gamma_opt
+    passes it as `gamma_opt`, saving its G = 0 solve; n is the same.
     """
+    check_rtol(rtol)
     edges = _occupancy_edges(p, m, fb, gamma_opt)
     if not closed_loop_stability(p, m, fb, edges=edges):
         raise OptomechanicalInstabilityError(
@@ -388,10 +375,11 @@ _CROSSING_PHASE_TOL = 1e-9
 _SEED_PROBE = 1e-9
 #: ... and the offsets from omega_m, in units of gamma_m, probed as well
 _MECHANICAL_PROBES = tuple(10.0**k for k in range(-3, 5))
-#: Newton steps polishing each tau = 0 root, and the cap on bracketed ones
+#: most Newton steps polishing a tau = 0 root, and the cap on bracketed ones;
+#: either stops once a step is at rounding level, within _ROUNDING of |x|
 _POLISH_STEPS = 2
 _NEWTON_STEPS = 100
-_EPS = float(np.finfo(float).eps)
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 def _convolve(a: list, b: list) -> list:
@@ -410,7 +398,7 @@ def _roots(coef) -> np.ndarray:
     coef = np.asarray(coef)
     if not (coef[0] and coef[-1]):
         return np.roots(coef)
-    companion = np.diag(np.ones(coef.size - 2, coef.dtype), -1)
+    companion = np.eye(coef.size - 1, k=-1, dtype=coef.dtype)
     companion[0] = -coef[1:] / coef[0]
     return np.linalg.eigvals(companion)
 
@@ -462,11 +450,13 @@ class _DetParts:
         )
 
     def values(self, x):
-        """P and Q at x (a scalar or an array)."""
+        """P and Q at x; for an array, one elimination with column 4 stacked."""
         diag = [const + slope * x for const, slope in self.diag]
+        if isinstance(x, np.ndarray):
+            columns = np.array([[[0j], [self.u0]], [[0j], [self.u1]], [[1.0], [self.v]]])
+            return self.kernel.eliminate(*diag, *columns)[3]
         p_val = self.kernel.eliminate(*diag, 0.0, 0.0, 1.0)[3]
-        q_val = self.kernel.eliminate(*diag, self.u0, self.u1, self.v)[3]
-        return p_val, q_val
+        return p_val, self.kernel.eliminate(*diag, self.u0, self.u1, self.v)[3]
 
     def __call__(self, x):
         """P, Q and their x-derivatives at a scalar x."""
@@ -484,18 +474,21 @@ def _crossing_frequencies(
     of F' there.  The roots of the expanded F seed probes either side of
     their real parts, probes geometric in gamma (= gamma_m / s) either side
     of omega_m / s catch what the seeds miss, and every sign change of the
-    factored F between sorted probes is polished by safeguarded Newton.
-    The probes read only P and Q; the derivatives enter the Newton steps.
-    A probe sits at most a quarter of the way to the next seed: for a
-    high-Q oscillator a pair of crossings near omega_m can lie closer
-    together than _SEED_PROBE."""
+    factored F between sorted probes is polished by safeguarded Newton,
+    which stops once a step is within _ROUNDING of x, even on the bracket's
+    edge; only a longer step out of the bracket is bisected.  The probes
+    read only P and Q, from one elimination; the derivatives enter the
+    Newton steps.  A probe sits at most a quarter of the way to the next
+    seed: for a high-Q oscillator a pair of crossings near omega_m can lie
+    closer together than _SEED_PROBE."""
     c2, center, p_coef, q_coef = abs(c) ** 2, parts.center, parts.p_coef, parts.q_coef
     p_sq = _convolve(p_coef, [z.conjugate() for z in p_coef])
     q_sq = _convolve(q_coef, [z.conjugate() for z in q_coef])
-    f_coef = np.array([(pp - c2 * qq).real for pp, qq in zip(p_sq, q_sq)])
+    f_coef = [(pp - c2 * qq).real for pp, qq in zip(p_sq, q_sq)]
     seeds = sorted({x + center for x in _roots(f_coef).real.tolist() if x + center > 0.0})
     gaps = [hi - lo for lo, hi in zip(seeds, seeds[1:])]
-    beyond = center + 1.0 + float(np.abs(f_coef[1:] / f_coef[0]).max())  # Cauchy bound
+    lead = f_coef[0]  # |P_4|^2 - |c Q_4|^2, 0 only by rounding: then no Cauchy bound
+    beyond = center + 1.0 + max(abs(f / lead) for f in f_coef[1:]) if lead else math.inf
     probes = {0.0, beyond}
     for x, below, above in zip(seeds, [math.inf, *gaps], [*gaps, math.inf]):
         width = min(_SEED_PROBE, 0.25 * min(above, below))
@@ -524,9 +517,10 @@ def _crossing_frequencies(
                 hi = x
             df = 2.0 * ((p_val.conjugate() * dp).real - c2 * (q_val.conjugate() * dq).real)
             step = x - f / df if df else 0.5 * (lo + hi)
-            if not lo < step < hi:
+            # a converged step stands on an edge: bisecting walks ~20 steps back
+            if abs(step - x) > _ROUNDING * x and not lo < step < hi:
                 step = 0.5 * (lo + hi)
-            if abs(step - x) <= 4.0 * _EPS * x:
+            if abs(step - x) <= _ROUNDING * x:
                 x = step
                 break
             x = step
@@ -542,17 +536,19 @@ def _upper_half_plane_zeros(
     method (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac & Sipahi,
     IEEE TAC 47, 793 (2002)).
 
-    The zeros of the polynomial P + c Q are counted at tau = 0.  As the delay
-    grows to tau, zeros cross the real axis only at the real roots w_c of
-    F = |P|^2 - |c|^2 |Q|^2, at the delays where tau w_c = arg(-P / (c Q))
-    mod 2 pi, moving up where w_c F'(w_c) > 0 and down otherwise.  Zeros come
-    in pairs w, -w*, so each crossing at w_c > 0 counts twice.  A loop of
-    neutral type (deg Q = deg P and |c Q_4| >= |P_4|, tau > 0) has infinitely
-    many unstable zeros.  A zero on the real axis, or a delay on a crossing,
-    raises InstabilityBoundaryError.
+    The zeros of the polynomial P + c Q (c from the gain's amplitude and
+    phase offset) are counted at tau = 0, each polished by Newton steps that
+    stop at rounding level.  As the delay grows to tau, zeros cross the real
+    axis only at the real roots w_c of F = |P|^2 - |c|^2 |Q|^2, at the
+    delays where tau w_c = arg(-P / (c Q)) mod 2 pi, moving up where w_c
+    F'(w_c) > 0 and down otherwise.  Zeros come in pairs w, -w*, so each
+    crossing at w_c > 0 counts twice.  A loop of neutral type (deg Q = deg P
+    and |c Q_4| >= |P_4|, tau > 0) has infinitely many unstable zeros.  A
+    zero on the real axis, or a delay on a crossing, raises
+    InstabilityBoundaryError.
     """
     parts = _DetParts(p, m, fb)
-    c = complex(fb.gain(0.0))
+    c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
     tau = fb.gain.delay
     if tau > 0.0 and abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0]):
         return math.inf
@@ -563,8 +559,10 @@ def _upper_half_plane_zeros(
         for _ in range(_POLISH_STEPS):
             p_val, q_val, dp, dq = parts(x)
             slope = dp + c * dq
-            if slope:
-                x -= (p_val + c * q_val) / slope
+            step = (p_val + c * q_val) / slope if slope else 0.0
+            x -= step
+            if abs(step) <= _ROUNDING * abs(x):
+                break
         if abs(x.imag) < _AXIS_TOL:
             raise InstabilityBoundaryError("closed-loop pole on the real frequency axis")
         count += int(x.imag > 0.0)

@@ -117,8 +117,10 @@ def evaluate(
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.  Invalid
-    input, such as an out-of-range rtol, raises ValidationError.
+    input raises ValidationError, the exact evaluator's rtol before any verdict.
     """
+    if evaluator == "langevin":
+        langevin.check_rtol(rtol)
     try:
         report = cooling.cooling_report(p, m, fb)
         if evaluator == "langevin":

@@ -1,12 +1,14 @@
-"""Closed-form empty-cavity rate spectrum, kept as an oracle for the exact
-solve that the package uses (langevin.observable_spectrum at G = 0)."""
+"""Test oracles outside the package: the closed-form empty-cavity rate
+spectrum, kept as an oracle for the exact solve that the package uses
+(langevin.observable_spectrum at G = 0), and the entries of the closed-loop
+system M(w) x = N n that the dense-solve and determinant oracles assemble."""
 
 import cmath
 import math
 
 import numpy as np
 
-from loopcool import feedback, model
+from loopcool import feedback, langevin, model
 
 
 def feedback_lambda(p, fb, omega):
@@ -39,3 +41,22 @@ def cavity_quadrature_spectrum(p, fb, omega):
     incoherent = (p.kappa - fb.eta * kappa_fb) / p.kappa0 * np.abs(lam) ** 2
     out = (np.abs(coherent) ** 2 + incoherent) / (2.0 * p.kappa)
     return out if out.ndim else float(out)
+
+
+def system_entries(p, m, fb, omega):
+    """The closed-loop system M(w) x = N n as the test oracles read it: the
+    nonzero entries of M keyed by (row, column), the (5, 9) noise matrix N
+    and g_fb(w), all from the kernel the package solves on."""
+    kernel = langevin._Kernel(p, m, fb)
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    g = np.asarray(fb.gain(omega), dtype=complex)
+    d_a, d_ac, d_b, d_bc, m04, m14, m44 = kernel.at(omega, g)
+    ig, mig = 1j * m.G, -1j * m.G
+    mat = {
+        (0, 0): d_a, (0, 2): mig, (0, 3): mig, (0, 4): m04,
+        (1, 1): d_ac, (1, 2): ig, (1, 3): ig, (1, 4): m14,
+        (2, 2): d_b, (2, 0): mig, (2, 1): mig,
+        (3, 3): d_bc, (3, 0): ig, (3, 1): ig,
+        (4, 0): kernel.m40, (4, 1): kernel.m41, (4, 4): m44,
+    }
+    return mat, kernel.noise, g

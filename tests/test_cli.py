@@ -162,18 +162,23 @@ class TestSolveAndOptimize:
         # a lowered refinement cap keeps a runaway quadrature short
         monkeypatch.setattr(langevin, "_MAX_ROUNDS", 4)
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "system": "experiment",
-            "evaluator": {"kind": "langevin", "rtol": rtol},
-        }))
-        for command in (
-            ["solve"], ["cooling"], ["--points", "2", "optimize", "--free", "homodyne_phase:0:1"]
-        ):
-            code, _, err = run(
-                ["--config", str(config), "--out", str(tmp_path), *command], capsys
-            )
-            assert code == 2, command
-            assert "rtol" in err
+        # gain_norm 1.05 is past the loop threshold: rtol is checked before
+        # the unstable verdict, which would exit 3
+        for feedback in ({}, {"gain": {"type": "preset_gain_norm", "value": 1.05}}):
+            config.write_text(json.dumps({
+                "system": "experiment",
+                "feedback": feedback,
+                "evaluator": {"kind": "langevin", "rtol": rtol},
+            }))
+            for command in (
+                ["solve"], ["cooling"],
+                ["--points", "2", "optimize", "--free", "homodyne_phase:0:1"],
+            ):
+                code, _, err = run(
+                    ["--config", str(config), "--out", str(tmp_path), *command], capsys
+                )
+                assert code == 2, (feedback, command)
+                assert "rtol" in err
 
     @pytest.mark.parametrize("command, printed", [
         (["cooling"], "n_final="),
