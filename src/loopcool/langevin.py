@@ -9,13 +9,12 @@ of Genes et al., PRA 77, 033804 (2008)).  The solve, the determinant and the
 zero count all take det M from it.  An observable c^T x has the transfer row
 K = c^T M^-1 N, found by one transposed single-RHS solve in closed form: the
 elimination leaves a 3x3 system, solved by cofactors, elementwise over the
-frequencies.  Because g_fb(-w) =
-g_fb(w)*, the partner observable's row at -w is the conjugate of K with
-each noise channel swapped for its partner, so under the <O(w)O'(w')> =
-delta(w+w') S(w) convention the spectrum is the input-noise sum S(w) =
-sum_j c_j |K_j(w)|^2.  Valid at any coupling where the linearized model
-applies (the photocurrent is carried as an explicit unknown so both ports
-and finite detection efficiency stay uniform).
+frequencies.  Because g_fb(-w) = g_fb(w)*, the partner observable's row at -w
+is the conjugate of K with each noise channel swapped for its partner, so
+under the <O(w)O'(w')> = delta(w+w') S(w) convention the spectrum is the
+input-noise sum S(w) = sum_j c_j |K_j(w)|^2.  Valid at any coupling where
+the linearized model applies (the photocurrent is carried as an explicit
+unknown so both ports and finite detection efficiency stay uniform).
 
 The loop is stable iff det M(w) has no zeros in the upper half plane.  For
 a flat-delay gain they are counted exactly, without sampling, by following
@@ -68,30 +67,27 @@ class _Kernel:
     a_in0_conj, a_in1, a_in1_conj, a_prime, a_prime_conj, b_in, b_in_conj,
     x_vac).  The frequency enters M only through the diagonal of rows 0-3
     and through g = g_fb(w) in column 4 (`at`); row 4 reads m40, m41 in
-    columns 0, 1, the mechanical couplings are -+iG, and N is `noise`.
+    columns 0, 1, the mechanical couplings are -+iG, and N is `noise()`.
     Scalars are Python complex, cheap in per-point arithmetic."""
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         theta, theta_bar = model.input_phase_shifts(p)
         s0, s1, sp = (math.sqrt(2.0 * k) for k in (p.kappa0, p.kappa1, p.kappa_prime))
         e_th = cmath.exp(-1j * theta)
-        self.kappa, self.detuning = p.kappa, p.detuning
-        self.half_gamma, self.omega_m, self.g2 = m.gamma_m / 2.0, m.omega_m, m.G**2
+        half_gamma, self.g2 = m.gamma_m / 2.0, m.G**2
+        # d_a, d_ac, d_b, d_bc at w = 0; each falls by i w
+        self.diag0 = (complex(p.kappa, p.detuning), complex(p.kappa, -p.detuning),
+                      complex(half_gamma, m.omega_m), complex(half_gamma, -m.omega_m))
         self.u0, self.u1 = -s0 * e_th, -s0 * e_th.conjugate()
-        self.noise = noise = np.zeros((5, 9), dtype=complex)
-        noise[0, 0], noise[0, 2], noise[0, 4] = s0 * e_th, s1, sp
-        noise[1, 1], noise[1, 3], noise[1, 5] = s0 * e_th.conjugate(), s1, sp
-        noise[2, 6] = noise[3, 7] = math.sqrt(m.gamma_m)
+        self.noise_inputs = s0, e_th, s1, sp, m.gamma_m, fb.eta
 
         # photocurrent, with the detected-port input-output relation inlined
         self.sqrt_eta = sqrt_eta = math.sqrt(fb.eta)
-        noise[4, 8] = math.sqrt(1.0 - fb.eta)
         if fb.port is Port.TRANSMISSION:
-            self.m40 = -sqrt_eta * s1 * cmath.exp(1j * fb.phi)
-            self.m41 = -sqrt_eta * s1 * cmath.exp(-1j * fb.phi)
+            e_phi, e_phi_c = cmath.exp(1j * fb.phi), cmath.exp(-1j * fb.phi)
+            self.m40, self.m41 = -sqrt_eta * s1 * e_phi, -sqrt_eta * s1 * e_phi_c
             self.direct = None
-            noise[4, 2] = -sqrt_eta * cmath.exp(1j * fb.phi)
-            noise[4, 3] = -sqrt_eta * cmath.exp(-1j * fb.phi)
+            self.detected = 2, -sqrt_eta * e_phi, -sqrt_eta * e_phi_c
         else:
             e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
             e_dir = cmath.exp(1j * (fb.phi - theta_bar))
@@ -99,18 +95,25 @@ class _Kernel:
             self.m41 = -sqrt_eta * s0 * e_out.conjugate()
             # the detected direct term: M44 = 1 + sqrt(eta) g (e_dir + e_dir*)
             self.direct = e_dir + e_dir.conjugate()
-            noise[4, 0] = -sqrt_eta * e_dir
-            noise[4, 1] = -sqrt_eta * e_dir.conjugate()
+            self.detected = 0, -sqrt_eta * e_dir, -sqrt_eta * e_dir.conjugate()
+
+    def noise(self) -> np.ndarray:
+        """N, built on demand: of the kernel's readers only solve_rows needs it."""
+        (s0, e_th, s1, sp, gamma_m, eta), (column, n4_a, n4_b) = self.noise_inputs, self.detected
+        noise = np.zeros((5, 9), dtype=complex)
+        noise[0, 0], noise[0, 2], noise[0, 4] = s0 * e_th, s1, sp
+        noise[1, 1], noise[1, 3], noise[1, 5] = s0 * e_th.conjugate(), s1, sp
+        noise[2, 6] = noise[3, 7] = math.sqrt(gamma_m)
+        noise[4, 8], noise[4, column], noise[4, column + 1] = math.sqrt(1.0 - eta), n4_a, n4_b
+        return noise
 
     def at(self, omega, g):
         """d_a, d_ac, d_b, d_bc (M00 to M33) at the real frequencies omega,
         and M04 = u0 g, M14 = u1 g, M44 at the gain values g."""
         m44 = 1.0 if self.direct is None else 1.0 + self.sqrt_eta * g * self.direct
+        (d_a, d_ac, d_b, d_bc), i_omega = self.diag0, 1j * omega
         return (
-            self.kappa + 1j * (self.detuning - omega),
-            self.kappa - 1j * (self.detuning + omega),
-            self.half_gamma + 1j * (self.omega_m - omega),
-            self.half_gamma - 1j * (self.omega_m + omega),
+            d_a - i_omega, d_ac - i_omega, d_b - i_omega, d_bc - i_omega,
             self.u0 * g, self.u1 * g, m44,
         )
 
@@ -149,7 +152,11 @@ def solve_rows(
     - for c0 = c1 the partner problem at -w runs the conjugate operations,
       so S(omega_m) - S(-omega_m) keeps its precision in the rates;
     - no entry is pivoted on, M44 included (on the reflection port it
-      vanishes at real w while M stays regular).
+      vanishes at real w while M stays regular);
+    - a term with a zero weight, or carrying G at G = 0, is left out: every
+      OBSERVABLES row has zero weights (r1 = c0 - c1 = 0 in all four), and
+      such a term only adds an exact zero, so no bit of a row changes but
+      the sign of an exact zero.  Each numerator is divided into its column.
     A zero or non-finite det M raises OptomechanicalInstabilityError.
     """
     kernel = _Kernel(p, m, fb)
@@ -162,20 +169,21 @@ def solve_rows(
     m40, m41 = kernel.m40, kernel.m41
     m_diff = m40 - m41
     r1, r3 = c0 - c1, c4
+    y = np.empty((omega.size, 5), dtype=complex)
     with np.errstate(all="ignore"):
         # det A = det M = d_b d_bc loop + s cof_s, cof_s the cofactor of s in A
         loop, s, cof_s, det = kernel.eliminate(*entries)
-        prod_a, prod_b = d_a * d_ac, d_b * d_bc
-        r2 = c1 * prod_b - ig * (c3 * d_b - c2 * d_bc)
-        dm = d_ac * m44
         if not (np.isfinite(det).all() and det.all()):
             raise OptomechanicalInstabilityError(
                 "singular closed-loop system: frequency sits on an instability pole"
             )
-        # (y0, y1, y4) det = adj(A) r with y0 = D + y1.  r1 = c0 - c1 is 0
-        # for every OBSERVABLES row and r3 = c4 for all but i_fb, so their
-        # columns are added only when needed; d_rest is their part of
-        # D det / (d_b d_bc)
+        # a left-out term (see above) is a Python 0.0 in place of an array
+        prod_b = d_b * d_bc if c1 or r1 or r3 else 0.0
+        mech = (c3 * d_b if c3 else 0.0) - (c2 * d_bc if c2 else 0.0) if ig else 0.0
+        r2 = (c1 * prod_b if c1 else 0.0) - (ig * mech if ig else 0.0)
+        dm = d_ac * m44
+        # (y0, y1, y4) det = adj(A) r with y0 = D + y1, r1 = c0 - c1 and r3 =
+        # c4; d_rest is the r1, r3 part of D det / (d_b d_bc)
         num_0 = (dm + m_diff * m14) * r2
         num_1 = (d_a * m44 - m_diff * m04) * r2
         num_4 = -(d_ac * m04 + d_a * m14) * r2
@@ -189,14 +197,15 @@ def solve_rows(
             d_rest = d_rest + (d_a * m41 - d_ac * m40) * r3
             num_0 = num_0 + (m_diff * s - prod_b * d_ac * m40) * r3
             num_1 = num_1 + (m_diff * s - prod_b * d_a * m41) * r3
-            num_4 = num_4 + (prod_b * prod_a - (d_a - d_ac) * s) * r3
+            num_4 = num_4 + (prod_b * (d_a * d_ac) - (d_a - d_ac) * s) * r3
         # y2 det = (c2 + iG D) det / d_b and y3 det = (c3 + iG D) det / d_bc
-        common, split = ig * (d_rest + c1 * cof_s), kernel.g2 * (c3 - c2) * cof_s
-        num_2 = d_bc * (c2 * loop + common) + split
-        num_3 = d_b * (c3 * loop + common) + split
-        y = np.stack((num_0, num_1, num_2, num_3, num_4), axis=-1)
-        y /= det[:, None]
-    return y @ kernel.noise
+        common = ig * (d_rest + c1 * cof_s) if ig and (c1 or r1 or r3) else 0.0
+        split = kernel.g2 * (c3 - c2) * cof_s if kernel.g2 and c3 != c2 else 0.0
+        num_2 = d_bc * ((c2 * loop if c2 else 0.0) + common) + split
+        num_3 = d_b * ((c3 * loop if c3 else 0.0) + common) + split
+        for k, num_k in enumerate((num_0, num_1, num_2, num_3, num_4)):
+            np.divide(num_k, det, out=y[:, k])
+    return y @ kernel.noise()
 
 
 def observable_spectrum(
@@ -269,7 +278,8 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
         values = _gl_batch(
             fvec, np.concatenate([a[fresh], a, mid]), np.concatenate([b[fresh], mid, b])
         )
-        coarse, left, right = np.split(np.concatenate([coarse, values]), 3)
+        values, n = np.concatenate([coarse, values]), a.size
+        coarse, left, right = values[:n], values[n : 2 * n], values[2 * n :]
         refined = left + right
         err = np.abs(coarse - refined)
         total = math.fsum(done) + math.fsum(refined.tolist())
@@ -577,8 +587,8 @@ def _upper_half_plane_zeros(
             raise InstabilityBoundaryError("loop delay sits on a closed-loop pole crossing")
         if lag > 0.0:
             count += 2 * direction * (math.floor(lag / (2.0 * math.pi)) + 1)
-    if count < 0:
-        raise RuntimeError(f"delay-crossing count went negative ({count})")
+    if count < 0:  # a direct ratio within rounding of 1: the retarded/neutral boundary
+        raise InstabilityBoundaryError(f"loop on the neutral boundary (crossing count {count})")
     return count
 
 

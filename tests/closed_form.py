@@ -59,4 +59,4 @@ def system_entries(p, m, fb, omega):
         (3, 3): d_bc, (3, 0): ig, (3, 1): ig,
         (4, 0): kernel.m40, (4, 1): kernel.m41, (4, 4): m44,
     }
-    return mat, kernel.noise, g
+    return mat, kernel.noise(), g

@@ -37,6 +37,23 @@ class TestCooling:
         assert code == 3
         assert "stable=False" in out
 
+    def test_loop_on_neutral_boundary_exits_three(self, tmp_path, capsys):
+        # reflection loop whose direct ratio lies 6e-16 below 1: the exact
+        # evaluator finds it on the retarded/neutral boundary
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment",
+            "feedback": {
+                "port": "reflection", "phi_rad": -2.603865296693537, "eta": 0.3875837894349707,
+                "gain": {"type": "flat_delay", "amplitude": 0.9020343333059879,
+                         "delay_s": 7.406897635804175e-07},
+            },
+            "evaluator": {"kind": "langevin"},
+        }))
+        for command in ("cooling", "solve"):
+            code, _, _ = run(["--config", str(config), "--out", str(tmp_path), command], capsys)
+            assert code == 3, command
+
     def test_gain_norm_on_reflection_system_exits_two(self, tmp_path, capsys):
         # the normalized gain is defined for the transmission loop only
         config = tmp_path / "cfg.json"
