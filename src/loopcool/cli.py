@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,73 @@ _INSTABILITY_ERRORS = (
     NoStablePointError,
 )
 
+# The config format, one table per record: file key -> (record field, unit
+# factor).  The reader stores factor * value, the sidecar echoes
+# field / factor under the same key; TWO_PI turns Hz into rad/s.
+_CAVITY = {
+    "kappa0_hz": ("kappa0", TWO_PI),
+    "kappa1_hz": ("kappa1", TWO_PI),
+    "kappa_prime_hz": ("kappa_prime", TWO_PI),
+    "detuning_hz": ("detuning", TWO_PI),
+    "drive_power_w": ("drive_power", 1.0),
+    "laser_wavelength_m": ("laser_wavelength", 1.0),
+}
+_MECHANICS = {
+    "omega_m_hz": ("omega_m", TWO_PI),
+    "gamma_m_hz": ("gamma_m", TWO_PI),
+    "n_th": ("n_th", 1.0),
+    "g0_hz": ("g0", TWO_PI),
+    "coupling_hz": ("G", TWO_PI),
+}
+_FEEDBACK = {"phi_rad": ("phi", 1.0), "eta": ("eta", 1.0)}
+_FLAT_DELAY = {
+    "amplitude": ("amplitude", 1.0),
+    "delay_s": ("delay", 1.0),
+    "phase_offset_rad": ("phase_offset", 1.0),
+}
+#: the records a config without a 'system' starts from
+_BARE_CAVITY = CavityParams(kappa0=1.0, kappa1=0.0, kappa_prime=0.0, detuning=0.0)
+_BARE_MECHANICS = MechanicsParams(omega_m=1.0, gamma_m=1.0, n_th=0.0)
+_JSON_TYPES = {dict: "a JSON object", str: "a string", float: "a number"}
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+
+def _reject_unknown(section: dict, allowed, where: str) -> None:
+    unknown = set(section).difference(allowed)
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _get(section: dict, key: str, kind: type, where: str, default=None):
+    """section[key] if it is of `kind` (dict, str or float; numbers are
+    parsed as floats, so a bool is not one), `default` if it is absent.
+    No name or path can hold NUL, so a string with one is rejected."""
+    if key not in section:
+        return default
+    value = section[key]
+    if not isinstance(value, kind) or (kind is str and "\0" in value):
+        name = f"{where}.{key}" if where else key
+        raise ValidationError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _override(record, section: dict, table, where: str):
+    """`record` with every field `section` names read through `table`; null
+    sets a field whose default is None (drive power, g0) to None."""
+    nullable = {f.name for f in fields(record) if f.default is None}
+    changes = {
+        field: None if section[key] is None and field in nullable
+        else factor * _get(section, key, float, where)
+        for key, (field, factor) in table.items() if key in section
+    }
+    return replace(record, **changes)
+
+
+def _echo(record, table) -> dict:
+    echo = {}
+    for key, (field, factor) in table.items():
+        value = getattr(record, field)
+        echo[key] = None if value is None else value / factor
+    return echo
 
 
 def _load_config(path: str | None) -> dict:
@@ -52,190 +114,112 @@ def _load_config(path: str | None) -> dict:
         return {"system": "experiment"}
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+            # every JSON number is a float, so 80 and 80.0 read alike
+            doc = json.load(fh, parse_int=float)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
-    _reject_unknown(
-        doc, {"system", "cavity", "mechanics", "feedback", "evaluator", "output"},
-        "config",
-    )
+    sections = {"system", "cavity", "mechanics", "feedback", "evaluator", "output"}
+    _reject_unknown(doc, sections, "config")
     return doc
 
 
-def _build_gain(section: dict, base: FeedbackConfig, sys) -> FeedbackConfig:
-    _reject_unknown(
-        section,
-        {"type", "amplitude", "delay_s", "phase_offset_rad", "path", "value"},
-        "feedback.gain",
-    )
-    kind = section.get("type", "flat_delay")
+def _build_gain(section: dict, base: FeedbackConfig, system) -> FeedbackConfig:
+    _reject_unknown(section, _FLAT_DELAY.keys() | {"type", "path", "value"}, "feedback.gain")
+    kind = _get(section, "type", str, "feedback.gain", "flat_delay")
     if kind == "flat_delay":
-        gain = FlatDelay(
-            amplitude=float(section.get("amplitude", 0.0)),
-            delay=float(section.get("delay_s", 0.0)),
-            phase_offset=float(section.get("phase_offset_rad", 0.0)),
-        )
+        gain = _override(FlatDelay(0.0), section, _FLAT_DELAY, "feedback.gain")
         return replace(base, gain=gain)
     if kind == "tabulated":
-        if "path" not in section:
+        path = _get(section, "path", str, "feedback.gain")
+        if path is None:
             raise ValidationError("tabulated gain needs a 'path'")
-        trace = ingest.parse_bode(section["path"])
+        trace = ingest.parse_bode(path)
         curve = model.TransferCurve(TWO_PI * trace.frequency_hz, trace.values())
         return replace(base, gain=model.Tabulated(curve))
     if kind == "preset_gain_norm":
-        if sys is None:
+        if system is None:
             raise ValidationError("preset_gain_norm requires a 'system' entry")
-        return sys.with_gain_norm(float(section.get("value", 0.0)))
+        return system.with_gain_norm(_get(section, "value", float, "feedback.gain", 0.0))
     raise ValidationError(f"unknown gain type {kind!r}")
 
 
-def resolve_config(doc: dict):
-    """Build (CavityParams, MechanicsParams, FeedbackConfig, evaluator dict)
-    from a config document, starting from the named system when given."""
-    sys_obj = None
-    if "system" in doc:
-        sys_obj = presets.get_system(doc["system"])
-        p, m, fb = sys_obj.cavity, sys_obj.mechanics, sys_obj.loop
-    else:
-        p = m = fb = None
+def _evaluator_kind(kind: str) -> str:
+    kind = "weak_coupling" if kind == "weak" else kind
+    if kind not in optimize.EVALUATORS:
+        raise ValidationError(f"unknown evaluator {kind!r}")
+    return kind
 
-    cav = doc.get("cavity", {})
-    _reject_unknown(
-        cav,
-        {"kappa0_hz", "kappa1_hz", "kappa_prime_hz", "detuning_hz", "drive_power_w",
-         "laser_wavelength_m"},
-        "cavity",
-    )
+
+def resolve_config(doc: dict):
+    """Build (CavityParams, MechanicsParams, FeedbackConfig, evaluator dict,
+    label) from a config document, starting from the named system when
+    given; a section changes only the fields it names."""
+    sys_obj = p = m = fb = None
+    if "system" in doc:
+        sys_obj = presets.get_system(_get(doc, "system", str, ""))
+        p, m, fb = sys_obj.cavity, sys_obj.mechanics, sys_obj.loop
+
+    cav = _get(doc, "cavity", dict, "", {})
+    _reject_unknown(cav, _CAVITY, "cavity")
     if p is None and not cav:
         raise ValidationError("config needs a 'system' or a 'cavity' section")
-    if cav:
-        defaults = p or CavityParams(kappa0=1.0, kappa1=0.0, kappa_prime=0.0, detuning=0.0)
-        p = CavityParams(
-            kappa0=TWO_PI * cav.get("kappa0_hz", defaults.kappa0 / TWO_PI),
-            kappa1=TWO_PI * cav.get("kappa1_hz", defaults.kappa1 / TWO_PI),
-            kappa_prime=TWO_PI * cav.get("kappa_prime_hz", defaults.kappa_prime / TWO_PI),
-            detuning=TWO_PI * cav.get("detuning_hz", defaults.detuning / TWO_PI),
-            drive_power=cav.get("drive_power_w", defaults.drive_power),
-            laser_wavelength=cav.get("laser_wavelength_m", defaults.laser_wavelength),
-        )
+    p = _override(p or _BARE_CAVITY, cav, _CAVITY, "cavity")
 
-    mech = doc.get("mechanics", {})
-    _reject_unknown(
-        mech,
-        {"omega_m_hz", "gamma_m_hz", "n_th", "bath_temperature_k", "g0_hz",
-         "coupling_hz"},
-        "mechanics",
-    )
+    mech = _get(doc, "mechanics", dict, "", {})
+    _reject_unknown(mech, _MECHANICS.keys() | {"bath_temperature_k"}, "mechanics")
     if m is None and not mech:
         raise ValidationError("config needs a 'system' or a 'mechanics' section")
-    if mech:
-        defaults = m or MechanicsParams(omega_m=1.0, gamma_m=1.0, n_th=0.0)
-        omega_m = TWO_PI * mech.get("omega_m_hz", defaults.omega_m / TWO_PI)
-        if "n_th" in mech and "bath_temperature_k" in mech:
-            raise ValidationError("give n_th or bath_temperature_k, not both")
-        if "bath_temperature_k" in mech:
-            n_th = model.temperature_to_occupancy(mech["bath_temperature_k"], omega_m)
-        else:
-            n_th = mech.get("n_th", defaults.n_th)
-        g0 = mech.get("g0_hz", None)
-        m = MechanicsParams(
-            omega_m=omega_m,
-            gamma_m=TWO_PI * mech.get("gamma_m_hz", defaults.gamma_m / TWO_PI),
-            n_th=n_th,
-            g0=TWO_PI * g0 if g0 is not None else defaults.g0,
-            G=TWO_PI * mech.get("coupling_hz", defaults.G / TWO_PI),
-        )
+    if "n_th" in mech and "bath_temperature_k" in mech:
+        raise ValidationError("give n_th or bath_temperature_k, not both")
+    m = _override(m or _BARE_MECHANICS, mech, _MECHANICS, "mechanics")
+    if "bath_temperature_k" in mech:
+        temperature = _get(mech, "bath_temperature_k", float, "mechanics")
+        m = replace(m, n_th=model.temperature_to_occupancy(temperature, m.omega_m))
 
-    fbs = doc.get("feedback", {})
-    _reject_unknown(fbs, {"port", "phi_rad", "eta", "gain"}, "feedback")
-    if fb is None:
-        fb = FeedbackConfig()
-    if fbs:
-        port = fbs.get("port", fb.port.value)
-        try:
-            port = Port(port)
-        except ValueError:
-            raise ValidationError(
-                f"port must be 'reflection' or 'transmission', got {port!r}"
-            ) from None
-        fb = replace(
-            fb,
-            port=port,
-            phi=float(fbs.get("phi_rad", fb.phi)),
-            eta=float(fbs.get("eta", fb.eta)),
-        )
-        if "gain" in fbs:
-            fb = _build_gain(fbs["gain"], fb, sys_obj)
+    fbs = _get(doc, "feedback", dict, "", {})
+    _reject_unknown(fbs, _FEEDBACK.keys() | {"port", "gain"}, "feedback")
+    fb = _override(fb or FeedbackConfig(), fbs, _FEEDBACK, "feedback")
+    port = _get(fbs, "port", str, "feedback", fb.port.value)
+    if port not in ("reflection", "transmission"):
+        raise ValidationError(f"port must be 'reflection' or 'transmission', got {port!r}")
+    fb = replace(fb, port=Port(port))
+    if "gain" in fbs:
+        fb = _build_gain(_get(fbs, "gain", dict, "feedback"), fb, sys_obj)
 
-    ev = doc.get("evaluator", {})
+    ev = _get(doc, "evaluator", dict, "", {})
     _reject_unknown(ev, {"kind", "rtol"}, "evaluator")
-    kind = ev.get("kind", "weak_coupling")
-    if kind == "weak":
-        kind = "weak_coupling"
-    evaluator = {"kind": kind, "rtol": float(ev.get("rtol", 2e-4))}
-    if evaluator["kind"] not in optimize.EVALUATORS:
-        raise ValidationError(f"unknown evaluator {evaluator['kind']!r}")
+    evaluator = {
+        "kind": _evaluator_kind(_get(ev, "kind", str, "evaluator", "weak_coupling")),
+        "rtol": _get(ev, "rtol", float, "evaluator", 2e-4),
+    }
 
-    out = doc.get("output", {})
+    out = _get(doc, "output", dict, "", {})
     _reject_unknown(out, {"label"}, "output")
-    label = out.get("label", "run")
+    label = _get(out, "label", str, "output", "run")
+    if label in ("", "..") or Path(label).name != label:
+        raise ValidationError(f"output.label must be a plain file name, got {label!r}")
     return p, m, fb, evaluator, label
 
 
 def _resolved_dict(p, m, fb, evaluator) -> dict:
-    gain = fb.gain
-    if isinstance(gain, FlatDelay):
-        gain_doc = {
-            "type": "flat_delay",
-            "amplitude": gain.amplitude,
-            "delay_s": gain.delay,
-            "phase_offset_rad": gain.phase_offset,
-        }
+    if isinstance(fb.gain, FlatDelay):
+        gain = {"type": "flat_delay", **_echo(fb.gain, _FLAT_DELAY)}
     else:
-        lo, hi = gain.curve.domain
-        gain_doc = {
+        lo, hi = fb.gain.curve.domain
+        gain = {
             "type": "tabulated",
             "band_hz": [lo / TWO_PI, hi / TWO_PI],
-            "samples": int(gain.curve.omega.size),
+            "samples": int(fb.gain.curve.omega.size),
         }
     return {
         "units": "frequencies in Hz at this boundary; rad/s internally",
-        "cavity": {
-            "kappa0_hz": p.kappa0 / TWO_PI,
-            "kappa1_hz": p.kappa1 / TWO_PI,
-            "kappa_prime_hz": p.kappa_prime / TWO_PI,
-            "detuning_hz": p.detuning / TWO_PI,
-            "drive_power_w": p.drive_power,
-            "laser_wavelength_m": p.laser_wavelength,
-        },
-        "mechanics": {
-            "omega_m_hz": m.omega_m / TWO_PI,
-            "gamma_m_hz": m.gamma_m / TWO_PI,
-            "n_th": m.n_th,
-            "g0_hz": (m.g0 / TWO_PI) if m.g0 is not None else None,
-            "coupling_hz": m.G / TWO_PI,
-        },
-        "feedback": {
-            "port": fb.port.value,
-            "phi_rad": fb.phi,
-            "eta": fb.eta,
-            "gain": gain_doc,
-        },
+        "cavity": _echo(p, _CAVITY),
+        "mechanics": _echo(m, _MECHANICS),
+        "feedback": {"port": fb.port.value, **_echo(fb, _FEEDBACK), "gain": gain},
         "evaluator": evaluator,
     }
-
-
-def _write_sidecar(outdir: Path, label: str, command: str, resolved: dict, extra: dict):
-    doc = {"command": command, "config": resolved, **extra}
-    path = outdir / f"{label}_{command}.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, float]:
@@ -253,70 +237,50 @@ def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, 
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: each config-reading one takes the resolved records and returns
+# (sidecar name, sidecar payload, message, exit code); `artifact` maps a
+# file suffix to its labelled path under --out
 
 
-def _cmd_cooling(args, outdir: Path) -> int:
-    p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
-    kind = args.evaluator or evaluator["kind"]
-    report = optimize.evaluate(p, m, fb, kind, rtol=evaluator["rtol"])
-    resolved = _resolved_dict(p, m, fb, {**evaluator, "kind": kind})
-    _write_sidecar(
-        outdir,
-        label,
-        "cooling",
-        resolved,
-        {
-            "result": {
-                "a_plus": report.rates.a_plus,
-                "a_minus": report.rates.a_minus,
-                "gamma_opt": report.rates.gamma_opt,
-                "n_backaction": report.n_backaction,
-                "n_final": report.n_final,
-                "temperature_final_k": report.temperature_final,
-                "kappa_eff_hz": report.kappa_eff / TWO_PI,
-                "delta_eff_hz": report.delta_eff / TWO_PI,
-                "gain_norm": report.gain_norm,
-                "stable": report.stable,
-                "warnings": list(report.warnings),
-            }
-        },
-    )
-    print(
+def _cmd_cooling(args, artifact, p, m, fb, evaluator):
+    report = optimize.evaluate(p, m, fb, evaluator["kind"], rtol=evaluator["rtol"])
+    result = {
+        "a_plus": report.rates.a_plus,
+        "a_minus": report.rates.a_minus,
+        "gamma_opt": report.rates.gamma_opt,
+        "n_backaction": report.n_backaction,
+        "n_final": report.n_final,
+        "temperature_final_k": report.temperature_final,
+        "kappa_eff_hz": report.kappa_eff / TWO_PI,
+        "delta_eff_hz": report.delta_eff / TWO_PI,
+        "gain_norm": report.gain_norm,
+        "stable": report.stable,
+        "warnings": list(report.warnings),
+    }
+    message = (
         f"cooling: n_final={report.n_final:.6g} "
         f"T={report.temperature_final:.6g} K stable={report.stable}"
     )
-    return EXIT_OK if report.stable else EXIT_UNSTABLE
+    return "cooling", {"result": result}, message, EXIT_OK if report.stable else EXIT_UNSTABLE
 
 
-def _cmd_effective_cavity(args, outdir: Path) -> int:
-    p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
+def _cmd_effective_cavity(args, artifact, p, m, fb, evaluator):
     eff = feedback.effective_cavity(p, fb)
-    resolved = _resolved_dict(p, m, fb, evaluator)
-    _write_sidecar(
-        outdir,
-        label,
-        "effective-cavity",
-        resolved,
-        {
-            "result": {
-                "kappa_eff_hz": eff.kappa_eff / TWO_PI,
-                "delta_eff_hz": eff.delta_eff / TWO_PI,
-                "gain_norm": eff.gain_norm,
-                "single_pole_valid": eff.valid,
-            }
-        },
-    )
-    print(
+    result = {
+        "kappa_eff_hz": eff.kappa_eff / TWO_PI,
+        "delta_eff_hz": eff.delta_eff / TWO_PI,
+        "gain_norm": eff.gain_norm,
+        "single_pole_valid": eff.valid,
+    }
+    message = (
         f"effective-cavity: kappa_eff={eff.kappa_eff / TWO_PI:.6g} Hz "
         f"delta_eff={eff.delta_eff / TWO_PI:.6g} Hz gain_norm={eff.gain_norm:.6g}"
     )
-    return EXIT_OK
+    return "effective-cavity", {"result": result}, message, EXIT_OK
 
 
-def _cmd_spectrum(args, outdir: Path) -> int:
-    p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
-    observable = args.observable
+def _cmd_spectrum(args, artifact, p, m, fb, evaluator):
+    observable, points = args.observable, args.points or 801
     # squash is the photocurrent with the membrane decoupled (G = 0)
     if observable == "squash":
         stable = feedback.nyquist_stability(p, fb).stable
@@ -330,126 +294,95 @@ def _cmd_spectrum(args, outdir: Path) -> int:
     else:
         default = (p.detuning - 10 * p.kappa, p.detuning + 10 * p.kappa)
     lo, hi = _parse_band(args.band, default)
-    omega = np.linspace(lo, hi, args.points)
+    omega = np.linspace(lo, hi, points)
     if observable == "squash":
         values = feedback.squash_spectrum(p, fb, omega)
     else:
         values = langevin.observable_spectrum(p, m, fb, omega, observable)
-    spec = spectra.Spectrum(omega, values)
-    csv_path = outdir / f"{label}_spectrum_{observable}.csv"
-    spectra.write_spectrum_csv(csv_path, spec)
-    resolved = _resolved_dict(p, m, fb, evaluator)
-    _write_sidecar(
-        outdir,
-        label,
-        f"spectrum-{observable}",
-        resolved,
-        {"files": {csv_path.name: f"spectral density of {observable}"},
-         "band_hz": [lo / TWO_PI, hi / TWO_PI], "points": args.points},
-    )
-    print(
+    csv_path = artifact(f"spectrum_{observable}.csv")
+    spectra.write_spectrum_csv(csv_path, spectra.Spectrum(omega, values))
+    payload = {
+        "files": {csv_path.name: f"spectral density of {observable}"},
+        "band_hz": [lo / TWO_PI, hi / TWO_PI],
+        "points": points,
+    }
+    message = (
         f"spectrum: {observable} over [{lo / TWO_PI:.6g}, {hi / TWO_PI:.6g}] Hz "
         f"-> {csv_path.name}"
     )
-    return EXIT_OK
+    return f"spectrum-{observable}", payload, message, EXIT_OK
 
 
-def _cmd_solve(args, outdir: Path) -> int:
-    p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
+def _cmd_solve(args, artifact, p, m, fb, evaluator):
     n = langevin.phonon_occupancy(p, m, fb, rtol=evaluator["rtol"])
     spec = langevin.displacement_spectrum(p, m, fb)
-    csv_path = outdir / f"{label}_displacement.csv"
+    csv_path = artifact("displacement.csv")
     spectra.write_spectrum_csv(csv_path, spec)
     temperature = model.occupancy_to_temperature(n, m.omega_m)
-    resolved = _resolved_dict(p, m, fb, evaluator)
-    _write_sidecar(
-        outdir,
-        label,
-        "solve",
-        resolved,
-        {
-            "result": {"n_final": n, "temperature_final_k": temperature},
-            "files": {csv_path.name: "mechanical displacement spectrum (natural units)"},
-        },
-    )
-    print(f"solve: n_final={n:.6g} T={temperature:.6g} K -> {csv_path.name}")
-    return EXIT_OK
+    payload = {
+        "result": {"n_final": n, "temperature_final_k": temperature},
+        "files": {csv_path.name: "mechanical displacement spectrum (natural units)"},
+    }
+    message = f"solve: n_final={n:.6g} T={temperature:.6g} K -> {csv_path.name}"
+    return "solve", payload, message, EXIT_OK
 
 
-def _cmd_optimize(args, outdir: Path) -> int:
-    p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
-    kind = args.evaluator or evaluator["kind"]
+def _cmd_optimize(args, artifact, p, m, fb, evaluator):
     free = {}
     for spec in args.free:
         try:
             name, lo, hi = spec.split(":")
             lo, hi = float(lo), float(hi)
         except ValueError:
-            raise ValidationError(
-                f"--free expects name:lo:hi, got {spec!r}"
-            ) from None
+            raise ValidationError(f"--free expects name:lo:hi, got {spec!r}") from None
         if name in ("detuning", "coupling"):
             lo, hi = TWO_PI * lo, TWO_PI * hi
         free[name] = (lo, hi)
     if not free:
         raise ValidationError("optimize needs at least one --free variable")
     result = optimize.minimize_occupancy(
-        p, m, fb, free, evaluator=kind, coarse_points=args.points or 9, rtol=evaluator["rtol"]
+        p, m, fb, free, evaluator=evaluator["kind"], coarse_points=args.points or 9,
+        rtol=evaluator["rtol"],
     )
     best = dict(result.best_params)
     for name in ("detuning", "coupling"):
         if name in best:
             best[name] /= TWO_PI
-    resolved = _resolved_dict(p, m, fb, {**evaluator, "kind": kind})
-    _write_sidecar(
-        outdir,
-        label,
-        "optimize",
-        resolved,
-        {
-            "result": {
-                "best_params": best,
-                "best_occupancy": result.best_occupancy,
-                "stability_margin": result.stability_margin,
-                "evaluations": len(result.trace),
-            }
-        },
-    )
-    print(
+    payload = {
+        "result": {
+            "best_params": best,
+            "best_occupancy": result.best_occupancy,
+            "stability_margin": result.stability_margin,
+            "evaluations": len(result.trace),
+        }
+    }
+    message = (
         f"optimize: n_min={result.best_occupancy:.6g} at {best} "
         f"margin={result.stability_margin:.4g}"
     )
-    return EXIT_OK
+    return "optimize", payload, message, EXIT_OK
+
+
+def _cmd_ingest(args, artifact, p, m, fb, evaluator):
+    trace = ingest.parse_bode(args.bode)
+    filt = ingest.decompose_electronic_filter(trace, p, fb.port)
+    curve = filt.curve
+    csv_path = artifact("filter.csv")
+    spectra.write_complex_csv(csv_path, curve.omega, curve.values)
+    lo, hi = _parse_band(args.band, curve.domain)
+    delay = ingest.delay_from_phase(filt, (lo, hi))
+    payload = {
+        "result": {"delay_s": delay, "samples": int(curve.omega.size)},
+        "files": {csv_path.name: "decomposed electronic filter (re, im)"},
+        "note": "filter absorbs sqrt(eta); eta defaults to 1 downstream",
+    }
+    message = f"ingest: filter with delay={delay * 1e9:.4g} ns -> {csv_path.name}"
+    return "ingest", payload, message, EXIT_OK
 
 
 def _cmd_preset(args, outdir: Path) -> int:
     manifest = optimize.figure_preset(args.name, outdir, points=args.points)
     print(f"preset {args.name}: wrote {len(manifest['files'])} curves to {outdir}")
-    return EXIT_OK
-
-
-def _cmd_ingest(args, outdir: Path) -> int:
-    p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
-    trace = ingest.parse_bode(args.bode)
-    filt = ingest.decompose_electronic_filter(trace, p, fb.port)
-    curve = filt.curve
-    csv_path = outdir / f"{label}_filter.csv"
-    spectra.write_complex_csv(csv_path, curve.omega, curve.values)
-    lo, hi = _parse_band(args.band, curve.domain)
-    delay = ingest.delay_from_phase(filt, (lo, hi))
-    resolved = _resolved_dict(p, m, fb, evaluator)
-    _write_sidecar(
-        outdir,
-        label,
-        "ingest",
-        resolved,
-        {
-            "result": {"delay_s": delay, "samples": int(curve.omega.size)},
-            "files": {csv_path.name: "decomposed electronic filter (re, im)"},
-            "note": "filter absorbs sqrt(eta); eta defaults to 1 downstream",
-        },
-    )
-    print(f"ingest: filter with delay={delay * 1e9:.4g} ns -> {csv_path.name}")
     return EXIT_OK
 
 
@@ -549,30 +482,43 @@ _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "solve": _cmd_solve,
     "optimize": _cmd_optimize,
-    "preset": _cmd_preset,
     "ingest": _cmd_ingest,
-    "membrane": _cmd_membrane,
 }
+_STANDALONE = {"preset": _cmd_preset, "membrane": _cmd_membrane}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     outdir = Path(args.out)
-    if args.evaluator == "weak":
-        args.evaluator = "weak_coupling"
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         if args.points is not None and args.points < 2:
             raise ValidationError("--points must be at least 2")
-        if args.command == "spectrum" and args.points is None:
-            args.points = 801
-        return _COMMANDS[args.command](args, outdir)
+        if args.command in _STANDALONE:
+            return _STANDALONE[args.command](args, outdir)
+        p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
+        if args.evaluator and args.command in ("cooling", "optimize"):
+            evaluator = {**evaluator, "kind": _evaluator_kind(args.evaluator)}
+
+        def artifact(suffix: str) -> Path:
+            return outdir / f"{label}_{suffix}"
+
+        name, payload, message, code = _COMMANDS[args.command](
+            args, artifact, p, m, fb, evaluator
+        )
+        doc = {"command": name, "config": _resolved_dict(p, m, fb, evaluator), **payload}
+        with open(artifact(f"{name}.json"), "w", newline="\n") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(message)
+        return code
     except _INSTABILITY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except LoopcoolError as exc:
-        # validation, parse, band, curve-domain and convergence failures
+    except (LoopcoolError, OSError) as exc:
+        # validation, parse, band, curve-domain and convergence failures,
+        # and files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

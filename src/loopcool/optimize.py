@@ -409,6 +409,11 @@ def _preset_fig3_effective_cavity(outdir: Path, points: int | None) -> dict:
     return {**_describe_system(sys), "files": files}
 
 
+def _write_sweep(path: Path, column: str, rows) -> None:
+    values, reports = zip(*rows)
+    spectra.write_curve_csv(path, column, "n_final", values, [r.n_final for r in reports])
+
+
 def _fig1_curves(outdir: Path, sys: presets.PresetSystem, points: int | None) -> dict:
     pts = points or 13
     m = sys.mechanics
@@ -418,25 +423,17 @@ def _fig1_curves(outdir: Path, sys: presets.PresetSystem, points: int | None) ->
     etas = {"ideal": 1.0, "realistic": sys.notes["realistic_eta"]}
     for tag, eta in etas.items():
         fb_eta = replace(sys.loop, eta=eta)
-        amps = np.linspace(0.0, amp_hi, pts)
-        occ = []
-        for amp in amps:
-            _, _, fb = apply_variable(sys.cavity, m, fb_eta, "gain_amplitude", float(amp))
-            occ.append(evaluate(sys.cavity, m, fb, "langevin").n_final)
+        spec = SweepSpec("gain_amplitude", 0.0, amp_hi, pts, evaluator="langevin")
         path = outdir / f"{sys.name}_gain_{tag}.csv"
-        spectra.write_curve_csv(path, "gain_amplitude", "n_final", amps, occ)
+        _write_sweep(path, "gain_amplitude", sweep(spec, sys.cavity, m, fb_eta))
         files[path.name] = f"occupancy vs gain amplitude, eta={eta}"
 
-        phases = np.linspace(-math.pi, math.pi, pts)
         _, _, fb_amp = apply_variable(
             sys.cavity, m, fb_eta, "gain_amplitude", abs(suppression)
         )
-        occ_phi = []
-        for phi in phases:
-            _, _, fb = apply_variable(sys.cavity, m, fb_amp, "homodyne_phase", float(phi))
-            occ_phi.append(evaluate(sys.cavity, m, fb, "langevin").n_final)
+        spec = SweepSpec("homodyne_phase", -math.pi, math.pi, pts, evaluator="langevin")
         path = outdir / f"{sys.name}_phase_{tag}.csv"
-        spectra.write_curve_csv(path, "homodyne_phase_rad", "n_final", phases, occ_phi)
+        _write_sweep(path, "homodyne_phase_rad", sweep(spec, sys.cavity, m, fb_amp))
         files[path.name] = f"occupancy vs homodyne phase, eta={eta}"
     baseline = evaluate(sys.cavity, m, replace(sys.loop, gain=FlatDelay(0.0)), "langevin")
     return {
@@ -465,11 +462,8 @@ def _smfig1(outdir: Path, variable: str, points: int | None) -> dict:
         else:
             lo, hi = 0.02 * m.omega_m, 0.15 * m.omega_m
         spec = SweepSpec(variable, lo, hi, pts, evaluator="weak_coupling")
-        rows = sweep(spec, sys.cavity, m, fb0)
         path = outdir / f"smfig1_{variable}_{sys.name}.csv"
-        spectra.write_curve_csv(
-            path, variable, "n_final", [v for v, _ in rows], [r.n_final for _, r in rows]
-        )
+        _write_sweep(path, variable, sweep(spec, sys.cavity, m, fb0))
         files[path.name] = f"occupancy vs {variable} ({sys.name})"
         meta_systems.append(_describe_system(sys))
     return {"systems": meta_systems, "evaluator": "weak_coupling", "files": files}

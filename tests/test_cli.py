@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from loopcool import cli, ingest, langevin
+from loopcool import cli, ingest, langevin, presets
 from loopcool.model import FlatDelay, MembraneGeometry, Port, membrane_modes
 
 TWO_PI = 2 * math.pi
@@ -301,6 +307,12 @@ class TestIngestCommand:
         assert code == 2
         assert "malformed" in err
 
+    def test_missing_trace_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        code, _, err = run(["--out", str(tmp_path), "ingest", "--bode", str(path)], capsys)
+        assert code == 2
+        assert f"No such file or directory: '{path}'" in err
+
     @pytest.mark.parametrize("command", ["ingest", "cooling"])
     def test_non_finite_trace_exits_two(self, tmp_path, capsys, command):
         # a nan magnitude on line 6, read as a trace and as a tabulated gain
@@ -381,3 +393,202 @@ class TestEffectiveCavityCommand:
         assert code == 0
         sidecar = json.loads((tmp_path / "run_cooling.json").read_text())
         assert sidecar["config"]["evaluator"]["kind"] == "langevin"
+
+
+def _run_config(tmp_path, capsys, doc, command=("cooling",)):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    return (*run(["--config", str(config), "--out", str(out), *command], capsys), out)
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("doc, key", [
+        ({"cavity": {"detuning_hz": "330e3"}}, "cavity.detuning_hz"),
+        ({"feedback": {"eta": "x"}}, "feedback.eta"),
+        ({"mechanics": {"n_th": "5"}}, "mechanics.n_th"),
+        ({"evaluator": {"rtol": "x"}}, "evaluator.rtol"),
+        ({"feedback": {"gain": {"amplitude": None}}}, "feedback.gain.amplitude"),
+        ({"system": ["experiment"]}, "system"),
+        ({"feedback": 5}, "feedback"),
+        ({"feedback": {"gain": 5}}, "feedback.gain"),
+        ({"mechanics": {"coupling_hz": True}}, "mechanics.coupling_hz"),
+        ({"feedback": {"port": 1}}, "feedback.port"),
+        ({"evaluator": {"kind": None}}, "evaluator.kind"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_wrong_typed_value_exits_two(self, tmp_path, capsys, doc, key):
+        code, _, err, outdir = _run_config(tmp_path, capsys, {"system": "experiment", **doc})
+        assert code == 2
+        assert f"error: {key} must be" in err
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("path", [987654, 5.5, ["trace.csv"], None])
+    def test_gain_path_must_name_a_readable_file(self, tmp_path, capsys, path):
+        # open() reads an integer as a file descriptor, so a path must be a
+        # string; 987654 is a descriptor no process has open.  None stands
+        # for a file that does not exist
+        missing = str(tmp_path / "missing.csv")
+        doc = {"system": "experiment",
+               "feedback": {"gain": {"type": "tabulated", "path": path or missing}}}
+        code, _, err, outdir = _run_config(tmp_path, capsys, doc)
+        assert code == 2
+        assert ("missing.csv" if path is None else "feedback.gain.path") in err
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", "<tmp>/abs", ".", "..", "", "a\0b"])
+    def test_label_must_be_a_plain_name(self, tmp_path, capsys, label):
+        label = label.replace("<tmp>", str(tmp_path))
+        doc = {"system": "experiment", "output": {"label": label}}
+        code, _, err, outdir = _run_config(tmp_path, capsys, doc)
+        assert code == 2
+        assert "output.label" in err
+        assert not list(outdir.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+    def test_plain_label_names_every_artifact(self, tmp_path, capsys):
+        doc = {"system": "experiment", "output": {"label": "run-1.a"}}
+        code, _, _, outdir = _run_config(tmp_path, capsys, doc, ["solve"])
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "run-1.a_displacement.csv", "run-1.a_solve.json"
+        ]
+
+    @pytest.mark.xfail(strict=True, raises=(OverflowError, ZeroDivisionError),
+                       reason="finite values past the float range of the model's "
+                       "arithmetic raise instead of exiting 2")
+    @pytest.mark.parametrize("mechanics, cavity", [
+        ({}, {"detuning_hz": 1e300}),  # detuning**2 in model.input_phase_shifts
+        ({"omega_m_hz": 1e-308, "bath_temperature_k": 1.0}, {}),  # hbar * omega_m == 0
+    ], ids=["huge_detuning", "tiny_omega_m"])
+    def test_out_of_range_number_exits_two(self, tmp_path, capsys, mechanics, cavity):
+        doc = {"system": "experiment", "mechanics": mechanics, "cavity": cavity}
+        code, _, _, _ = _run_config(tmp_path, capsys, doc, ["effective-cavity"])
+        assert code == 2
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xff\xfe{"system": "experiment"}')
+        code, _, err = run(["--config", str(config), "--out", str(tmp_path), "cooling"], capsys)
+        assert code == 2
+        assert "config is not valid JSON" in err
+
+    def test_integer_numbers_read_and_echo_as_floats(self, tmp_path, capsys):
+        doc = {"system": "experiment", "mechanics": {"n_th": 80}, "feedback": {"eta": 1}}
+        code, _, _, outdir = _run_config(tmp_path, capsys, doc, ["effective-cavity"])
+        assert code == 0
+        text = (outdir / "run_effective-cavity.json").read_text()
+        assert '"n_th": 80.0,' in text and '"eta": 1.0,' in text
+
+
+# file key -> (record, field, unit factor), spelled out independently of cli
+_HZ = 2 * math.pi
+_OVERRIDABLE = {
+    "cavity": {
+        "kappa0_hz": ("kappa0", _HZ), "kappa1_hz": ("kappa1", _HZ),
+        "kappa_prime_hz": ("kappa_prime", _HZ), "detuning_hz": ("detuning", _HZ),
+        "drive_power_w": ("drive_power", 1.0), "laser_wavelength_m": ("laser_wavelength", 1.0),
+    },
+    "mechanics": {
+        "omega_m_hz": ("omega_m", _HZ), "gamma_m_hz": ("gamma_m", _HZ),
+        "n_th": ("n_th", 1.0), "g0_hz": ("g0", _HZ), "coupling_hz": ("G", _HZ),
+    },
+    "feedback": {"phi_rad": ("phi", 1.0), "eta": ("eta", 1.0)},
+}
+_POSITIVE = st.floats(1e-3, 1e9)
+_OVERRIDE_VALUES = {
+    "detuning_hz": st.floats(-1e9, 1e9), "phi_rad": st.floats(-10.0, 10.0),
+    "eta": st.floats(0.0, 1.0), "g0_hz": st.floats(-1e3, 1e3) | st.none(),
+    "drive_power_w": _POSITIVE | st.none(), "laser_wavelength_m": st.floats(1e-7, 1e-1),
+}
+
+
+def _partial(section):
+    keys = st.sets(st.sampled_from(sorted(_OVERRIDABLE[section])), max_size=4)
+    return keys.flatmap(lambda chosen: st.fixed_dictionaries(
+        {key: _OVERRIDE_VALUES.get(key, _POSITIVE) for key in chosen}
+    ))
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+# fuzz documents: arbitrary JSON trees, and documents built from the valid
+# keys whose values are usually of the right type and range
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _usually(good):
+    """`good` nine times in ten, any JSON value otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else _JSON)
+
+
+def _section(**values):
+    keys = st.sets(st.sampled_from(sorted(values)))
+    return _usually(keys.flatmap(
+        lambda chosen: st.fixed_dictionaries({key: values[key] for key in chosen})
+    ))
+
+
+_NUMBER = _usually(st.floats(0.0, 1.0) | st.floats(-1e7, 1e7) | st.floats())
+_CONFIG_DOCS = st.fixed_dictionaries({
+    "system": _usually(st.sampled_from(sorted(presets.SYSTEMS))),
+}, optional={
+    "cavity": _section(**dict.fromkeys(_OVERRIDABLE["cavity"], _NUMBER)),
+    "mechanics": _section(
+        **dict.fromkeys([*_OVERRIDABLE["mechanics"], "bath_temperature_k"], _NUMBER)
+    ),
+    "feedback": _section(
+        port=_usually(st.sampled_from(["reflection", "transmission"])),
+        phi_rad=_NUMBER, eta=_NUMBER,
+        gain=_section(
+            type=_usually(st.sampled_from(["flat_delay", "tabulated", "preset_gain_norm"])),
+            amplitude=_NUMBER, delay_s=_NUMBER, phase_offset_rad=_NUMBER, value=_NUMBER,
+            path=_usually(st.text()),
+        ),
+    ),
+    "evaluator": _section(
+        kind=_usually(st.sampled_from(["weak", "weak_coupling", "langevin"])), rtol=_NUMBER
+    ),
+    "output": _section(label=_usually(st.text())),
+})
+
+
+class TestConfigProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        system=st.sampled_from(sorted(presets.SYSTEMS)),
+        cavity=_partial("cavity"), mechanics=_partial("mechanics"), feedback=_partial("feedback"),
+    )
+    def test_partial_override_changes_only_named_fields(self, system, cavity, mechanics, feedback):
+        sys = presets.get_system(system)
+        doc = {"system": system, "cavity": cavity, "mechanics": mechanics, "feedback": feedback}
+        p, m, fb, _, _ = cli.resolve_config(doc)
+        records = {"cavity": (sys.cavity, p), "mechanics": (sys.mechanics, m),
+                   "feedback": (sys.loop, fb)}
+        for section, (before, after) in records.items():
+            for key, (field, factor) in _OVERRIDABLE[section].items():
+                expected = getattr(before, field)
+                if key in doc[section]:
+                    value = doc[section][key]
+                    expected = None if value is None else factor * value
+                assert _bits(getattr(after, field)) == _bits(expected), (section, key)
+        assert fb.port is sys.loop.port and fb.gain == sys.loop.gain
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=st.one_of(_JSON, _CONFIG_DOCS))
+    def test_reader_maps_any_document_to_an_exit_code(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["--config", str(config), "--out", str(Path(tmp) / "out"),
+                                 "effective-cavity"])
+        assert code in (0, 2, 3)
