@@ -125,7 +125,8 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _build_gain(section: dict, base: FeedbackConfig, system) -> FeedbackConfig:
+def _build_gain(fbs: dict, base: FeedbackConfig, system) -> FeedbackConfig:
+    section = _get(fbs, "gain", dict, "feedback")
     _reject_unknown(section, _FLAT_DELAY.keys() | {"type", "path", "value"}, "feedback.gain")
     kind = _get(section, "type", str, "feedback.gain", "flat_delay")
     if kind == "flat_delay":
@@ -141,6 +142,9 @@ def _build_gain(section: dict, base: FeedbackConfig, system) -> FeedbackConfig:
     if kind == "preset_gain_norm":
         if system is None:
             raise ValidationError("preset_gain_norm requires a 'system' entry")
+        clash = sorted(set(fbs) & {"eta", "phi_rad", "port"})
+        if clash:
+            raise ValidationError(f"preset_gain_norm rescales the preset's loop: drop {clash}")
         return system.with_gain_norm(_get(section, "value", float, "feedback.gain", 0.0))
     raise ValidationError(f"unknown gain type {kind!r}")
 
@@ -186,7 +190,7 @@ def resolve_config(doc: dict):
         raise ValidationError(f"port must be 'reflection' or 'transmission', got {port!r}")
     fb = replace(fb, port=Port(port))
     if "gain" in fbs:
-        fb = _build_gain(_get(fbs, "gain", dict, "feedback"), fb, sys_obj)
+        fb = _build_gain(fbs, fb, sys_obj)
 
     ev = _get(doc, "evaluator", dict, "", {})
     _reject_unknown(ev, {"kind", "rtol"}, "evaluator")

@@ -2,8 +2,8 @@
 figure-study presets that emit CSV bundles.
 
 The objective landscape has hard stability walls, so only derivative-free
-search is used: a coarse full-factorial scan followed by cyclic
-golden-section refinement.  Unstable evaluations are kept in traces as
+search is used: a coarse full-factorial scan followed by cyclic Brent line
+search (Brent 1973).  Unstable evaluations are kept in traces as
 infinite-occupancy sentinels rather than dropped.
 """
 
@@ -21,8 +21,9 @@ from .cooling import CoolingReport, RatePair
 from .errors import LoopcoolError, NoStablePointError, ValidationError
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: relative parameter tolerance of the golden-section refinement
+#: golden-section fraction of Brent's safeguarding step
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+#: relative parameter tolerance of the Brent line search
 _REL_TOL = 1e-4
 
 VARIABLES = ("gain_amplitude", "homodyne_phase", "detuning", "delay", "coupling")
@@ -168,11 +169,11 @@ def minimize_occupancy(
     *,
     rtol: float = 2e-4,
 ) -> OptimizationResult:
-    """Coarse grid scan over up to three free variables, then cyclic
-    golden-section refinement per coordinate down to a fixed 1e-4 relative
-    parameter tolerance.  Every evaluation is stability-checked; the
-    returned optimum is always a stable point.  `rtol` is the exact
-    evaluator's quadrature tolerance (evaluate)."""
+    """Coarse grid scan over up to three free variables, then a cyclic Brent
+    line search (Brent 1973) per coordinate from the current point, down to a
+    fixed 1e-4 relative parameter tolerance.  Every evaluation is
+    stability-checked; the returned optimum is always a stable point.
+    `rtol` is the exact evaluator's quadrature tolerance (evaluate)."""
     if not 1 <= len(free) <= 3:
         raise ValidationError("minimize_occupancy takes 1 to 3 free variables")
     names = list(free)
@@ -211,10 +212,12 @@ def minimize_occupancy(
             lo = max(bounds[k][0], current[k] - spacing[k])
             hi = min(bounds[k][1], current[k] + spacing[k])
             scale = max(abs(hi), abs(lo), 1e-30)
-            x, fx = _golden_section(
+            x, fx = _line_search(
                 lambda v: objective([*current[:k], v, *current[k + 1 :]]),
                 lo,
                 hi,
+                x=current[k],
+                fx=best,
                 tol=_REL_TOL * scale,
             )
             if fx < best:
@@ -223,9 +226,6 @@ def minimize_occupancy(
         if moved < _REL_TOL:
             break
 
-    final = objective(current)
-    if final < best:
-        best = final
     p2, m2, fb2 = p, m, fb
     for name, value in zip(names, current):
         p2, m2, fb2 = apply_variable(p2, m2, fb2, name, value)
@@ -238,21 +238,46 @@ def minimize_occupancy(
     )
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _line_search(fn, lo: float, hi: float, x: float, fx: float, tol: float) -> tuple[float, float]:
+    """Brent's minimiser of `fn` on [lo, hi] (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5) from the known point x with
+    finite fx = fn(x), to a bracket no wider than `tol`; returns (x, fx), never
+    worse than the start.  Parabolic steps go only through three finite values,
+    so an unstable (infinite) probe just shrinks the bracket by a golden step."""
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    tol1 = tol / 4.0
+    while True:
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1 and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                parabolic, e, d = True, d, p / q
+                if x + d - a < 2.0 * tol1 or b - x - d < 2.0 * tol1:
+                    d = math.copysign(tol1, mid - x)
+        if not parabolic:
+            e = (a if x >= mid else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 # --------------------------------------------------------------------------

@@ -422,6 +422,19 @@ class TestConfigReader:
         assert f"error: {key} must be" in err
         assert not list(outdir.iterdir())
 
+    @pytest.mark.parametrize("extra", [
+        {"eta": 0.5}, {"phi_rad": 0.1}, {"port": "reflection"},
+        {"eta": 0.5, "phi_rad": 0.1, "port": "transmission"},
+    ], ids=lambda extra: "-".join(extra))
+    def test_preset_gain_norm_rejects_loop_keys(self, tmp_path, capsys, extra):
+        # the norm rescales the preset's own loop, which would drop these keys
+        doc = {"system": "experiment",
+               "feedback": {**extra, "gain": {"type": "preset_gain_norm", "value": 0.85}}}
+        code, _, err, outdir = _run_config(tmp_path, capsys, doc, ("effective-cavity",))
+        assert code == 2
+        assert "preset_gain_norm" in err and all(repr(key) in err for key in extra)
+        assert not list(outdir.iterdir())
+
     @pytest.mark.parametrize("path", [987654, 5.5, ["trace.csv"], None])
     def test_gain_path_must_name_a_readable_file(self, tmp_path, capsys, path):
         # open() reads an integer as a file descriptor, so a path must be a

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcool import cooling, feedback, langevin, optimize
 from loopcool.errors import LoopcoolError, ValidationError
@@ -158,11 +160,89 @@ class TestSweep:
         assert all(a < b for a, b in zip(values_hi, values_hi[1:]))
 
 
-class TestMinimize:
-    def test_golden_section_quadratic(self):
-        x, fx = optimize._golden_section(lambda v: (v - 0.371) ** 2 + 1.0, 0.0, 1.0, 1e-9)
+def golden_section(fn, lo, hi, tol):
+    """Plain golden-section search on [lo, hi] to a bracket of `tol`: the
+    reference that the Brent line search must match or beat."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+class TestLineSearch:
+    def test_quadratic(self):
+        f = lambda v: (v - 0.371) ** 2 + 1.0
+        x, fx = optimize._line_search(f, 0.0, 1.0, x=0.0, fx=f(0.0), tol=1e-9)
         assert x == pytest.approx(0.371, abs=1e-6)
         assert fx == pytest.approx(1.0, abs=1e-10)
+
+    def test_wall_past_the_minimum(self):
+        # minimum at 0.25, unstable beyond 0.375: the first golden probe from
+        # a cold start lands in the wall
+        f = lambda v: math.inf if v > 0.375 else (v - 0.25) ** 2
+        x, fx = optimize._line_search(f, 0.0, 1.0, x=0.0, fx=f(0.0), tol=1e-3)
+        assert abs(x - 0.25) <= 1e-3
+        assert math.isfinite(fx)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        x_m=st.floats(0.0, 1.0),
+        power=st.sampled_from([2, 4]),
+        left=st.floats(0.0, 1.0),
+        right=st.floats(0.0, 1.0),
+        start=st.floats(0.0, 1.0),
+        tol=st.floats(1e-6, 1e-2),
+    )
+    def test_unimodal_with_walls(self, x_m, power, left, right, start, tol):
+        # |x - x_m|^power on [0, 1], infinite (unstable) left of x_lo and right
+        # of x_hi; `left` or `right` = 1 puts that wall at the bound
+        x_lo, x_hi = x_m * (1.0 - left), x_m + right * (1.0 - x_m)
+        f = lambda v: math.inf if v < x_lo or v > x_hi else abs(v - x_m) ** power
+        x0 = min(x_lo + start * (x_hi - x_lo), x_hi)
+        f0 = f(x0)
+        probes = []
+
+        def probed(v):
+            probes.append(v)
+            return f(v)
+
+        x, fx = optimize._line_search(probed, 0.0, 1.0, x=x0, fx=f0, tol=tol)
+        assert all(0.0 <= v <= 1.0 for v in probes)
+        assert x0 not in probes
+        assert math.isfinite(fx) and fx <= f0
+        assert fx == f(x)
+        assert abs(x - x_m) <= tol or fx <= golden_section(f, 0.0, 1.0, tol)[1]
+
+
+class TestMinimize:
+    def test_criterion_7_trace_repeats_no_point(self, fig1_optical):
+        sys = fig1_optical
+        p, m = sys.cavity, sys.mechanics
+        scale = abs(feedback.stokes_suppression_gain(p, sys.loop, m.omega_m))
+        result = optimize.minimize_occupancy(
+            p, m, sys.loop,
+            free={
+                "gain_amplitude": (0.02, 2.0 * scale),
+                "homodyne_phase": (-math.pi, math.pi),
+            },
+            evaluator="langevin",
+            coarse_points=9,
+            max_cycles=4,
+        )
+        points = [tuple(params.values()) for params, _ in result.trace]
+        assert len(set(points)) == len(points)
+        assert len(points) <= 140
+        assert result.best_occupancy == min(n for _, n in result.trace)
 
     def test_one_dimensional_matches_dense_sweep(self, experiment):
         sys = experiment
