@@ -286,11 +286,8 @@ def _cmd_effective_cavity(args, artifact, p, m, fb, evaluator):
 def _cmd_spectrum(args, artifact, p, m, fb, evaluator):
     observable, points = args.observable, args.points or 801
     # squash is the photocurrent with the membrane decoupled (G = 0)
-    if observable == "squash":
-        stable = feedback.nyquist_stability(p, fb).stable
-    else:
-        stable = langevin.closed_loop_stability(p, m, fb)
-    if not stable:
+    decoupled = replace(m, G=0.0) if observable == "squash" else m
+    if not langevin.closed_loop_stability(p, decoupled, fb):
         raise OptomechanicalInstabilityError("closed loop unstable; no stationary spectrum")
     if observable in ("q_mech", "n_mech"):
         width = 60.0 * m.gamma_m + 4.0 * abs(m.G)
@@ -356,13 +353,13 @@ def _cmd_optimize(args, artifact, p, m, fb, evaluator):
         "result": {
             "best_params": best,
             "best_occupancy": result.best_occupancy,
-            "stability_margin": result.stability_margin,
+            "delay_margin_s": result.delay_margin,
             "evaluations": len(result.trace),
         }
     }
     message = (
         f"optimize: n_min={result.best_occupancy:.6g} at {best} "
-        f"margin={result.stability_margin:.4g}"
+        f"delay_margin={result.delay_margin:.4g} s"
     )
     return "optimize", payload, message, EXIT_OK
 

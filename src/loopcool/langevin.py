@@ -538,31 +538,25 @@ def _crossing_frequencies(
     return found
 
 
-def _upper_half_plane_zeros(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
-) -> float:
-    """Number of zeros of det M(w) = P(w) + c e^{i tau w} Q(w) in the upper
-    half plane for a FlatDelay gain c e^{i tau w}, by the delay-crossing
-    method (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac & Sipahi,
-    IEEE TAC 47, 793 (2002)).
+def _delay_crossings(
+    parts: _DetParts, c: complex, gamma: float
+) -> list[tuple[float, float, int]]:
+    """Every delay crossing (x, theta, direction) of the loop P + c e^{i tau
+    w} Q: at each crossing frequency w_c = s x (_crossing_frequencies) a pair
+    of zeros crosses the real axis at the delays tau_k = (theta + 2 pi k) /
+    w_c, k >= 0, theta = arg(-P / (c Q)) mod 2 pi there, moving up for
+    direction +1 and down for -1."""
+    crossings = []
+    for x, direction in _crossing_frequencies(parts, c, gamma):
+        p_val, q_val = parts.values(x)
+        crossings.append((x, cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi), direction))
+    return crossings
 
-    The zeros of the polynomial P + c Q (c from the gain's amplitude and
-    phase offset) are counted at tau = 0, each polished by Newton steps that
-    stop at rounding level.  As the delay grows to tau, zeros cross the real
-    axis only at the real roots w_c of F = |P|^2 - |c|^2 |Q|^2, at the
-    delays where tau w_c = arg(-P / (c Q)) mod 2 pi, moving up where w_c
-    F'(w_c) > 0 and down otherwise.  Zeros come in pairs w, -w*, so each
-    crossing at w_c > 0 counts twice.  A loop of neutral type (deg Q = deg P
-    and |c Q_4| >= |P_4|, tau > 0) has infinitely many unstable zeros.  A
-    zero on the real axis, or a delay on a crossing, raises
-    InstabilityBoundaryError.
-    """
-    parts = _DetParts(p, m, fb)
-    c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
-    tau = fb.gain.delay
-    if tau > 0.0 and abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0]):
-        return math.inf
 
+def _undelayed_zeros(parts: _DetParts, c: complex) -> int:
+    """Zeros of the polynomial P + c Q (the loop at tau = 0) in the upper
+    half plane, each polished by Newton steps that stop at rounding level.
+    A zero on the real axis raises InstabilityBoundaryError."""
     count = 0
     coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
     for x in (_roots(coef) + parts.center).tolist():
@@ -576,13 +570,15 @@ def _upper_half_plane_zeros(
         if abs(x.imag) < _AXIS_TOL:
             raise InstabilityBoundaryError("closed-loop pole on the real frequency axis")
         count += int(x.imag > 0.0)
-    if tau == 0.0 or c == 0.0:
-        return count
+    return count
 
-    for x, direction in _crossing_frequencies(parts, c, m.gamma_m / parts.scale):
-        p_val, q_val = parts.values(x)
-        theta = cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi)
-        lag = tau * parts.scale * x - theta
+
+def _delayed_zeros(count: int, tau: float, scale: float, crossings) -> int:
+    """The upper-half-plane zero count at delay tau > 0 from `count` at tau
+    = 0: each crossing pair passed on the way adds 2 direction.  A delay on
+    a crossing raises InstabilityBoundaryError."""
+    for x, theta, direction in crossings:
+        lag = tau * scale * x - theta
         if abs(math.remainder(lag, 2.0 * math.pi)) < _CROSSING_PHASE_TOL:
             raise InstabilityBoundaryError("loop delay sits on a closed-loop pole crossing")
         if lag > 0.0:
@@ -590,6 +586,80 @@ def _upper_half_plane_zeros(
     if count < 0:  # a direct ratio within rounding of 1: the retarded/neutral boundary
         raise InstabilityBoundaryError(f"loop on the neutral boundary (crossing count {count})")
     return count
+
+
+def _flat_loop(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
+    """(parts, c, neutral) of a FlatDelay loop, c = A e^{i phase_offset} and
+    neutral whether it is of neutral type (|c Q_4| >= |P_4|)."""
+    parts = _DetParts(p, m, fb)
+    c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
+    return parts, c, abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0])
+
+
+def _upper_half_plane_zeros(
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
+) -> float:
+    """Number of zeros of det M(w) = P(w) + c e^{i tau w} Q(w) in the upper
+    half plane for a FlatDelay gain c e^{i tau w}, by the delay-crossing
+    method (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac & Sipahi,
+    IEEE TAC 47, 793 (2002)).
+
+    The zeros of the polynomial P + c Q are counted at tau = 0
+    (_undelayed_zeros).  As the delay grows to tau, zeros cross the real
+    axis only at the delay crossings (_delay_crossings).  Zeros come in
+    pairs w, -w*, so each crossing at w_c > 0 counts twice.  A loop of
+    neutral type (deg Q = deg P and |c Q_4| >= |P_4|, tau > 0) has
+    infinitely many unstable zeros.  A zero on the real axis, or a delay on
+    a crossing, raises InstabilityBoundaryError.
+    """
+    parts, c, neutral = _flat_loop(p, m, fb)
+    tau = fb.gain.delay
+    if tau > 0.0 and neutral:
+        return math.inf
+    count = _undelayed_zeros(parts, c)
+    if tau == 0.0 or c == 0.0:
+        return count
+    crossings = _delay_crossings(parts, c, m.gamma_m / parts.scale)
+    return _delayed_zeros(count, tau, parts.scale, crossings)
+
+
+def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> float:
+    """Delay margin (s) of a FlatDelay loop: how much longer the loop delay
+    can grow before a pair of closed-loop poles crosses into the upper half
+    plane (Michiels & Niculescu, Stability and Stabilization of Time-Delay
+    Systems, SIAM 2007).  It is the smallest tau_k - tau > 0 over the
+    destabilising (direction +1) delay crossings, read from the same
+    crossings as the zero count, so it is exact: the count is 0 just below
+    tau + margin and at least 2 just above.
+
+    inf for a stable loop that no crossing destabilises (zero gain among
+    them); 0.0 when the loop is already unstable, on a stability boundary,
+    or of neutral type (every positive delay is unstable then); NaN for a
+    Tabulated gain, which has no delay to tune.
+    """
+    if not isinstance(fb.gain, FlatDelay):
+        return math.nan
+    parts, c, neutral = _flat_loop(p, m, fb)
+    if neutral:
+        return 0.0
+    tau, scale = fb.gain.delay, parts.scale
+    # at zero gain F = |P|^2 changes sign nowhere: no crossings
+    crossings = _delay_crossings(parts, c, m.gamma_m / scale)
+    try:
+        count = _undelayed_zeros(parts, c)
+        if tau > 0.0:
+            count = _delayed_zeros(count, tau, scale, crossings)
+    except InstabilityBoundaryError:
+        return 0.0
+    if count:
+        return 0.0
+    margins = []
+    for x, theta, direction in crossings:
+        if direction > 0:
+            lag = tau * scale * x - theta
+            k = math.floor(lag / (2.0 * math.pi)) + 1 if lag > 0.0 else 0
+            margins.append((theta + 2.0 * math.pi * k) / (scale * x) - tau)
+    return min(margins, default=math.inf)
 
 
 def closed_loop_stability(

@@ -26,9 +26,26 @@ hbar = 6.62607015e-34 / TWO_PI
 k_B = 1.380649e-23
 
 
+#: largest accepted |rate| in rad/s (the kappas, the detuning, omega_m,
+#: gamma_m and G): det M is of degree 4 in the rates and the crossing test
+#: squares it, so every product the kernel forms stays below 1e240
+MAX_RATE = 1e30
+#: smallest accepted omega_m in rad/s: hbar omega_m, the unit the occupancy
+#: is converted with, stays a normal float
+MIN_OMEGA_M = 1e-6
+
+
 def _finite(name, value):
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _rate(name, value):
+    """`value` if it is finite and within MAX_RATE in magnitude."""
+    _finite(name, value)
+    if not -MAX_RATE <= value <= MAX_RATE:
+        raise ValidationError(f"{name} must lie within +-{MAX_RATE:g} rad/s, got {value!r}")
     return value
 
 
@@ -58,12 +75,12 @@ class CavityParams:
 
     def __post_init__(self):
         for name in ("kappa0", "kappa1", "kappa_prime"):
-            v = _finite(name, getattr(self, name))
+            v = _rate(name, getattr(self, name))
             if v < 0:
                 raise ValidationError(f"{name} must be >= 0, got {v}")
         if self.kappa <= 0:
             raise ValidationError("total decay rate kappa must be > 0")
-        _finite("detuning", self.detuning)
+        _rate("detuning", self.detuning)
         if self.drive_power is not None and self.drive_power < 0:
             raise ValidationError("drive_power must be >= 0")
         if self.laser_wavelength <= 0:
@@ -85,12 +102,13 @@ class MechanicsParams:
     G: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega_m", "gamma_m", "n_th", "G"):
-            _finite(name, getattr(self, name))
+        for name in ("omega_m", "gamma_m", "G"):
+            _rate(name, getattr(self, name))
+        _finite("n_th", self.n_th)
         if self.g0 is not None:
             _finite("g0", self.g0)
-        if not self.omega_m > 0:
-            raise ValidationError("omega_m must be > 0")
+        if not self.omega_m >= MIN_OMEGA_M:
+            raise ValidationError(f"omega_m must be >= {MIN_OMEGA_M:g} rad/s, got {self.omega_m!r}")
         if not self.gamma_m > 0:
             raise ValidationError("gamma_m must be > 0")
         if self.n_th < 0:

@@ -3,8 +3,10 @@ figure-study presets that emit CSV bundles.
 
 The objective landscape has hard stability walls, so only derivative-free
 search is used: a coarse full-factorial scan followed by cyclic Brent line
-search (Brent 1973).  Unstable evaluations are kept in traces as
-infinite-occupancy sentinels rather than dropped.
+search (Brent 1973), each search after a coordinate's first opening one
+last accepted step away.  Unstable evaluations are kept in traces as
+infinite-occupancy sentinels rather than dropped.  An optimum reports its
+exact delay margin (langevin.delay_margin).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class SweepSpec:
 class OptimizationResult:
     best_params: dict
     best_occupancy: float
-    stability_margin: float
+    delay_margin: float
     trace: tuple
 
 
@@ -170,9 +172,13 @@ def minimize_occupancy(
     rtol: float = 2e-4,
 ) -> OptimizationResult:
     """Coarse grid scan over up to three free variables, then a cyclic Brent
-    line search (Brent 1973) per coordinate from the current point, down to a
-    fixed 1e-4 relative parameter tolerance.  Every evaluation is
-    stability-checked; the returned optimum is always a stable point.
+    line search (Brent 1973) per coordinate from the current point, within
+    one coarse spacing of it, down to a fixed 1e-4 relative parameter
+    tolerance.  A coordinate's first search opens at a golden probe; each
+    later one opens one step away, the step being its previous search's
+    accepted move (0 if it did not move), at least that tolerance.  Every
+    evaluation is stability-checked; the returned optimum is always a stable
+    point, and its delay_margin (s) is langevin.delay_margin at the full G.
     `rtol` is the exact evaluator's quadrature tolerance (evaluate)."""
     if not 1 <= len(free) <= 3:
         raise ValidationError("minimize_occupancy takes 1 to 3 free variables")
@@ -206,22 +212,28 @@ def minimize_occupancy(
         (hi - lo) / (coarse_points - 1) for lo, hi in bounds
     ]
     current = list(best_vals)
+    # each coordinate's last accepted move; None until its first search
+    moves: list[float | None] = [None] * len(names)
     for _ in range(max_cycles):
         moved = 0.0
         for k, name in enumerate(names):
             lo = max(bounds[k][0], current[k] - spacing[k])
             hi = min(bounds[k][1], current[k] + spacing[k])
             scale = max(abs(hi), abs(lo), 1e-30)
+            tol = _REL_TOL * scale
             x, fx = _line_search(
                 lambda v: objective([*current[:k], v, *current[k + 1 :]]),
                 lo,
                 hi,
                 x=current[k],
                 fx=best,
-                tol=_REL_TOL * scale,
+                tol=tol,
+                step=None if moves[k] is None else max(moves[k], tol),
             )
+            moves[k] = 0.0
             if fx < best:
-                moved = max(moved, abs(x - current[k]) / scale)
+                moves[k] = abs(x - current[k])
+                moved = max(moved, moves[k] / scale)
                 current[k], best = x, fx
         if moved < _REL_TOL:
             break
@@ -229,44 +241,58 @@ def minimize_occupancy(
     p2, m2, fb2 = p, m, fb
     for name, value in zip(names, current):
         p2, m2, fb2 = apply_variable(p2, m2, fb2, name, value)
-    margin = feedback.nyquist_stability(p2, fb2).margin
     return OptimizationResult(
         best_params=dict(zip(names, current)),
         best_occupancy=best,
-        stability_margin=margin,
+        delay_margin=langevin.delay_margin(p2, m2, fb2),
         trace=tuple(trace),
     )
 
 
-def _line_search(fn, lo: float, hi: float, x: float, fx: float, tol: float) -> tuple[float, float]:
+def _line_search(
+    fn, lo: float, hi: float, x: float, fx: float, tol: float, *, step: float | None = None
+) -> tuple[float, float]:
     """Brent's minimiser of `fn` on [lo, hi] (R. P. Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 5) from the known point x with
     finite fx = fn(x), to a bracket no wider than `tol`; returns (x, fx), never
     worse than the start.  Parabolic steps go only through three finite values,
-    so an unstable (infinite) probe just shrinks the bracket by a golden step."""
+    so an unstable (infinite) probe just shrinks the bracket by a golden step.
+
+    A `step` of at least `tol` opens the search one step away rather than at a
+    golden probe: it probes x + step and, if that is no better, x - step, each
+    only if it lies strictly inside the bracket.  Both probes update the
+    bracket and v, w by Brent's rules, and the search goes on as if its step
+    before last had been `step`, so its next step may already be parabolic."""
     a, b = lo, hi
-    w = v = x
+    w = v = start = x
     fw = fv = fx
-    d = e = 0.0
+    d = 0.0
+    e = 0.0 if step is None else step
+    openers = [] if step is None else [step, -step]
     tol1 = tol / 4.0
     while True:
         mid = 0.5 * (a + b)
         if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
             return x, fx
-        parabolic = False
-        if abs(e) > tol1 and math.isfinite(fw) and math.isfinite(fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                parabolic, e, d = True, d, p / q
-                if x + d - a < 2.0 * tol1 or b - x - d < 2.0 * tol1:
-                    d = math.copysign(tol1, mid - x)
-        if not parabolic:
-            e = (a if x >= mid else b) - x
-            d = _CGOLD * e
+        if openers:
+            d = openers.pop(0)
+            if x != start or not a < x + d < b:
+                continue
+        else:
+            parabolic = False
+            if abs(e) > tol1 and math.isfinite(fw) and math.isfinite(fv):
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                p, q = (-p, q) if q > 0.0 else (p, -q)
+                if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                    parabolic, e, d = True, d, p / q
+                    if x + d - a < 2.0 * tol1 or b - x - d < 2.0 * tol1:
+                        d = math.copysign(tol1, mid - x)
+            if not parabolic:
+                e = (a if x >= mid else b) - x
+                d = _CGOLD * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = fn(u)
         if fu <= fx:

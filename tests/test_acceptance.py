@@ -237,7 +237,16 @@ def test_criterion_7_low_noise_optimum(preset_name, request):
     )
     ratio = n_nf / result.best_occupancy
     assert ratio >= 5.0
-    checks = [f"eta=1: {ratio:.1f}x"]
+    # the optimum's delay margin is exact: the zero count flips from 0 to 2
+    # across tau + margin
+    p2, m2, fb2 = p, m, sys.loop
+    for name, value in result.best_params.items():
+        p2, m2, fb2 = optimize.apply_variable(p2, m2, fb2, name, value)
+    tau, margin = fb2.gain.delay, result.delay_margin
+    for factor, count in ((1.0 - 1e-6, 0), (1.0 + 1e-6, 2)):
+        delayed = replace(fb2, gain=replace(fb2.gain, delay=tau + margin * factor))
+        assert langevin._upper_half_plane_zeros(p2, m2, delayed) == count
+    checks = [f"eta=1: {ratio:.1f}x, delay margin {margin:.4g} s"]
     for eta in (0.42, 0.36):
         res = optimize.minimize_occupancy(
             p, m, replace(sys.loop, eta=eta),

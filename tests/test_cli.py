@@ -154,6 +154,28 @@ class TestSpectrumCommand:
         assert "closed loop unstable" in err
         assert not list(tmp_path.glob("run_spectrum*"))
 
+    def test_neutral_squash_loop_exits_three(self, tmp_path, capsys):
+        # a neutral-type reflection loop (direct ratio above 1, delay > 0) has
+        # infinitely many unstable poles; the sampled G = 0 contour winds zero
+        # times around it, the exact zero count does not
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "fig1_optical",
+            "cavity": {"detuning_hz": 141460262.53904572 / (2 * math.pi)},
+            "feedback": {
+                "port": "reflection", "phi_rad": -1.8992086968500186,
+                "eta": 0.9025892083671126,
+                "gain": {"amplitude": 0.5735033868544581,
+                         "delay_s": 3.4125843011659366e-08, "phase_offset_rad": 0.0},
+            },
+        }))
+        code, _, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "spectrum", "squash"], capsys
+        )
+        assert code == 3
+        assert "closed loop unstable" in err
+        assert not list(tmp_path.glob("run_spectrum*"))
+
     @pytest.mark.parametrize(
         "observable, band", [("x_cavity", "1e5:inf"), ("n_mech", "-inf:1e6")]
     )
@@ -239,6 +261,8 @@ class TestSolveAndOptimize:
         sidecar = json.loads((tmp_path / "run_optimize.json").read_text())
         best = sidecar["result"]["best_occupancy"]
         assert best < 0.25 * 1.2145e5
+        assert 0.0 < sidecar["result"]["delay_margin_s"] < math.inf
+        assert "stability_margin" not in sidecar["result"]
 
     def test_optimize_without_free_is_validation_error(self, tmp_path, capsys):
         code, _, err = run(["--out", str(tmp_path), "optimize"], capsys)
@@ -466,9 +490,6 @@ class TestConfigReader:
             "run-1.a_displacement.csv", "run-1.a_solve.json"
         ]
 
-    @pytest.mark.xfail(strict=True, raises=(OverflowError, ZeroDivisionError),
-                       reason="finite values past the float range of the model's "
-                       "arithmetic raise instead of exiting 2")
     @pytest.mark.parametrize("mechanics, cavity", [
         ({}, {"detuning_hz": 1e300}),  # detuning**2 in model.input_phase_shifts
         ({"omega_m_hz": 1e-308, "bath_temperature_k": 1.0}, {}),  # hbar * omega_m == 0

@@ -18,7 +18,9 @@ from loopcool.errors import (
     OptomechanicalInstabilityError,
     ValidationError,
 )
-from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
+from loopcool.model import (
+    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port, Tabulated, TransferCurve,
+)
 from loopcool.spectra import Spectrum
 
 TWO_PI = 2 * math.pi
@@ -331,10 +333,10 @@ def direct_ratio(p, fb):
 
 
 @st.composite
-def flat_loops(draw, max_strength=1.5, max_ratio=0.9):
+def flat_loops(draw, max_strength=1.5, max_ratio=0.9, min_strength=0.0):
     """Random closed loop in units of omega_m: either port, G from 1e-5 to
-    0.6, loop strength 2 sqrt(eta) |zeta_out A| at the cavity resonance up to
-    `max_strength`, direct-path ratio at most `max_ratio`."""
+    0.6, loop strength 2 sqrt(eta) |zeta_out A| at the cavity resonance from
+    `min_strength` to `max_strength`, direct-path ratio at most `max_ratio`."""
     port = draw(st.sampled_from(list(Port)))
     p = CavityParams(
         kappa0=draw(st.floats(0.02, 0.6)),
@@ -354,7 +356,7 @@ def flat_loops(draw, max_strength=1.5, max_ratio=0.9):
         eta=draw(st.floats(0.05, 1.0)),
         gain=FlatDelay(1.0),
     )
-    strength = draw(st.floats(0.0, max_strength))
+    strength = draw(st.floats(min_strength, max_strength))
     amplitude = strength / (2.0 * math.sqrt(fb.eta) * abs(model.zeta_out(p, fb, abs(p.detuning))))
     gain = FlatDelay(
         amplitude, draw(st.floats(0.0, 5.0)), draw(st.sampled_from([0.0, math.pi]))
@@ -442,6 +444,34 @@ class TestDelayCrossingCount:
         decoupled = replace(m, G=0.0)
         stable = feedback.nyquist_stability(p, fb).stable
         assert langevin.closed_loop_stability(p, decoupled, fb) is stable
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops(min_strength=1.0))
+    def test_delay_margin_is_the_next_unstable_delay(self, loop):
+        # the count is 0 just short of tau + margin and at least 2 just past
+        # it; an unstable loop has no margin.  A loop strength of 1 or more
+        # has crossings, so the margin is finite wherever the loop is stable
+        # (26 of these 100 loops)
+        p, m, fb = loop
+        margin = langevin.delay_margin(p, m, fb)
+        assert (margin > 0.0) is langevin.closed_loop_stability(p, m, fb)
+        if 0.0 < margin < math.inf:
+            tau = fb.gain.delay
+            below, above = (
+                replace(fb, gain=replace(fb.gain, delay=tau + margin * factor))
+                for factor in (1.0 - 1e-6, 1.0 + 1e-6)
+            )
+            assert langevin._upper_half_plane_zeros(p, m, below) == 0
+            assert langevin._upper_half_plane_zeros(p, m, above) >= 2
+
+    def test_delay_margin_without_a_delay_to_tune(self, fig1_optical):
+        sys = fig1_optical
+        p, m = sys.cavity, sys.mechanics
+        quiet = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=0.0))
+        assert langevin.delay_margin(p, m, quiet) == math.inf
+        omega = np.linspace(1e3, 1e9, 64)
+        tabulated = replace(sys.loop, gain=Tabulated(TransferCurve(omega, 0.1 + 0j * omega)))
+        assert math.isnan(langevin.delay_margin(p, m, tabulated))
 
     def test_weak_coupling_mechanical_crossings(self, fig1_optical):
         # crossings within ~gamma_m of omega_m: an evaluation of the expanded

@@ -202,21 +202,25 @@ class TestLineSearch:
         right=st.floats(0.0, 1.0),
         start=st.floats(0.0, 1.0),
         tol=st.floats(1e-6, 1e-2),
+        step=st.none() | st.floats(0.0, 1.0),
     )
-    def test_unimodal_with_walls(self, x_m, power, left, right, start, tol):
+    def test_unimodal_with_walls(self, x_m, power, left, right, start, tol, step):
         # |x - x_m|^power on [0, 1], infinite (unstable) left of x_lo and right
-        # of x_hi; `left` or `right` = 1 puts that wall at the bound
+        # of x_hi; `left` or `right` = 1 puts that wall at the bound.  `step`
+        # places the opening step in [tol, (hi - lo) / 2], or leaves it out
         x_lo, x_hi = x_m * (1.0 - left), x_m + right * (1.0 - x_m)
         f = lambda v: math.inf if v < x_lo or v > x_hi else abs(v - x_m) ** power
         x0 = min(x_lo + start * (x_hi - x_lo), x_hi)
         f0 = f(x0)
+        if step is not None:
+            step = tol + step * (0.5 - tol)
         probes = []
 
         def probed(v):
             probes.append(v)
             return f(v)
 
-        x, fx = optimize._line_search(probed, 0.0, 1.0, x=x0, fx=f0, tol=tol)
+        x, fx = optimize._line_search(probed, 0.0, 1.0, x=x0, fx=f0, tol=tol, step=step)
         assert all(0.0 <= v <= 1.0 for v in probes)
         assert x0 not in probes
         assert math.isfinite(fx) and fx <= f0
@@ -241,7 +245,8 @@ class TestMinimize:
         )
         points = [tuple(params.values()) for params, _ in result.trace]
         assert len(set(points)) == len(points)
-        assert len(points) <= 140
+        # 116 (121 with every later search opening at a golden probe)
+        assert len(points) <= 118
         assert result.best_occupancy == min(n for _, n in result.trace)
 
     def test_one_dimensional_matches_dense_sweep(self, experiment):
@@ -266,7 +271,7 @@ class TestMinimize:
             free={"gain_amplitude": (amp_for(0.3), amp_for(1.2))},
             coarse_points=13,
         )
-        assert result.stability_margin > 0
+        assert 0.0 < result.delay_margin < math.inf
         p2, m2, fb2 = optimize.apply_variable(
             sys.cavity, sys.mechanics, sys.loop,
             "gain_amplitude", result.best_params["gain_amplitude"],
