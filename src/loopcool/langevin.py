@@ -234,6 +234,9 @@ def observable_spectrum(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: bisection rounds before adaptive_integral gives up
 _MAX_ROUNDS = 48
+#: most nodes one adaptive_integral round may evaluate, over 1200x the largest round
+#: (810) in the tests and benchmark: a never-settling integrand bisects every panel
+_MAX_QUADRATURE_NODES = 1_000_000
 #: smallest rtol adaptive_integral accepts: below it the error budget sits
 #: under rounding and every open panel is bisected each round
 _MIN_RTOL = 1e-12
@@ -275,6 +278,9 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
         mid = 0.5 * (a + b)
         # the panels from coarse.size on have no estimate yet
         fresh = slice(coarse.size, None)
+        nodes = (3 * a.size - coarse.size) * _GL_NODES.size
+        if nodes > _MAX_QUADRATURE_NODES:
+            raise ConvergenceError(f"quadrature round would evaluate {nodes} nodes, past the cap")
         values = _gl_batch(
             fvec, np.concatenate([a[fresh], a, mid]), np.concatenate([b[fresh], mid, b])
         )
@@ -512,7 +518,8 @@ def _crossing_frequencies(
 
     f_probe = residual(*parts.values(np.array(probes)))
     found = []
-    for k in np.flatnonzero(f_probe[:-1] * f_probe[1:] < 0.0).tolist():
+    # signs, not a product: F grows like the rates^8, so F * F overflows
+    for k in np.flatnonzero(np.sign(f_probe[:-1]) * np.sign(f_probe[1:]) < 0.0).tolist():
         lo, hi = probes[k], probes[k + 1]
         rising = bool(f_probe[k] < 0.0)
         x = 0.5 * (lo + hi)

@@ -12,7 +12,7 @@ is S = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Union
 
@@ -33,20 +33,38 @@ MAX_RATE = 1e30
 #: smallest accepted omega_m in rad/s: hbar omega_m, the unit the occupancy
 #: is converted with, stays a normal float
 MIN_OMEGA_M = 1e-6
+#: largest accepted |gain| (a FlatDelay amplitude, a TransferCurve sample): up
+#: to it the flat-gain zero count is the same at every rate scale to MAX_RATE
+MAX_GAIN = 1e6
+#: largest accepted loop delay in s: delay * w < 1e240 for every w up to 1e40 rad/s
+MAX_DELAY = 1e200
+_POSITIVE = math.ulp(0.0)  # the least positive float: [_POSITIVE, hi] is 0 < x <= hi
+
+#: accepted closed range [lo, hi] of each numeric record field; NaN and +-inf always
+#: fail (hi = inf asks for a finite value), and None passes where it is the default
+RANGES = {
+    **dict.fromkeys(("kappa0", "kappa1", "kappa_prime", "G"), (0.0, MAX_RATE)),
+    "detuning": (-MAX_RATE, MAX_RATE),
+    "omega_m": (MIN_OMEGA_M, MAX_RATE),
+    "gamma_m": (_POSITIVE, MAX_RATE),
+    "amplitude": (-MAX_GAIN, MAX_GAIN),
+    "delay": (0.0, MAX_DELAY),
+    "eta": (0.0, 1.0),
+    **dict.fromkeys(("n_th", "drive_power"), (0.0, math.inf)),
+    **dict.fromkeys(("g0", "phi", "phase_offset"), (-math.inf, math.inf)),
+    **dict.fromkeys(("laser_wavelength", "radius", "thickness", "density", "sound_speed",
+                     "stress"), (_POSITIVE, math.inf)),
+}
 
 
-def _finite(name, value):
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _rate(name, value):
-    """`value` if it is finite and within MAX_RATE in magnitude."""
-    _finite(name, value)
-    if not -MAX_RATE <= value <= MAX_RATE:
-        raise ValidationError(f"{name} must lie within +-{MAX_RATE:g} rad/s, got {value!r}")
-    return value
+def _check_ranges(record) -> None:
+    """ValidationError unless each field of `record` that RANGES names is in range."""
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if f.name in RANGES and not (v is None and f.default is None):
+            lo, hi = RANGES[f.name]
+            if not (math.isfinite(v) and lo <= v <= hi):
+                raise ValidationError(f"{f.name} must be finite and in [{lo:g}, {hi:g}], got {v}")
 
 
 class Port(Enum):
@@ -74,17 +92,9 @@ class CavityParams:
     laser_wavelength: float = 1064e-9
 
     def __post_init__(self):
-        for name in ("kappa0", "kappa1", "kappa_prime"):
-            v = _rate(name, getattr(self, name))
-            if v < 0:
-                raise ValidationError(f"{name} must be >= 0, got {v}")
+        _check_ranges(self)
         if self.kappa <= 0:
             raise ValidationError("total decay rate kappa must be > 0")
-        _rate("detuning", self.detuning)
-        if self.drive_power is not None and self.drive_power < 0:
-            raise ValidationError("drive_power must be >= 0")
-        if self.laser_wavelength <= 0:
-            raise ValidationError("laser_wavelength must be > 0")
 
     @property
     def kappa(self) -> float:
@@ -102,19 +112,7 @@ class MechanicsParams:
     G: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega_m", "gamma_m", "G"):
-            _rate(name, getattr(self, name))
-        _finite("n_th", self.n_th)
-        if self.g0 is not None:
-            _finite("g0", self.g0)
-        if not self.omega_m >= MIN_OMEGA_M:
-            raise ValidationError(f"omega_m must be >= {MIN_OMEGA_M:g} rad/s, got {self.omega_m!r}")
-        if not self.gamma_m > 0:
-            raise ValidationError("gamma_m must be > 0")
-        if self.n_th < 0:
-            raise ValidationError("n_th must be >= 0")
-        if self.G < 0:
-            raise ValidationError("G must be >= 0")
+        _check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -132,14 +130,9 @@ class FlatDelay:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        _finite("amplitude", self.amplitude)
-        if self.delay < 0:
-            raise ValidationError("delay must be >= 0")
-        rem = math.remainder(self.phase_offset, math.pi)
-        if abs(rem) > 1e-12:
-            raise ValidationError(
-                "phase_offset must be a multiple of pi so that g(w)* = g(-w)"
-            )
+        _check_ranges(self)
+        if abs(math.remainder(self.phase_offset, math.pi)) > 1e-12:
+            raise ValidationError("phase_offset must be a multiple of pi so that g(w)* = g(-w)")
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -176,8 +169,8 @@ class TransferCurve:
         if not np.all(np.diff(omega) > 0):
             raise ValidationError("TransferCurve frequencies must strictly increase")
         mags = np.abs(values)
-        if np.any(mags == 0):
-            raise ValidationError("TransferCurve samples must have nonzero magnitude")
+        if not np.all((mags > 0) & (mags <= MAX_GAIN)):
+            raise ValidationError(f"TransferCurve sample magnitudes must lie in (0, {MAX_GAIN:g}]")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_log_mag", np.log(mags))
@@ -242,9 +235,7 @@ class FeedbackConfig:
     gain: GainModel = FlatDelay(0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValidationError("eta must lie in [0, 1]")
-        _finite("phi", self.phi)
+        _check_ranges(self)
 
 
 def cavity_susceptibility(p: CavityParams, omega):
@@ -359,15 +350,9 @@ class MembraneGeometry:
     stress: float | None = None
 
     def __post_init__(self):
-        for name in ("radius", "thickness", "density"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
+        _check_ranges(self)
         if (self.sound_speed is None) == (self.stress is None):
             raise ValidationError("provide sound_speed or stress, not both")
-        if self.sound_speed is not None and not self.sound_speed > 0:
-            raise ValidationError("sound_speed must be > 0")
-        if self.stress is not None and not self.stress > 0:
-            raise ValidationError("stress must be > 0")
 
     @property
     def c_s(self) -> float:

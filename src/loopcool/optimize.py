@@ -120,8 +120,10 @@ def evaluate(
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.  Invalid
-    input raises ValidationError, the exact evaluator's rtol before any verdict.
+    input raises ValidationError, the evaluator's name and rtol before any work.
     """
+    if evaluator not in EVALUATORS:
+        raise ValidationError(f"unknown evaluator {evaluator!r}")
     if evaluator == "langevin":
         langevin.check_rtol(rtol)
     try:

@@ -490,14 +490,24 @@ class TestConfigReader:
             "run-1.a_displacement.csv", "run-1.a_solve.json"
         ]
 
-    @pytest.mark.parametrize("mechanics, cavity", [
-        ({}, {"detuning_hz": 1e300}),  # detuning**2 in model.input_phase_shifts
-        ({"omega_m_hz": 1e-308, "bath_temperature_k": 1.0}, {}),  # hbar * omega_m == 0
-    ], ids=["huge_detuning", "tiny_omega_m"])
-    def test_out_of_range_number_exits_two(self, tmp_path, capsys, mechanics, cavity):
-        doc = {"system": "experiment", "mechanics": mechanics, "cavity": cavity}
-        code, _, _, _ = _run_config(tmp_path, capsys, doc, ["effective-cavity"])
+    @pytest.mark.parametrize("doc", [
+        {"cavity": {"detuning_hz": 1e300}},  # detuning**2 in model.input_phase_shifts
+        {"mechanics": {"omega_m_hz": 1e-308, "bath_temperature_k": 1.0}},  # hbar omega_m == 0
+        {"feedback": {"gain": {"amplitude": 1e100}}},  # its zero count overflowed to "stable"
+        {"feedback": {"gain": {"phase_offset_rad": 1e400}}},  # math.remainder(inf, pi) raised
+        {"feedback": {"gain": {"delay_s": math.nan}}},
+        {"feedback": {"gain": {"delay_s": 1e300}}},
+        {"cavity": {"drive_power_w": math.inf}},  # echoed as Infinity
+        {"cavity": {"laser_wavelength_m": math.nan}},
+    ], ids=["huge_detuning", "tiny_omega_m", "huge_amplitude", "infinite_phase_offset",
+            "nan_delay", "huge_delay", "infinite_drive_power", "nan_wavelength"])
+    def test_out_of_range_number_exits_two(self, tmp_path, capsys, doc):
+        code, _, err, outdir = _run_config(
+            tmp_path, capsys, {"system": "experiment", **doc}, ["effective-cavity"]
+        )
         assert code == 2
+        assert "must be finite and in" in err
+        assert not list(outdir.iterdir())
 
     def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -208,12 +208,12 @@ class TestSolveRows:
     def test_singular_system_raises_typed_error(self):
         # empty cavity loop exactly at threshold: kappa = 1, s0 = s1 = 1,
         # eta = 1 and g = 1/2 give det M(0) = 0 in exact arithmetic, so w =
-        # 0 sits on a pole; a gain of 1e308 overflows det M to inf/nan
+        # 0 sits on a pole; at w = 1e200 det M, of degree 4 in w, overflows to
+        # inf/nan
         p = CavityParams(kappa0=0.5, kappa1=0.5, kappa_prime=0.0, detuning=0.0)
         m = MechanicsParams(omega_m=5.0, gamma_m=1e-3, n_th=12.5, G=0.0)
-        on_pole = FeedbackConfig(port=Port.TRANSMISSION, phi=0.0, eta=1.0, gain=FlatDelay(0.5))
-        overflow = replace(on_pole, gain=FlatDelay(1e308))
-        for fb, w in ((on_pole, [1.0, 0.0]), (overflow, [1.0, 2.0])):
+        fb = FeedbackConfig(port=Port.TRANSMISSION, phi=0.0, eta=1.0, gain=FlatDelay(0.5))
+        for w in ([1.0, 0.0], [1.0, 1e200]):
             for c in (A, I_FB, langevin.OBSERVABLES["n_mech"]):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -436,6 +436,31 @@ class TestDelayCrossingCount:
         scale = max(abs(p.detuning), m.omega_m, p.kappa)
         count = langevin._upper_half_plane_zeros(p, m, fb)
         assert count == box_zero_count(p, m, fb, 6.0 * scale, 3.0 * scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops(), top=st.floats(0.0, 29.99))
+    def test_count_is_free_of_the_rate_scale(self, loop, top):
+        # every rate times s and the delay over s move each zero of det M
+        # from w to s w, so the count stays, whether the largest rate is 1
+        # rad/s or MAX_RATE, and no product of the crossing test overflows;
+        # a pole on the real axis is an outcome too
+        def outcome(p, m, fb):
+            try:
+                return langevin._upper_half_plane_zeros(p, m, fb)
+            except InstabilityBoundaryError:
+                return "boundary"
+
+        p, m, fb = loop
+        cavity = {k: getattr(p, k) for k in ("kappa0", "kappa1", "kappa_prime", "detuning")}
+        mechanics = {k: getattr(m, k) for k in ("omega_m", "gamma_m", "G")}
+        s = 10.0**top / max(abs(v) for v in (*cavity.values(), *mechanics.values()))
+        p2 = replace(p, **{k: s * v for k, v in cavity.items()})
+        m2 = replace(m, **{k: s * v for k, v in mechanics.items()})
+        fb2 = replace(fb, gain=replace(fb.gain, delay=fb.gain.delay / s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = outcome(p2, m2, fb2)
+        assert scaled == outcome(p, m, fb)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(loop=flat_loops(max_strength=4.0))
@@ -922,6 +947,22 @@ class TestPhononOccupancy:
         finest = 3.0 * np.ptp(langevin._GL_NODES) / 2.0 ** (langevin._MAX_ROUNDS + 1)
         # the 1e-14 width is read off nodes near x0 ~ 0.3, rounded to 6e-17
         assert widths[-1] / finest == pytest.approx(1.0, rel=0.05)
+
+    def test_adaptive_integral_node_cap(self):
+        # a NaN integrand never converges, so every round bisects every open
+        # panel; the node cap stops it before a round evaluates more than
+        # _MAX_QUADRATURE_NODES, and the integrand stops a runaway past 2e6
+        sizes = []
+
+        def nan(x):
+            sizes.append(x.size)
+            if x.size > 2_000_000:
+                raise RuntimeError("quadrature ran away")
+            return np.full(x.shape, np.nan)
+
+        with pytest.raises(ConvergenceError, match="nodes"):
+            langevin.adaptive_integral(nan, np.linspace(-1.0, 1.0, 28))
+        assert max(sizes) <= langevin._MAX_QUADRATURE_NODES < 2 * max(sizes)
 
 
 def thermal_limit_errors(p, m0, fb, rtol=2e-4, max_decades=12):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -288,6 +289,45 @@ class TestParamValidation:
     def test_feedback_eta_range(self):
         with pytest.raises(ValidationError):
             FeedbackConfig(eta=1.5)
+
+    # one valid record of each kind; each test below moves one field
+    VALID = {
+        CavityParams: dict(kappa0=1.0, kappa1=0.5, kappa_prime=0.1, detuning=0.3,
+                           drive_power=1e-3),
+        MechanicsParams: dict(omega_m=1.0, gamma_m=1e-3, n_th=5.0, g0=2.0, G=0.1),
+        FlatDelay: dict(amplitude=0.5, delay=1e-7),
+        FeedbackConfig: dict(phi=0.2, eta=0.5),
+        MembraneGeometry: dict(radius=1e-3, thickness=1e-7, density=3e3, sound_speed=500.0),
+    }
+    NUMERIC = [(cls, f.name) for cls in VALID for f in fields(cls) if "float" in str(f.type)]
+
+    def record(self, cls, name, value):
+        kwargs = {**self.VALID[cls], name: value}
+        if name == "stress":  # a membrane takes a sound speed or a stress
+            kwargs["sound_speed"] = None
+        return cls(**kwargs)
+
+    @pytest.mark.parametrize("cls, name", NUMERIC, ids=lambda v: getattr(v, "__name__", v))
+    def test_every_numeric_field_is_checked_against_ranges(self, cls, name):
+        lo, hi = model.RANGES[name]
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be finite and in"):
+                self.record(cls, name, value)
+        for end, outside in ((lo, -math.inf), (hi, math.inf)):
+            if math.isfinite(end):
+                assert getattr(self.record(cls, name, end), name) == end
+                with pytest.raises(ValidationError, match=f"{name} must be finite and in"):
+                    self.record(cls, name, math.nextafter(end, outside))
+
+    def test_gain_samples_share_the_amplitude_bound(self):
+        omega = np.linspace(1e3, 1e6, 8)
+        curve = TransferCurve(omega, np.full(8, model.MAX_GAIN * 1j))
+        with pytest.raises(ValidationError, match="magnitudes"):
+            TransferCurve(omega, np.full(8, 2.0 * model.MAX_GAIN))
+        with pytest.raises(ValidationError, match="magnitudes"):
+            Tabulated(curve).scaled(1.5)
+        with pytest.raises(ValidationError, match="magnitudes"):
+            TransferCurve(omega, np.full(8, complex(1.0, math.nan)))
 
 
 class TestMembraneModes:

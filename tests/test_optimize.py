@@ -75,6 +75,22 @@ class TestEvaluate:
         assert optimize.evaluate(replace(p, detuning=5.0), m, fb, "langevin").stable
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("evaluator", ["langevn", "weak", ""])
+    def test_unknown_evaluator_raises_before_any_work(self, monkeypatch, fig1_optical, evaluator):
+        # any name but "langevin" used to run the weak evaluator
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unknown evaluator reached the rates")
+
+        monkeypatch.setattr(cooling, "cooling_report", refuse)
+        sys = fig1_optical
+        with pytest.raises(ValidationError, match="unknown evaluator"):
+            optimize.evaluate(sys.cavity, sys.mechanics, sys.loop, evaluator)
+        with pytest.raises(ValidationError, match="unknown evaluator"):
+            optimize.minimize_occupancy(
+                sys.cavity, sys.mechanics, sys.loop, {"homodyne_phase": (0.0, 1.0)},
+                evaluator=evaluator,
+            )
+
     def test_exact_evaluate_solves_rates_once(self, monkeypatch, fig1_optical):
         # the weak report's rates and the quadrature grid's linewidth guess
         # share one two-point G = 0 solve
