@@ -191,6 +191,7 @@ def resolve_config(doc: dict):
     fb = replace(fb, port=Port(port))
     if "gain" in fbs:
         fb = _build_gain(fbs, fb, sys_obj)
+    model.check_loop_phase(p, m, fb)
 
     ev = _get(doc, "evaluator", dict, "", {})
     _reject_unknown(ev, {"kind", "rtol"}, "evaluator")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -57,10 +58,15 @@ class StabilityVerdict:
     margin: float
 
 
+def _gain_free(p: CavityParams, fb: FeedbackConfig, omega):
+    """2*sqrt(eta)*zeta_out(w), the open-loop factor without the gain."""
+    return 2.0 * math.sqrt(fb.eta) * model.zeta_out(p, fb, omega)
+
+
 def loop_factor(p: CavityParams, fb: FeedbackConfig, omega):
     """Open-loop factor 2*sqrt(eta)*zeta_out(w)*g_fb(w); valid for either
     detected port (this, not T(w), is the general object)."""
-    return 2.0 * math.sqrt(fb.eta) * model.zeta_out(p, fb, omega) * fb.gain(omega)
+    return _gain_free(p, fb, omega) * fb.gain(omega)
 
 
 def loop_denominator(p: CavityParams, fb: FeedbackConfig, omega):
@@ -149,14 +155,6 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
     )
 
 
-def _cavity_mediated_loop(p, fb, omega):
-    """Loop factor without the direct (instantaneous) reflection path; used
-    for band-edge guards, where a flat gain model is read as band-limited."""
-    _kappa_fb, theta_fb, z = model.port_constants(p, fb)
-    zeta_cav = model.zeta_out(p, fb, omega) + (1 - z) * math.cos(fb.phi - theta_fb)
-    return 2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(omega)
-
-
 def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
     """Sorted real-frequency contour for the winding tests, from -hi to +hi.
 
@@ -164,10 +162,10 @@ def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
     non-negligible (|loop| < 1e-3 at the edges).  For a flat gain the band
     edge is searched (_flat_band_edge); on the reflection port the direct
     (cavity-bypassing) term does not decay with frequency and is treated as
-    band-limited, matching a filter that is flat over the band and rolls off
-    beyond it.  A tabulated gain clips the contour to its measured band,
-    which must meet the guard (else BandError); the gap around zero carries
-    no winding provided the loop is negligible at its edges.
+    band-limited, like a filter flat over the band.  The grid of a (Delta,
+    kappa, hi) is built once, cached and read-only; a tabulated gain clips it
+    to its measured band, which must meet the guard (else BandError); the gap
+    around zero carries no winding if the loop is negligible at its edges.
     """
     if isinstance(fb.gain, Tabulated):
         lo, hi = fb.gain.curve.domain
@@ -179,26 +177,41 @@ def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
             )
     else:
         lo, hi = 0.0, _flat_band_edge(p, fb)
+    omega = _contour_grid(p.detuning, p.kappa, hi)
+    return omega[np.abs(omega) >= lo] if lo > 0.0 else omega
 
-    # dense windows around the resonant features, coarse contour elsewhere
-    grid = [np.linspace(-hi, hi, _CONTOUR_SAMPLES)]
-    for center in (-abs(p.detuning), abs(p.detuning)):
-        grid.append(
-            np.linspace(center - 8 * p.kappa, center + 8 * p.kappa, _CONTOUR_SAMPLES)
-        )
+
+@lru_cache(maxsize=1)
+def _contour_grid(detuning: float, kappa: float, hi: float) -> np.ndarray:
+    """Sorted contour: a span over [-hi, hi], windows of +-8 kappa around +-Delta."""
+    spans = ((0.0, hi), (-abs(detuning), 8 * kappa), (abs(detuning), 8 * kappa))
+    grid = [np.linspace(c - h, c + h, _CONTOUR_SAMPLES) for c, h in spans]
     omega = np.unique(np.concatenate(grid))
     omega = omega[(omega >= -hi) & (omega <= hi)]
-    if lo > 0.0:
-        omega = omega[np.abs(omega) >= lo]
+    omega.flags.writeable = False
     return omega
 
 
-def winding_verdict(fn, omega: np.ndarray) -> StabilityVerdict:
-    """Winding number of fn(w) around 0 along the sorted contour `omega`,
-    refined until adjacent phase steps stay below pi/2; stable iff zero.
-    `fn` must be elementwise in w: each round evaluates only the midpoints.
+@lru_cache(maxsize=1)
+def _contour_gain_free(p: CavityParams, port: Port, phi: float, eta: float, hi: float):
+    z = _gain_free(p, FeedbackConfig(port, phi, eta), _contour_grid(p.detuning, p.kappa, hi))
+    z.flags.writeable = False
+    return z
+
+
+@lru_cache(maxsize=1)
+def _contour_phase(delay: float, offset: float, detuning: float, kappa: float, hi: float):
+    e = FlatDelay(1.0, delay, offset).phase_factor(_contour_grid(detuning, kappa, hi))
+    e.flags.writeable = False
+    return e
+
+
+def winding_verdict(fn, omega: np.ndarray, d=None) -> StabilityVerdict:
+    """Winding number of fn(w) around 0 along the sorted contour `omega`, on
+    which fn is `d` when given, refined until adjacent phase steps stay below
+    pi/2; stable iff zero.  `fn` must be elementwise: rounds evaluate midpoints.
     """
-    d = np.asarray(fn(omega))
+    d = np.asarray(fn(omega) if d is None else d)
     while True:
         steps = np.angle(d[1:] / d[:-1])
         bad = np.flatnonzero(np.abs(steps) > (math.pi / 2))
@@ -222,22 +235,34 @@ def nyquist_stability(p: CavityParams, fb: FeedbackConfig) -> StabilityVerdict:
     """Winding number of D(w) = 1 - 2*sqrt(eta)*zeta_out*g_fb around 0 as w
     runs over loop_contour; stable iff the winding number is zero.  This is
     the membrane-decoupled (G = 0) case of langevin.closed_loop_stability.
+
+    A flat gain's contour and its gain-free factors Z = 2*sqrt(eta)*zeta_out
+    and E = FlatDelay.phase_factor are cached by value, one entry each, so a
+    sweep point that changes only the gain amplitude forms only D = 1 - Z*(A*E),
+    bit-identical to loop_denominator, which the refinement midpoints take.
     """
-    return winding_verdict(
-        lambda w: loop_denominator(p, fb, w), loop_contour(p, fb)
-    )
+    fn = partial(loop_denominator, p, fb)
+    if isinstance(fb.gain, Tabulated):
+        return winding_verdict(fn, loop_contour(p, fb))
+    hi, gain, key = _flat_band_edge(p, fb), fb.gain, (p.detuning, p.kappa)
+    z = _contour_gain_free(p, fb.port, fb.phi, fb.eta, hi)
+    e = _contour_phase(gain.delay, gain.phase_offset, *key, hi)
+    return winding_verdict(fn, _contour_grid(*key, hi), 1.0 - z * (gain.amplitude * e))
 
 
 def _flat_band_edge(p: CavityParams, fb: FeedbackConfig) -> float:
-    """Band edge hi for a flat gain: |Delta| + 64 kappa, doubled until the
-    cavity-mediated loop is under the edge guard at +-hi."""
-    hi = abs(p.detuning) + 64.0 * p.kappa
-    for _ in range(24):
-        probe = np.array([-hi, hi])
-        if np.all(np.abs(_cavity_mediated_loop(p, fb, probe)) < _EDGE_LOOP_GUARD):
-            return hi
-        hi *= 2.0
-    raise BandError("could not find a band edge with negligible loop factor")
+    """Band edge hi for a flat gain: the first of |Delta| + 64 kappa and its
+    23 doublings at which the cavity-mediated loop, the loop factor without the
+    direct (instantaneous) reflection path, is under the edge guard at +-hi."""
+    _kappa_fb, theta_fb, z = model.port_constants(p, fb)
+    hi = (abs(p.detuning) + 64.0 * p.kappa) * 2.0 ** np.arange(24)
+    probe = np.concatenate([-hi, hi])
+    zeta_cav = model.zeta_out(p, fb, probe) + (1 - z) * math.cos(fb.phi - theta_fb)
+    small = np.abs(2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(probe)) < _EDGE_LOOP_GUARD
+    fits = np.flatnonzero(small[:24] & small[24:])
+    if not fits.size:
+        raise BandError("could not find a band edge with negligible loop factor")
+    return float(hi[fits[0]])
 
 
 def stokes_suppression_gain(

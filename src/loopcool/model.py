@@ -38,6 +38,9 @@ MIN_OMEGA_M = 1e-6
 MAX_GAIN = 1e6
 #: largest accepted loop delay in s: delay * w < 1e240 for every w up to 1e40 rad/s
 MAX_DELAY = 1e200
+#: largest accepted loop phase of a flat gain in rad (check_loop_phase): past it the
+#: rounding of the lag nears the delay-crossing test's phase tolerance (1e-9)
+MAX_LOOP_PHASE = 1e6
 _POSITIVE = math.ulp(0.0)  # the least positive float: [_POSITIVE, hi] is 0 < x <= hi
 
 #: accepted closed range [lo, hi] of each numeric record field; NaN and +-inf always
@@ -134,11 +137,12 @@ class FlatDelay:
         if abs(math.remainder(self.phase_offset, math.pi)) > 1e-12:
             raise ValidationError("phase_offset must be a multiple of pi so that g(w)* = g(-w)")
 
+    def phase_factor(self, omega):
+        """exp(i*(delay*w + phase_offset)), the gain without its amplitude."""
+        return np.exp(1j * (self.delay * np.asarray(omega, dtype=float) + self.phase_offset))
+
     def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        out = np.asarray(
-            self.amplitude * np.exp(1j * (self.delay * omega + self.phase_offset))
-        )
+        out = np.asarray(self.amplitude * self.phase_factor(omega))
         return out if out.ndim else complex(out)
 
 
@@ -236,6 +240,14 @@ class FeedbackConfig:
 
     def __post_init__(self):
         _check_ranges(self)
+
+
+def check_loop_phase(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> None:
+    """ValidationError if a flat gain's loop phase, delay * max(|Delta|, omega_m, kappa),
+    exceeds MAX_LOOP_PHASE."""
+    phase = getattr(fb.gain, "delay", 0.0) * max(abs(p.detuning), m.omega_m, p.kappa)
+    if phase > MAX_LOOP_PHASE:
+        raise ValidationError(f"delay too long: loop phase {phase:g} exceeds {MAX_LOOP_PHASE:g} rad")
 
 
 def cavity_susceptibility(p: CavityParams, omega):

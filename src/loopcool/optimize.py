@@ -120,12 +120,13 @@ def evaluate(
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.  Invalid
-    input raises ValidationError, the evaluator's name and rtol before any work.
+    input raises ValidationError before any work: evaluator, rtol, loop phase.
     """
     if evaluator not in EVALUATORS:
         raise ValidationError(f"unknown evaluator {evaluator!r}")
     if evaluator == "langevin":
         langevin.check_rtol(rtol)
+    model.check_loop_phase(p, m, fb)
     try:
         report = cooling.cooling_report(p, m, fb)
         if evaluator == "langevin":

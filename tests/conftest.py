@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from loopcool import presets
+from loopcool import feedback, presets
+
+
+@pytest.fixture(autouse=True)
+def cold_contour_caches():
+    """Each test starts with empty flat-gain contour caches, so none passes on
+    a grid or factor that an earlier test left behind."""
+    for cache in (feedback._contour_grid, feedback._contour_gain_free, feedback._contour_phase):
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

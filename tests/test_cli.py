@@ -426,6 +426,10 @@ def _run_config(tmp_path, capsys, doc, command=("cooling",)):
     return (*run(["--config", str(config), "--out", str(out), *command], capsys), out)
 
 
+#: the accepted-range checker's message
+_RANGE = "must be finite and in"
+
+
 class TestConfigReader:
     @pytest.mark.parametrize("doc, key", [
         ({"cavity": {"detuning_hz": "330e3"}}, "cavity.detuning_hz"),
@@ -490,24 +494,40 @@ class TestConfigReader:
             "run-1.a_displacement.csv", "run-1.a_solve.json"
         ]
 
-    @pytest.mark.parametrize("doc", [
-        {"cavity": {"detuning_hz": 1e300}},  # detuning**2 in model.input_phase_shifts
-        {"mechanics": {"omega_m_hz": 1e-308, "bath_temperature_k": 1.0}},  # hbar omega_m == 0
-        {"feedback": {"gain": {"amplitude": 1e100}}},  # its zero count overflowed to "stable"
-        {"feedback": {"gain": {"phase_offset_rad": 1e400}}},  # math.remainder(inf, pi) raised
-        {"feedback": {"gain": {"delay_s": math.nan}}},
-        {"feedback": {"gain": {"delay_s": 1e300}}},
-        {"cavity": {"drive_power_w": math.inf}},  # echoed as Infinity
-        {"cavity": {"laser_wavelength_m": math.nan}},
+    @pytest.mark.parametrize("doc, message", [
+        ({"cavity": {"detuning_hz": 1e300}}, _RANGE),  # detuning**2 in input_phase_shifts
+        ({"mechanics": {"omega_m_hz": 1e-308, "bath_temperature_k": 1.0}},
+         _RANGE),  # hbar omega_m == 0
+        ({"feedback": {"gain": {"amplitude": 1e100}}},
+         _RANGE),  # its zero count overflowed to "stable"
+        ({"feedback": {"gain": {"phase_offset_rad": 1e400}}},
+         _RANGE),  # math.remainder(inf, pi) raised
+        ({"feedback": {"gain": {"delay_s": math.nan}}}, _RANGE),
+        ({"feedback": {"gain": {"delay_s": 1e300}}}, _RANGE),
+        ({"cavity": {"drive_power_w": math.inf}}, _RANGE),  # echoed as Infinity
+        ({"cavity": {"laser_wavelength_m": math.nan}}, _RANGE),
+        # in range, but delay * omega_m = 2.2e166 rad leaves the phase no resolution
+        ({"feedback": {"gain": {"amplitude": 0.1, "delay_s": 1e160}}},
+         "delay too long: loop phase 2.15595e+166 exceeds 1e+06 rad"),
     ], ids=["huge_detuning", "tiny_omega_m", "huge_amplitude", "infinite_phase_offset",
-            "nan_delay", "huge_delay", "infinite_drive_power", "nan_wavelength"])
-    def test_out_of_range_number_exits_two(self, tmp_path, capsys, doc):
+            "nan_delay", "huge_delay", "infinite_drive_power", "nan_wavelength",
+            "unresolved_delay"])
+    def test_out_of_range_number_exits_two(self, tmp_path, capsys, doc, message):
         code, _, err, outdir = _run_config(
             tmp_path, capsys, {"system": "experiment", **doc}, ["effective-cavity"]
         )
         assert code == 2
-        assert "must be finite and in" in err
+        assert message in err
         assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("command", [["solve"], ["cooling"], ["spectrum", "i_fb"]])
+    def test_unresolved_delay_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        # these used to exit 0 with n = 1.219e5 from rounding noise in the loop phase
+        doc = {"system": "experiment", "feedback": {"gain": {"amplitude": 0.1, "delay_s": 1e160}}}
+        code, out, err, outdir = _run_config(tmp_path, capsys, doc, command)
+        assert code == 2
+        assert "delay too long" in err and not out
+        assert not outdir.exists() or not list(outdir.iterdir())
 
     def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -245,6 +246,119 @@ class TestNyquist:
         fb = FeedbackConfig(port=Port.REFLECTION, phi=0.2, gain=FlatDelay(0.3))
         verdict = feedback.nyquist_stability(p, fb)
         assert isinstance(verdict.winding_number, int)
+
+
+def amplitude_sweep(system, points=12):
+    """Gain amplitudes 0 to the Stokes-suppressing gain (or gain_norm 0.995)."""
+    p, m, fb = system.cavity, system.mechanics, system.loop
+    if math.isfinite(system.gain_norm_per_amplitude):
+        top = 0.995 / system.gain_norm_per_amplitude
+    else:
+        top = abs(feedback.stokes_suppression_gain(p, fb, m.omega_m))
+    return [(p, replace(fb, gain=replace(fb.gain, amplitude=float(a))))
+            for a in np.linspace(0.0, top, points)]
+
+
+def phase_sweep(system, points=12):
+    """Homodyne phases over the full circle at half the amplitude sweep's top."""
+    p, fb = amplitude_sweep(system, 3)[1]
+    return [(p, replace(fb, phi=float(phi))) for phi in np.linspace(-math.pi, math.pi, points)]
+
+
+def triple(verdict):
+    return verdict.stable, verdict.winding_number, float(verdict.margin).hex()
+
+
+def doubling_band_edge(p, fb):
+    """Reference band edge: |Delta| + 64 kappa doubled until the cavity-mediated
+    loop is under the edge guard at +-hi, one pair of probes at a time."""
+    _, theta_fb, z = model.port_constants(p, fb)
+    hi = abs(p.detuning) + 64.0 * p.kappa
+    for _ in range(24):
+        probe = np.array([-hi, hi])
+        zeta_cav = model.zeta_out(p, fb, probe) + (1 - z) * math.cos(fb.phi - theta_fb)
+        if np.all(np.abs(2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(probe)) < 1e-3):
+            return hi
+        hi *= 2.0
+    raise BandError("no band edge")
+
+
+def reference_contour(p, hi, samples=4096):
+    grid = [np.linspace(-hi, hi, samples)]
+    for center in (-abs(p.detuning), abs(p.detuning)):
+        grid.append(np.linspace(center - 8 * p.kappa, center + 8 * p.kappa, samples))
+    omega = np.unique(np.concatenate(grid))
+    return omega[(omega >= -hi) & (omega <= hi)]
+
+
+class TestContourCache:
+    """The flat-gain contour's cached pieces change no verdict, winding number
+    or margin in any bit, whatever ran before."""
+
+    def test_sweeps_match_cold_evaluation_in_reversed_order(
+        self, experiment, fig1_optical, fig1_microwave
+    ):
+        interleaved = [
+            point for pair in zip(amplitude_sweep(fig1_optical), amplitude_sweep(fig1_microwave))
+            for point in pair
+        ]
+        points = (amplitude_sweep(fig1_optical) + amplitude_sweep(experiment)
+                  + phase_sweep(fig1_microwave) + phase_sweep(experiment) + interleaved)
+        warm = [triple(feedback.nyquist_stability(p, fb)) for p, fb in points]
+        cold = []
+        for p, fb in reversed(points):
+            for cache in (feedback._contour_grid, feedback._contour_gain_free,
+                          feedback._contour_phase):
+                cache.cache_clear()
+            cold.append(triple(feedback.nyquist_stability(p, fb)))
+        assert warm == cold[::-1]
+        # and both equal the uncached D(w) = loop_denominator on the same contour
+        uncached = [
+            triple(feedback.winding_verdict(
+                partial(feedback.loop_denominator, p, fb), feedback.loop_contour(p, fb)))
+            for p, fb in points
+        ]
+        assert warm == uncached
+        assert {stable for stable, _, _ in warm} == {True, False}
+
+    def test_band_edge_and_grid_match_the_one_probe_pair_loop(self):
+        rng = np.random.default_rng(2101)
+        for _ in range(300):
+            scale = 10 ** rng.uniform(-3, 9)
+            kappas = scale * rng.uniform(0.01, 1.0, 3)
+            p = CavityParams(*kappas, detuning=scale * rng.uniform(-40, 40))
+            gain = FlatDelay(10 ** rng.uniform(-3, 3) * rng.choice([-1, 0, 1]),
+                             rng.uniform(0, 10) / scale, math.pi * rng.integers(2))
+            fb = FeedbackConfig(Port(rng.choice(["reflection", "transmission"])),
+                                rng.uniform(-4, 4), rng.uniform(0, 1), gain)
+            hi = doubling_band_edge(p, fb)
+            assert feedback._flat_band_edge(p, fb) == hi
+            assert np.array_equal(feedback.loop_contour(p, fb), reference_contour(p, hi))
+
+    def test_amplitude_sweep_reuses_the_gain_free_factors(self, fig1_optical):
+        for p, fb in amplitude_sweep(fig1_optical):
+            feedback.nyquist_stability(p, fb)
+        caches = (feedback._contour_grid, feedback._contour_gain_free, feedback._contour_phase)
+        assert all(c.cache_info().maxsize == 1 for c in caches)
+        assert all(c.cache_info().hits > 0 for c in caches)
+
+    def test_phase_sweep_reuses_the_grid_and_phase_factor(self, experiment):
+        for p, fb in phase_sweep(experiment):
+            feedback.nyquist_stability(p, fb)
+        assert feedback._contour_gain_free.cache_info().hits == 0
+        assert feedback._contour_phase.cache_info().hits > 0
+
+    def test_cached_arrays_are_read_only(self, experiment):
+        p, fb = experiment.cavity, experiment.loop
+        omega = feedback.loop_contour(p, fb)
+        feedback.nyquist_stability(p, fb)
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0] = 0.0
+        hi = float(omega[-1])
+        z = feedback._contour_gain_free(p, fb.port, fb.phi, fb.eta, hi)
+        e = feedback._contour_phase(fb.gain.delay, fb.gain.phase_offset, p.detuning, p.kappa, hi)
+        assert not z.flags.writeable and not e.flags.writeable
+        assert z.shape == e.shape == omega.shape
 
 
 class TestStokesSuppressionGain:

@@ -241,6 +241,13 @@ class TestGainModels:
             FlatDelay(1.0, phase_offset=0.3)
         FlatDelay(1.0, phase_offset=-math.pi)  # multiples of pi are fine
 
+    def test_flat_delay_is_amplitude_times_phase_factor(self, rng):
+        g = FlatDelay(-0.7, delay=3e-7, phase_offset=math.pi)
+        w = rng.uniform(-1e7, 1e7, size=40)
+        assert np.array_equal(g(w), -0.7 * g.phase_factor(w))
+        assert g(w[0]) == complex(-0.7 * g.phase_factor(w[0]))
+        np.testing.assert_allclose(np.abs(g.phase_factor(w)), 1.0, rtol=1e-15)
+
     def test_tabulated_symmetry_and_domain(self):
         w = np.linspace(1e3, 1e6, 300)
         vals = 0.4 * np.exp(1j * (w * 5e-7 + math.pi))
@@ -272,6 +279,22 @@ class TestGainModels:
 
 
 class TestParamValidation:
+    def test_loop_phase_bound(self):
+        # delay * max(|Delta|, omega_m, kappa): omega_m is the largest rate here
+        p = make_cavity()
+        m = MechanicsParams(omega_m=TWO_PI * 343e3, gamma_m=1.0, n_th=100.0)
+        delay = model.MAX_LOOP_PHASE / m.omega_m
+        model.check_loop_phase(p, m, FeedbackConfig(gain=FlatDelay(0.1, 0.99 * delay)))
+        with pytest.raises(ValidationError, match="delay too long"):
+            model.check_loop_phase(p, m, FeedbackConfig(gain=FlatDelay(0.1, 1.01 * delay)))
+        # the bound follows the largest rate, here the detuning
+        fast = make_cavity(detuning=100 * m.omega_m)
+        with pytest.raises(ValidationError, match="delay too long"):
+            model.check_loop_phase(fast, m, FeedbackConfig(gain=FlatDelay(0.1, 0.02 * delay)))
+        # a tabulated gain has no delay to bound
+        curve = TransferCurve(np.array([1.0, 2.0]), np.ones(2, complex))
+        model.check_loop_phase(fast, m, FeedbackConfig(gain=Tabulated(curve)))
+
     def test_cavity(self):
         with pytest.raises(ValidationError):
             CavityParams(kappa0=-1.0, kappa1=0.0, kappa_prime=0.0, detuning=0.0)

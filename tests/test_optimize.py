@@ -91,6 +91,20 @@ class TestEvaluate:
                 evaluator=evaluator,
             )
 
+    @pytest.mark.parametrize("evaluator", ["weak_coupling", "langevin"])
+    def test_unresolved_loop_phase_raises_before_any_work(
+        self, monkeypatch, experiment, evaluator
+    ):
+        # a delay of 1e160 s used to give a finite occupancy from rounding noise
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unresolved delay reached the rates")
+
+        monkeypatch.setattr(cooling, "cooling_report", refuse)
+        sys = experiment
+        fb = replace(sys.loop, gain=FlatDelay(0.1, delay=1e160))
+        with pytest.raises(ValidationError, match="delay too long"):
+            optimize.evaluate(sys.cavity, sys.mechanics, fb, evaluator)
+
     def test_exact_evaluate_solves_rates_once(self, monkeypatch, fig1_optical):
         # the weak report's rates and the quadrature grid's linewidth guess
         # share one two-point G = 0 solve
