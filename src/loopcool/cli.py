@@ -487,6 +487,17 @@ _COMMANDS = {
     "ingest": _cmd_ingest,
 }
 _STANDALONE = {"preset": _cmd_preset, "membrane": _cmd_membrane}
+#: the shared flags besides --out that each command reads; any other exits 2
+_READS = {
+    "cooling": {"config", "evaluator"},
+    "effective-cavity": {"config"},
+    "spectrum": {"config", "points", "band"},
+    "solve": {"config"},
+    "optimize": {"config", "evaluator", "points"},
+    "ingest": {"config", "band"},
+    "preset": {"points"},
+    "membrane": set(),
+}
 
 
 def main(argv=None) -> int:
@@ -495,12 +506,18 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        unread = [
+            f"--{flag}" for flag in ("config", "evaluator", "points", "band")
+            if getattr(args, flag) is not None and flag not in _READS[args.command]
+        ]
+        if unread:
+            raise ValidationError(f"{args.command} does not read {', '.join(unread)}")
         if args.points is not None and args.points < 2:
             raise ValidationError("--points must be at least 2")
         if args.command in _STANDALONE:
             return _STANDALONE[args.command](args, outdir)
         p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
-        if args.evaluator and args.command in ("cooling", "optimize"):
+        if args.evaluator:
             evaluator = {**evaluator, "kind": _evaluator_kind(args.evaluator)}
 
         def artifact(suffix: str) -> Path:

@@ -7,13 +7,22 @@ search (Brent 1973), each search after a coordinate's first opening one
 last accepted step away.  Unstable evaluations are kept in traces as
 infinite-occupancy sentinels rather than dropped.  An optimum reports its
 exact delay margin (langevin.delay_margin).
+
+Each figure study's builder computes its curves and returns the manifest's
+study fields with one (file name, description, writer, data) entry per
+file; figure_preset writes every entry through _write_bundle, which calls
+writer(path, *data) and returns the manifest's files map.  The fig1 and
+smfig1 studies share the Stokes-suppressing loop (_suppressing_loop) and
+the sweep-to-curve step (_sweep_curve).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +41,22 @@ VARIABLES = ("gain_amplitude", "homodyne_phase", "detuning", "delay", "coupling"
 EVALUATORS = ("weak_coupling", "langevin")
 
 
+def _check_points(points, what: str) -> int:
+    """`points` as an int, if it is an integer of at least 2."""
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {points!r}") from None
+    if points < 2:
+        raise ValidationError(f"{what} must be at least 2, got {points}")
+    return points
+
+
+def _check_range(lo, hi, what: str) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"{what} needs finite bounds with lo < hi, got ({lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -45,10 +70,8 @@ class SweepSpec:
             raise ValidationError(f"unknown sweep variable {self.variable!r}")
         if self.evaluator not in EVALUATORS:
             raise ValidationError(f"unknown evaluator {self.evaluator!r}")
-        if not self.lo < self.hi:
-            raise ValidationError("sweep range must satisfy lo < hi")
-        if self.points < 2:
-            raise ValidationError("sweep needs at least 2 points")
+        _check_range(self.lo, self.hi, "sweep range")
+        _check_points(self.points, "sweep points")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
@@ -182,13 +205,17 @@ def minimize_occupancy(
     accepted move (0 if it did not move), at least that tolerance.  Every
     evaluation is stability-checked; the returned optimum is always a stable
     point, and its delay_margin (s) is langevin.delay_margin at the full G.
-    `rtol` is the exact evaluator's quadrature tolerance (evaluate)."""
+    `rtol` is the exact evaluator's quadrature tolerance (evaluate).  Each
+    free variable needs finite bounds with lo < hi, and coarse_points is an
+    integer of at least 2; otherwise ValidationError, before any evaluation."""
     if not 1 <= len(free) <= 3:
         raise ValidationError("minimize_occupancy takes 1 to 3 free variables")
     names = list(free)
     for name in names:
         if name not in VARIABLES:
             raise ValidationError(f"unknown sweep variable {name!r}")
+        _check_range(*free[name], f"free variable {name!r}")
+    coarse_points = _check_points(coarse_points, "coarse_points")
     bounds = [free[name] for name in names]
     trace: list[tuple[dict, float]] = []
 
@@ -314,14 +341,16 @@ def _line_search(
 
 def figure_preset(name: str, outdir, points: int | None = None) -> dict:
     """Run a named figure study and write its CSV bundle plus a metadata
-    JSON sidecar into `outdir`.  Returns the manifest."""
+    JSON sidecar into `outdir`.  `points` is None (each study's default grid)
+    or an integer of at least 2.  Returns the manifest."""
     if name not in PRESET_NAMES:
         raise ValidationError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    if points is not None:
+        points = _check_points(points, "points")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = _PRESETS[name](outdir, points)
-    manifest["preset"] = name
-    manifest["artifact"] = "loopcool"
+    manifest, entries = _PRESETS[name](points)
+    manifest.update(files=_write_bundle(outdir, entries), preset=name, artifact="loopcool")
     meta_path = outdir / f"{name}.json"
     with open(meta_path, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -330,15 +359,23 @@ def figure_preset(name: str, outdir, points: int | None = None) -> dict:
     return manifest
 
 
+def _write_bundle(outdir: Path, entries) -> dict:
+    """Write each (file name, description, writer, data) entry as
+    writer(outdir / name, *data); returns the manifest's files map."""
+    files = {}
+    for name, description, writer, data in entries:
+        writer(outdir / name, *data)
+        files[name] = description
+    return files
+
+
 def _describe_system(sys: presets.PresetSystem) -> dict:
     p, m, fb = sys.cavity, sys.mechanics, sys.loop
     return {
         "system": sys.name,
         "cavity_hz": {
-            "kappa0": p.kappa0 / model.TWO_PI,
-            "kappa1": p.kappa1 / model.TWO_PI,
-            "kappa_prime": p.kappa_prime / model.TWO_PI,
-            "detuning": p.detuning / model.TWO_PI,
+            key: getattr(p, key) / model.TWO_PI
+            for key in ("kappa0", "kappa1", "kappa_prime", "detuning")
         },
         "mechanics_hz": {
             "omega_m": m.omega_m / model.TWO_PI,
@@ -354,186 +391,147 @@ def _describe_system(sys: presets.PresetSystem) -> dict:
     }
 
 
-def _preset_fig4_gain(outdir: Path, points: int | None) -> dict:
+def _sweep_curve(spec: SweepSpec, column: str, p, m, fb) -> tuple:
+    """write_curve_csv's data for the occupancy along `spec`."""
+    values, reports = zip(*sweep(spec, p, m, fb))
+    return column, "n_final", values, [r.n_final for r in reports]
+
+
+def _suppressing_loop(sys: presets.PresetSystem, fb: FeedbackConfig) -> tuple:
+    """(|g_s|, `fb` at gain amplitude |g_s|); g_s suppresses Stokes in the preset's loop."""
+    m = sys.mechanics
+    amplitude = abs(feedback.stokes_suppression_gain(sys.cavity, sys.loop, m.omega_m))
+    return amplitude, apply_variable(sys.cavity, m, fb, "gain_amplitude", amplitude)[2]
+
+
+def _preset_fig4_gain(points: int | None) -> tuple:
     sys = presets.experiment()
-    pts = points or 25
-    gain_norms = np.linspace(0.0, 0.995, pts)
-    reports = []
-    for g in gain_norms:
-        fb = sys.with_gain_norm(float(g))
-        reports.append(evaluate(sys.cavity, sys.mechanics, fb, "langevin"))
-    files = {}
-    path = outdir / "fig4_gain_occupancy.csv"
-    n = np.array([r.n_final for r in reports])
-    spectra.write_curve_csv(path, "gain_norm", "n_final", gain_norms, n)
-    files[path.name] = "stationary occupancy vs normalized gain"
+    gain_norms = np.linspace(0.0, 0.995, points or 25)
+    reports = [
+        evaluate(sys.cavity, sys.mechanics, sys.with_gain_norm(float(g)), "langevin")
+        for g in gain_norms
+    ]
+    n = [r.n_final for r in reports]
     temps = [r.temperature_final for r in reports]
-    path = outdir / "fig4_gain_temperature.csv"
-    spectra.write_curve_csv(path, "gain_norm", "temperature_k", gain_norms, temps)
-    files[path.name] = "equivalent temperature vs normalized gain"
-    return {
-        **_describe_system(sys),
-        "evaluator": "langevin",
-        "files": files,
-        "no_feedback_occupancy": reports[0].n_final,
-    }
+    return {**_describe_system(sys), "evaluator": "langevin", "no_feedback_occupancy": n[0]}, [
+        ("fig4_gain_occupancy.csv", "stationary occupancy vs normalized gain",
+         spectra.write_curve_csv, ("gain_norm", "n_final", gain_norms, n)),
+        ("fig4_gain_temperature.csv", "equivalent temperature vs normalized gain",
+         spectra.write_curve_csv, ("gain_norm", "temperature_k", gain_norms, temps)),
+    ]
 
 
-def _preset_fig4_detuning(outdir: Path, points: int | None) -> dict:
-    sys = presets.experiment()
-    pts = points or 21
-    gain_norm = 0.9
+def _preset_fig4_detuning(points: int | None) -> tuple:
+    sys, gain_norm = presets.experiment(), 0.9
     fb = sys.with_gain_norm(gain_norm)
-    detunings = model.TWO_PI * np.linspace(320e3, 340e3, pts)
-    rows = []
-    for delta in detunings:
-        p = replace(sys.cavity, detuning=float(delta))
-        rows.append(evaluate(p, sys.mechanics, fb, "langevin").n_final)
-    files = {}
-    path = outdir / "fig4_detuning_occupancy.csv"
-    spectra.write_curve_csv(
-        path,
-        "detuning_hz",
-        "n_final",
-        detunings / model.TWO_PI,
-        rows,
-    )
-    files[path.name] = "stationary occupancy vs bare detuning at fixed gain"
-    return {
-        **_describe_system(sys),
-        "evaluator": "langevin",
-        "gain_norm": gain_norm,
-        "files": files,
-    }
+    detunings = model.TWO_PI * np.linspace(320e3, 340e3, points or 21)
+    n = [
+        evaluate(replace(sys.cavity, detuning=float(delta)), sys.mechanics, fb, "langevin").n_final
+        for delta in detunings
+    ]
+    return {**_describe_system(sys), "evaluator": "langevin", "gain_norm": gain_norm}, [
+        ("fig4_detuning_occupancy.csv", "stationary occupancy vs bare detuning at fixed gain",
+         spectra.write_curve_csv, ("detuning_hz", "n_final", detunings / model.TWO_PI, n)),
+    ]
 
 
-def _preset_fig2_squash(outdir: Path, points: int | None) -> dict:
+def _preset_fig2_squash(points: int | None) -> tuple:
     sys = presets.experiment_empty()
-    pts = points or 1200
     p = sys.cavity
-    omega = np.linspace(p.detuning - 10 * p.kappa, p.detuning + 10 * p.kappa, pts)
-    files = {}
+    omega = np.linspace(p.detuning - 10 * p.kappa, p.detuning + 10 * p.kappa, points or 1200)
+    entries = []
     for label, sign in (("positive", +1.0), ("negative", -1.0)):
-        fb = sys.with_gain_norm(sign * 0.6)
-        s_i = feedback.squash_spectrum(p, fb, omega)
-        path = outdir / f"fig2_squash_{label}.csv"
-        spectra.write_spectrum_csv(path, spectra.Spectrum(omega, s_i))
-        files[path.name] = f"in-loop photocurrent spectrum, {label} feedback"
+        s_i = feedback.squash_spectrum(p, sys.with_gain_norm(sign * 0.6), omega)
+        entries.append((f"fig2_squash_{label}.csv",
+                        f"in-loop photocurrent spectrum, {label} feedback",
+                        spectra.write_spectrum_csv, (spectra.Spectrum(omega, s_i),)))
     fb = sys.with_gain_norm(0.6)
     t = np.array([feedback.open_loop_transfer(p, fb, w) for w in omega])
-    path = outdir / "fig2_open_loop_magnitude.csv"
-    spectra.write_spectrum_csv(path, spectra.Spectrum(omega, np.abs(t)))
-    files[path.name] = "open-loop transfer magnitude"
-    path = outdir / "fig2_open_loop_phase.csv"
-    spectra.write_spectrum_csv(path, spectra.Spectrum(omega, np.unwrap(np.angle(t))))
-    files[path.name] = "open-loop transfer phase (rad, unwrapped)"
-    return {**_describe_system(sys), "gain_norm": 0.6, "files": files}
+    return {**_describe_system(sys), "gain_norm": 0.6}, [
+        *entries,
+        ("fig2_open_loop_magnitude.csv", "open-loop transfer magnitude",
+         spectra.write_spectrum_csv, (spectra.Spectrum(omega, np.abs(t)),)),
+        ("fig2_open_loop_phase.csv", "open-loop transfer phase (rad, unwrapped)",
+         spectra.write_spectrum_csv, (spectra.Spectrum(omega, np.unwrap(np.angle(t))),)),
+    ]
 
 
-def _preset_fig3_effective_cavity(outdir: Path, points: int | None) -> dict:
+def _preset_fig3_effective_cavity(points: int | None) -> tuple:
     sys = presets.experiment_empty()
-    pts = points or 41
-    gain_norms = np.linspace(-1.0, 0.99, pts)
-    kappa_ratio, delta_shift = [], []
-    for g in gain_norms:
-        eff = feedback.effective_cavity(sys.cavity, sys.with_gain_norm(float(g)))
-        kappa_ratio.append(eff.kappa_eff / sys.cavity.kappa)
-        delta_shift.append((eff.delta_eff - sys.cavity.detuning) / model.TWO_PI)
-    files = {}
-    path = outdir / "fig3_kappa_eff.csv"
-    spectra.write_curve_csv(path, "gain_norm", "kappa_eff_over_kappa", gain_norms, kappa_ratio)
-    files[path.name] = "effective linewidth over bare linewidth vs normalized gain"
-    path = outdir / "fig3_delta_eff_shift.csv"
-    spectra.write_curve_csv(path, "gain_norm", "delta_shift_hz", gain_norms, delta_shift)
-    files[path.name] = "effective detuning shift (Hz) vs normalized gain"
+    p = sys.cavity
+    gain_norms = np.linspace(-1.0, 0.99, points or 41)
+    effs = [feedback.effective_cavity(p, sys.with_gain_norm(float(g))) for g in gain_norms]
+    kappa_ratio = [eff.kappa_eff / p.kappa for eff in effs]
+    delta_shift = [(eff.delta_eff - p.detuning) / model.TWO_PI for eff in effs]
+    entries = [
+        ("fig3_kappa_eff.csv", "effective linewidth over bare linewidth vs normalized gain",
+         spectra.write_curve_csv, ("gain_norm", "kappa_eff_over_kappa", gain_norms, kappa_ratio)),
+        ("fig3_delta_eff_shift.csv", "effective detuning shift (Hz) vs normalized gain",
+         spectra.write_curve_csv, ("gain_norm", "delta_shift_hz", gain_norms, delta_shift)),
+    ]
     # closed-loop seed response, normalized to its open-loop value (the
     # absolute seed scale is not fixed by the model)
-    p = sys.cavity
     omega = np.linspace(p.detuning - 8 * p.kappa, p.detuning + 8 * p.kappa, 1200)
+    open_loop = model.cavity_susceptibility(p, omega)
     for g in (-0.5, 0.5, 0.9):
-        fb = sys.with_gain_norm(g)
-        response = feedback.effective_susceptibility(
-            p, fb, omega
-        ) / model.cavity_susceptibility(p, omega)
-        path = outdir / f"fig3_closed_loop_gain{g:+.1f}.csv"
-        spectra.write_complex_csv(path, omega, response)
-        files[path.name] = (
-            f"closed-loop seed response over open loop, gain_norm = {g:+.1f}"
-        )
-    return {**_describe_system(sys), "files": files}
+        response = feedback.effective_susceptibility(p, sys.with_gain_norm(g), omega) / open_loop
+        entries.append((f"fig3_closed_loop_gain{g:+.1f}.csv",
+                        f"closed-loop seed response over open loop, gain_norm = {g:+.1f}",
+                        spectra.write_complex_csv, (omega, response)))
+    return _describe_system(sys), entries
 
 
-def _write_sweep(path: Path, column: str, rows) -> None:
-    values, reports = zip(*rows)
-    spectra.write_curve_csv(path, column, "n_final", values, [r.n_final for r in reports])
-
-
-def _fig1_curves(outdir: Path, sys: presets.PresetSystem, points: int | None) -> dict:
-    pts = points or 13
-    m = sys.mechanics
-    suppression = feedback.stokes_suppression_gain(sys.cavity, sys.loop, m.omega_m)
-    amp_hi = 2.5 * abs(suppression)
-    files = {}
-    etas = {"ideal": 1.0, "realistic": sys.notes["realistic_eta"]}
-    for tag, eta in etas.items():
+def _fig1_curves(system, points: int | None) -> tuple:
+    sys = system()
+    pts, p, m = points or 13, sys.cavity, sys.mechanics
+    entries = []
+    for tag, eta in (("ideal", 1.0), ("realistic", sys.notes["realistic_eta"])):
         fb_eta = replace(sys.loop, eta=eta)
-        spec = SweepSpec("gain_amplitude", 0.0, amp_hi, pts, evaluator="langevin")
-        path = outdir / f"{sys.name}_gain_{tag}.csv"
-        _write_sweep(path, "gain_amplitude", sweep(spec, sys.cavity, m, fb_eta))
-        files[path.name] = f"occupancy vs gain amplitude, eta={eta}"
-
-        _, _, fb_amp = apply_variable(
-            sys.cavity, m, fb_eta, "gain_amplitude", abs(suppression)
-        )
-        spec = SweepSpec("homodyne_phase", -math.pi, math.pi, pts, evaluator="langevin")
-        path = outdir / f"{sys.name}_phase_{tag}.csv"
-        _write_sweep(path, "homodyne_phase_rad", sweep(spec, sys.cavity, m, fb_amp))
-        files[path.name] = f"occupancy vs homodyne phase, eta={eta}"
-    baseline = evaluate(sys.cavity, m, replace(sys.loop, gain=FlatDelay(0.0)), "langevin")
+        suppression, fb_amp = _suppressing_loop(sys, fb_eta)
+        gain = SweepSpec("gain_amplitude", 0.0, 2.5 * suppression, pts, evaluator="langevin")
+        phase = SweepSpec("homodyne_phase", -math.pi, math.pi, pts, evaluator="langevin")
+        entries += [
+            (f"{sys.name}_gain_{tag}.csv", f"occupancy vs gain amplitude, eta={eta}",
+             spectra.write_curve_csv, _sweep_curve(gain, "gain_amplitude", p, m, fb_eta)),
+            (f"{sys.name}_phase_{tag}.csv", f"occupancy vs homodyne phase, eta={eta}",
+             spectra.write_curve_csv, _sweep_curve(phase, "homodyne_phase_rad", p, m, fb_amp)),
+        ]
+    baseline = evaluate(p, m, replace(sys.loop, gain=FlatDelay(0.0)), "langevin")
     return {
         **_describe_system(sys),
         "evaluator": "langevin",
-        "files": files,
         "no_feedback_occupancy": baseline.n_final,
-        "suppression_gain_magnitude": abs(suppression),
-    }
+        "suppression_gain_magnitude": suppression,
+    }, entries
 
 
-def _smfig1(outdir: Path, variable: str, points: int | None) -> dict:
-    pts = points or 15
-    files = {}
-    meta_systems = []
-    for sys in (presets.fig1_optical(), presets.fig1_microwave()):
-        m = sys.mechanics
-        suppression = feedback.stokes_suppression_gain(sys.cavity, sys.loop, m.omega_m)
-        _, _, fb0 = apply_variable(
-            sys.cavity, m, sys.loop, "gain_amplitude", abs(suppression)
-        )
-        if variable == "delay":
-            lo, hi = 0.0, 3.0 * math.pi / m.omega_m
-        elif variable == "detuning":
-            lo, hi = 0.5 * sys.cavity.detuning, 1.5 * sys.cavity.detuning
-        else:
-            lo, hi = 0.02 * m.omega_m, 0.15 * m.omega_m
-        spec = SweepSpec(variable, lo, hi, pts, evaluator="weak_coupling")
-        path = outdir / f"smfig1_{variable}_{sys.name}.csv"
-        _write_sweep(path, variable, sweep(spec, sys.cavity, m, fb0))
-        files[path.name] = f"occupancy vs {variable} ({sys.name})"
-        meta_systems.append(_describe_system(sys))
-    return {"systems": meta_systems, "evaluator": "weak_coupling", "files": files}
+#: smfig1 sweep variable -> its (lo, hi) from a preset's cavity and mechanics
+_SMFIG1_RANGES = {
+    "delay": lambda p, m: (0.0, 3.0 * math.pi / m.omega_m),
+    "detuning": lambda p, m: (0.5 * p.detuning, 1.5 * p.detuning),
+    "coupling": lambda p, m: (0.02 * m.omega_m, 0.15 * m.omega_m),
+}
 
 
-#: preset name -> builder(outdir, points) returning the manifest
+def _smfig1(variable: str, points: int | None) -> tuple:
+    systems, entries = (presets.fig1_optical(), presets.fig1_microwave()), []
+    for sys in systems:
+        p, m = sys.cavity, sys.mechanics
+        spec = SweepSpec(variable, *_SMFIG1_RANGES[variable](p, m), points or 15)
+        fb = _suppressing_loop(sys, sys.loop)[1]
+        entries.append((f"smfig1_{variable}_{sys.name}.csv",
+                        f"occupancy vs {variable} ({sys.name})",
+                        spectra.write_curve_csv, _sweep_curve(spec, variable, p, m, fb)))
+    systems = [_describe_system(sys) for sys in systems]
+    return {"systems": systems, "evaluator": "weak_coupling"}, entries
+
+
+#: preset name -> builder(points), which returns the manifest's study fields
+#: and its (file name, description, writer, data) entries for _write_bundle
 _PRESETS = {
-    "fig1_optical": lambda outdir, points: _fig1_curves(
-        outdir, presets.fig1_optical(), points
-    ),
-    "fig1_microwave": lambda outdir, points: _fig1_curves(
-        outdir, presets.fig1_microwave(), points
-    ),
-    "smfig1_delay": lambda outdir, points: _smfig1(outdir, "delay", points),
-    "smfig1_detuning": lambda outdir, points: _smfig1(outdir, "detuning", points),
-    "smfig1_coupling": lambda outdir, points: _smfig1(outdir, "coupling", points),
+    "fig1_optical": partial(_fig1_curves, presets.fig1_optical),
+    "fig1_microwave": partial(_fig1_curves, presets.fig1_microwave),
+    **{f"smfig1_{variable}": partial(_smfig1, variable) for variable in _SMFIG1_RANGES},
     "fig4_gain": _preset_fig4_gain,
     "fig4_detuning": _preset_fig4_detuning,
     "fig2_squash": _preset_fig2_squash,

@@ -264,6 +264,16 @@ class TestSolveAndOptimize:
         assert 0.0 < sidecar["result"]["delay_margin_s"] < math.inf
         assert "stability_margin" not in sidecar["result"]
 
+    def test_optimize_reversed_bounds_exit_two(self, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--points", "3", "optimize",
+             "--free", "gain_amplitude:0.5:0.02"],
+            capsys,
+        )
+        assert code == 2
+        assert "lo < hi" in err
+        assert not list(tmp_path.iterdir())
+
     def test_optimize_without_free_is_validation_error(self, tmp_path, capsys):
         code, _, err = run(["--out", str(tmp_path), "optimize"], capsys)
         assert code == 2
@@ -656,3 +666,35 @@ class TestConfigProperties:
                 code = cli.main(["--config", str(config), "--out", str(Path(tmp) / "out"),
                                  "effective-cavity"])
         assert code in (0, 2, 3)
+
+
+class TestUnreadFlags:
+    """A shared flag that the chosen command does not read exits 2, given
+    before or after the command."""
+
+    @pytest.mark.parametrize("command, flags, unread", [
+        (["preset", "fig4_gain"], ["--config", "/nonexistent.json"], "--config"),
+        (["solve"], ["--evaluator", "langevin"], "--evaluator"),
+        (["cooling"], ["--points", "5", "--band", "1:2"], "--points, --band"),
+        (["membrane"], ["--config", "x"], "--config"),
+        (["effective-cavity"], ["--points", "5"], "--points"),
+        (["ingest", "--bode", "trace.csv"], ["--evaluator", "weak"], "--evaluator"),
+        (["optimize", "--free", "homodyne_phase:0:1"], ["--band", "1:2"], "--band"),
+        (["spectrum", "squash"], ["--evaluator", "langevin"], "--evaluator"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "")
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, flags, unread, before):
+        out = ["--out", str(tmp_path)]
+        argv = [*out, *flags, *command] if before else [*out, *command, *flags]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert f"{command[0]} does not read {unread}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_preset_reads_points(self, tmp_path, capsys):
+        code, _, _ = run(
+            ["--out", str(tmp_path), "preset", "fig3_effective_cavity", "--points", "3"], capsys
+        )
+        assert code == 0
+        rows = (tmp_path / "fig3_kappa_eff.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3

@@ -912,6 +912,13 @@ class TestPhononOccupancy:
         with pytest.raises(ValidationError, match="rtol"):
             langevin.adaptive_integral(gaussian, np.array([-8.0, 0.5, 8.0]), rtol=rtol)
 
+    def test_pinned_gauss_legendre_rule(self):
+        # the rule is pinned as literals; allow 1 ulp so that another LAPACK
+        # build's leggauss does not fail the comparison
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        np.testing.assert_array_max_ulp(langevin._GL_NODES, nodes, maxulp=1)
+        np.testing.assert_array_max_ulp(langevin._GL_WEIGHTS, weights, maxulp=1)
+
     def test_adaptive_integral_one_call_per_round(self):
         # from one seed panel of width L, call 0 evaluates the panel beside
         # both of its halves and call k >= 1 both halves of every open panel,

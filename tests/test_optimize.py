@@ -26,6 +26,21 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             SweepSpec("detuning", 0.0, 1.0, 5, evaluator="magic")
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0), (1.0, 1.0),
+    ])
+    def test_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValidationError, match="finite bounds"):
+            SweepSpec("detuning", lo, hi, 5)
+
+    @pytest.mark.parametrize("points", [2.5, 5.0, "5", None])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(ValidationError, match="integer"):
+            SweepSpec("detuning", 0.0, 1.0, points)
+
+    def test_numpy_integer_points(self):
+        assert SweepSpec("detuning", 0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
+
 
 def anti_damped_point():
     """Blue-detuned drive with gamma_opt = -5e-3 against gamma_m = 1e-3."""
@@ -320,6 +335,27 @@ class TestMinimize:
                 coarse_points=5,
             )
 
+    @pytest.mark.parametrize("bounds", [
+        (0.5, 0.02), (0.3, 0.3), (0.0, math.inf), (-math.inf, 0.1), (math.nan, 0.1),
+    ])
+    def test_free_bounds_checked_up_front(self, experiment, monkeypatch, bounds):
+        monkeypatch.setattr(optimize, "evaluate", _no_evaluation)
+        sys = experiment
+        with pytest.raises(ValidationError, match="finite bounds with lo < hi"):
+            optimize.minimize_occupancy(
+                sys.cavity, sys.mechanics, sys.loop, free={"gain_amplitude": bounds},
+            )
+
+    @pytest.mark.parametrize("coarse_points", [1, 0, -3, 2.5, True])
+    def test_coarse_points_checked_up_front(self, experiment, monkeypatch, coarse_points):
+        monkeypatch.setattr(optimize, "evaluate", _no_evaluation)
+        sys = experiment
+        with pytest.raises(ValidationError, match="coarse_points"):
+            optimize.minimize_occupancy(
+                sys.cavity, sys.mechanics, sys.loop, free={"homodyne_phase": (0.0, 1.0)},
+                coarse_points=coarse_points,
+            )
+
     def test_too_many_variables(self, experiment):
         sys = experiment
         with pytest.raises(ValidationError):
@@ -328,6 +364,10 @@ class TestMinimize:
                 free={v: (0.0, 1.0) for v in ("gain_amplitude", "homodyne_phase",
                                               "detuning", "coupling")},
             )
+
+
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("an input check should have stopped the run before any evaluation")
 
 
 class TestFigurePresets:
@@ -409,10 +449,20 @@ class TestRemainingPresets:
         assert len(manifest["files"]) == 4
         assert manifest["no_feedback_occupancy"] > 0
 
-    def test_preset_determinism(self, tmp_path, experiment_empty):
+    @pytest.mark.parametrize("name", optimize.PRESET_NAMES)
+    def test_preset_determinism(self, tmp_path, name):
         a, b = tmp_path / "a", tmp_path / "b"
-        optimize.figure_preset("fig3_effective_cavity", a)
-        optimize.figure_preset("fig3_effective_cavity", b)
-        for name in ("fig3_kappa_eff.csv", "fig3_delta_eff_shift.csv",
-                     "fig3_effective_cavity.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        manifest = optimize.figure_preset(name, a, points=3)
+        optimize.figure_preset(name, b, points=3)
+        written = sorted(path.name for path in a.iterdir())
+        assert written == sorted([*manifest["files"], f"{name}.json"])
+        assert sorted(path.name for path in b.iterdir()) == written
+        for fname in written:
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize("points", [0, -1, 1, 2.5, "3", True])
+    def test_points_checked_up_front(self, tmp_path, points):
+        for name in optimize.PRESET_NAMES:
+            with pytest.raises(ValidationError, match="points"):
+                optimize.figure_preset(name, tmp_path / name, points=points)
+            assert not (tmp_path / name).exists()

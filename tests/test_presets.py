@@ -81,6 +81,18 @@ def test_presets_build_without_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_import_loads_no_numpy_polynomial():
+    # the quadrature rule is pinned, so import runs no leggauss
+    code = (
+        "import sys, loopcool, loopcool.cli\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    src = str(Path(loopcool.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_physical_constants_match_scipy():
     constants = pytest.importorskip("scipy.constants")
     assert model.hbar == constants.hbar
