@@ -1,12 +1,14 @@
 """Batch command-line front end.
 
 All human-facing numbers are ordinary frequencies in Hz; conversion to the
-angular-frequency internals happens here.  Results land as CSV files plus
-a JSON sidecar holding the fully resolved configuration, so identical
-invocations produce byte-identical artifacts.
+angular-frequency internals happens here, through spectra's config key
+tables.  Results land as CSV files plus a JSON sidecar holding the fully
+resolved configuration (spectra.echo), all written by spectra, so
+identical invocations produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 validation/parse error, 3 instability where a
-stable result was required.
+Exit codes: 0 success, 2 validation/parse error (band, curve-domain and
+convergence failures included), 3 instability where a stable result was
+required.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import feedback, ingest, langevin, model, optimize, presets, spectra
 from .errors import (
-    InstabilityBoundaryError,
+    INSTABILITIES,
     LoopcoolError,
     NoStablePointError,
     OptomechanicalInstabilityError,
@@ -34,36 +36,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNSTABLE = 3
 
-_INSTABILITY_ERRORS = (
-    OptomechanicalInstabilityError,
-    InstabilityBoundaryError,
-    NoStablePointError,
-)
-
-# The config format, one table per record: file key -> (record field, unit
-# factor).  The reader stores factor * value, the sidecar echoes
-# field / factor under the same key; TWO_PI turns Hz into rad/s.
-_CAVITY = {
-    "kappa0_hz": ("kappa0", TWO_PI),
-    "kappa1_hz": ("kappa1", TWO_PI),
-    "kappa_prime_hz": ("kappa_prime", TWO_PI),
-    "detuning_hz": ("detuning", TWO_PI),
-    "drive_power_w": ("drive_power", 1.0),
-    "laser_wavelength_m": ("laser_wavelength", 1.0),
-}
-_MECHANICS = {
-    "omega_m_hz": ("omega_m", TWO_PI),
-    "gamma_m_hz": ("gamma_m", TWO_PI),
-    "n_th": ("n_th", 1.0),
-    "g0_hz": ("g0", TWO_PI),
-    "coupling_hz": ("G", TWO_PI),
-}
-_FEEDBACK = {"phi_rad": ("phi", 1.0), "eta": ("eta", 1.0)}
-_FLAT_DELAY = {
-    "amplitude": ("amplitude", 1.0),
-    "delay_s": ("delay", 1.0),
-    "phase_offset_rad": ("phase_offset", 1.0),
-}
 #: the records a config without a 'system' starts from
 _BARE_CAVITY = CavityParams(kappa0=1.0, kappa1=0.0, kappa_prime=0.0, detuning=0.0)
 _BARE_MECHANICS = MechanicsParams(omega_m=1.0, gamma_m=1.0, n_th=0.0)
@@ -101,14 +73,6 @@ def _override(record, section: dict, table, where: str):
     return replace(record, **changes)
 
 
-def _echo(record, table) -> dict:
-    echo = {}
-    for key, (field, factor) in table.items():
-        value = getattr(record, field)
-        echo[key] = None if value is None else value / factor
-    return echo
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {"system": "experiment"}
@@ -127,10 +91,11 @@ def _load_config(path: str | None) -> dict:
 
 def _build_gain(fbs: dict, base: FeedbackConfig, system) -> FeedbackConfig:
     section = _get(fbs, "gain", dict, "feedback")
-    _reject_unknown(section, _FLAT_DELAY.keys() | {"type", "path", "value"}, "feedback.gain")
+    allowed = spectra.FLAT_DELAY_KEYS.keys() | {"type", "path", "value"}
+    _reject_unknown(section, allowed, "feedback.gain")
     kind = _get(section, "type", str, "feedback.gain", "flat_delay")
     if kind == "flat_delay":
-        gain = _override(FlatDelay(0.0), section, _FLAT_DELAY, "feedback.gain")
+        gain = _override(FlatDelay(0.0), section, spectra.FLAT_DELAY_KEYS, "feedback.gain")
         return replace(base, gain=gain)
     if kind == "tabulated":
         path = _get(section, "path", str, "feedback.gain")
@@ -166,25 +131,25 @@ def resolve_config(doc: dict):
         p, m, fb = sys_obj.cavity, sys_obj.mechanics, sys_obj.loop
 
     cav = _get(doc, "cavity", dict, "", {})
-    _reject_unknown(cav, _CAVITY, "cavity")
+    _reject_unknown(cav, spectra.CAVITY_KEYS, "cavity")
     if p is None and not cav:
         raise ValidationError("config needs a 'system' or a 'cavity' section")
-    p = _override(p or _BARE_CAVITY, cav, _CAVITY, "cavity")
+    p = _override(p or _BARE_CAVITY, cav, spectra.CAVITY_KEYS, "cavity")
 
     mech = _get(doc, "mechanics", dict, "", {})
-    _reject_unknown(mech, _MECHANICS.keys() | {"bath_temperature_k"}, "mechanics")
+    _reject_unknown(mech, spectra.MECHANICS_KEYS.keys() | {"bath_temperature_k"}, "mechanics")
     if m is None and not mech:
         raise ValidationError("config needs a 'system' or a 'mechanics' section")
     if "n_th" in mech and "bath_temperature_k" in mech:
         raise ValidationError("give n_th or bath_temperature_k, not both")
-    m = _override(m or _BARE_MECHANICS, mech, _MECHANICS, "mechanics")
+    m = _override(m or _BARE_MECHANICS, mech, spectra.MECHANICS_KEYS, "mechanics")
     if "bath_temperature_k" in mech:
         temperature = _get(mech, "bath_temperature_k", float, "mechanics")
         m = replace(m, n_th=model.temperature_to_occupancy(temperature, m.omega_m))
 
     fbs = _get(doc, "feedback", dict, "", {})
-    _reject_unknown(fbs, _FEEDBACK.keys() | {"port", "gain"}, "feedback")
-    fb = _override(fb or FeedbackConfig(), fbs, _FEEDBACK, "feedback")
+    _reject_unknown(fbs, spectra.FEEDBACK_KEYS.keys() | {"port", "gain"}, "feedback")
+    fb = _override(fb or FeedbackConfig(), fbs, spectra.FEEDBACK_KEYS, "feedback")
     port = _get(fbs, "port", str, "feedback", fb.port.value)
     if port not in ("reflection", "transmission"):
         raise ValidationError(f"port must be 'reflection' or 'transmission', got {port!r}")
@@ -206,25 +171,6 @@ def resolve_config(doc: dict):
     if label in ("", "..") or Path(label).name != label:
         raise ValidationError(f"output.label must be a plain file name, got {label!r}")
     return p, m, fb, evaluator, label
-
-
-def _resolved_dict(p, m, fb, evaluator) -> dict:
-    if isinstance(fb.gain, FlatDelay):
-        gain = {"type": "flat_delay", **_echo(fb.gain, _FLAT_DELAY)}
-    else:
-        lo, hi = fb.gain.curve.domain
-        gain = {
-            "type": "tabulated",
-            "band_hz": [lo / TWO_PI, hi / TWO_PI],
-            "samples": int(fb.gain.curve.omega.size),
-        }
-    return {
-        "units": "frequencies in Hz at this boundary; rad/s internally",
-        "cavity": _echo(p, _CAVITY),
-        "mechanics": _echo(m, _MECHANICS),
-        "feedback": {"port": fb.port.value, **_echo(fb, _FEEDBACK), "gain": gain},
-        "evaluator": evaluator,
-    }
 
 
 def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, float]:
@@ -399,13 +345,10 @@ def _cmd_membrane(args, outdir: Path) -> int:
     geom = replace(presets.membrane(), **given)
     modes = model.membrane_modes(geom, args.n, args.j)
     csv_path = outdir / "membrane_modes.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("n,j,frequency_hz,m_eff_ratio\n")
-        for mode in modes:
-            fh.write(
-                f"{mode.n},{mode.j},{format(mode.omega / TWO_PI, '.17g')},"
-                f"{format(mode.m_eff_ratio, '.17g')}\n"
-            )
+    spectra.write_rows(
+        csv_path, ("n", "j", "frequency_hz", "m_eff_ratio"),
+        *zip(*((mode.n, mode.j, mode.omega / TWO_PI, mode.m_eff_ratio) for mode in modes)),
+    )
     for mode in modes:
         print(
             f"({mode.n},{mode.j}) f={mode.omega / TWO_PI / 1e3:.3f} kHz "
@@ -526,13 +469,13 @@ def main(argv=None) -> int:
         name, payload, message, code = _COMMANDS[args.command](
             args, artifact, p, m, fb, evaluator
         )
-        doc = {"command": name, "config": _resolved_dict(p, m, fb, evaluator), **payload}
-        with open(artifact(f"{name}.json"), "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        config = {"units": "frequencies in Hz at this boundary; rad/s internally",
+                  **spectra.echo(p, m, fb), "evaluator": evaluator}
+        spectra.write_json(artifact(f"{name}.json"),
+                           {"command": name, "config": config, **payload})
         print(message)
         return code
-    except _INSTABILITY_ERRORS as exc:
+    except (*INSTABILITIES, NoStablePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except (LoopcoolError, OSError) as exc:

@@ -40,3 +40,7 @@ class ConvergenceError(LoopcoolError):
 
 class ParseError(LoopcoolError, ValueError):
     """Malformed input file.  Carries file/line context in the message."""
+
+
+#: the errors that mark an operating point unstable rather than invalid
+INSTABILITIES = (OptomechanicalInstabilityError, InstabilityBoundaryError)

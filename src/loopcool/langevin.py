@@ -365,11 +365,11 @@ def phonon_occupancy(
     passes it as `gamma_opt`, saving its G = 0 solve; n is the same.
     """
     check_rtol(rtol)
-    edges = _occupancy_edges(p, m, fb, gamma_opt)
-    if not closed_loop_stability(p, m, fb, edges=edges):
+    if not closed_loop_stability(p, m, fb):
         raise OptomechanicalInstabilityError(
             "closed loop unstable; no stationary occupancy"
         )
+    edges = _occupancy_edges(p, m, fb, gamma_opt)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
         return observable_spectrum(p, m, fb, omega, "n_mech")
@@ -683,9 +683,7 @@ def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> flo
     return min(margins, default=math.inf)
 
 
-def closed_loop_stability(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, edges=None
-) -> bool:
+def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> bool:
     """Stable iff det M(w) has no zeros in the upper half plane: they are the
     unstable closed-loop poles, static runaways included.
 
@@ -694,14 +692,11 @@ def closed_loop_stability(
     Tabulated gain this is the generalized Nyquist criterion: R(w)
     (closed_loop_determinant) must wind zero times around 0 along the real
     axis.  Seeding that contour with the occupancy quadrature's first-round
-    nodes resolves the same mechanical features as the integral; `edges`
-    hands over that quadrature's panel edges when the caller has already
-    built them (it matters only for Tabulated gains).
+    nodes resolves the same mechanical features as the integral.
     """
     if isinstance(fb.gain, FlatDelay):
         return _upper_half_plane_zeros(p, m, fb) == 0
-    if edges is None:
-        edges = _occupancy_edges(p, m, fb)
+    edges = _occupancy_edges(p, m, fb)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
     lo, hi = fb.gain.curve.domain

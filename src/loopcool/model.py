@@ -293,6 +293,14 @@ def detected_phase(p: CavityParams, fb: FeedbackConfig) -> float:
     return fb.phi
 
 
+def _quadrature_response(p: CavityParams, pref: float, psi: float, omega):
+    """pref * [chi(w) e^{i psi} + chi(-w)* e^{-i psi}]; complex for a scalar w."""
+    chi_p = cavity_susceptibility(p, omega)
+    chi_m = np.conjugate(cavity_susceptibility(p, -np.asarray(omega, dtype=float)))
+    out = np.asarray(pref * (chi_p * np.exp(1j * psi) + chi_m * np.exp(-1j * psi)))
+    return out if out.ndim else complex(out)
+
+
 def zeta_out(p: CavityParams, fb: FeedbackConfig, omega):
     """Response of the detected output quadrature to input amplitude
     fluctuations:
@@ -303,14 +311,8 @@ def zeta_out(p: CavityParams, fb: FeedbackConfig, omega):
     """
     kappa_fb, theta_fb, z = port_constants(p, fb)
     psi = fb.phi - theta_fb
-    chi_p = cavity_susceptibility(p, omega)
-    chi_m = np.conjugate(cavity_susceptibility(p, -np.asarray(omega, dtype=float)))
-    pref = math.sqrt(p.kappa0 * kappa_fb) / (2.0 * p.kappa)
-    out = pref * (chi_p * np.exp(1j * psi) + chi_m * np.exp(-1j * psi))
-    if z == 0:
-        out = out - math.cos(psi)
-    out = np.asarray(out)
-    return out if out.ndim else complex(out)
+    out = _quadrature_response(p, math.sqrt(p.kappa0 * kappa_fb) / (2.0 * p.kappa), psi, omega)
+    return out - math.cos(psi) if z == 0 else out
 
 
 def zeta_cavity(p: CavityParams, varphi: float, omega):
@@ -321,14 +323,7 @@ def zeta_cavity(p: CavityParams, varphi: float, omega):
                 [chi(w) e^{i(varphi-theta)} + chi(-w)* e^{-i(varphi-theta)}]
     """
     theta, _ = input_phase_shifts(p)
-    psi = varphi - theta
-    chi_p = cavity_susceptibility(p, omega)
-    chi_m = np.conjugate(cavity_susceptibility(p, -np.asarray(omega, dtype=float)))
-    out = (p.kappa0 / (2.0 * p.kappa)) * (
-        chi_p * np.exp(1j * psi) + chi_m * np.exp(-1j * psi)
-    )
-    out = np.asarray(out)
-    return out if out.ndim else complex(out)
+    return _quadrature_response(p, p.kappa0 / (2.0 * p.kappa), varphi - theta, omega)
 
 
 def photon_number_and_coupling(

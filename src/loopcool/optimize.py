@@ -11,14 +11,15 @@ exact delay margin (langevin.delay_margin).
 Each figure study's builder computes its curves and returns the manifest's
 study fields with one (file name, description, writer, data) entry per
 file; figure_preset writes every entry through _write_bundle, which calls
-writer(path, *data) and returns the manifest's files map.  The fig1 and
-smfig1 studies share the Stokes-suppressing loop (_suppressing_loop) and
-the sweep-to-curve step (_sweep_curve).
+writer(path, *data) and returns the manifest's files map.  A manifest
+names its system and echoes its records in the config keys (spectra.echo),
+as a CLI sidecar's config does.  The fig1 and smfig1 studies share the
+Stokes-suppressing loop (_suppressing_loop) and the sweep-to-curve step
+(_sweep_curve).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import cooling, feedback, langevin, model, presets, spectra
 from .cooling import CoolingReport, RatePair
-from .errors import LoopcoolError, NoStablePointError, ValidationError
+from .errors import INSTABILITIES, NoStablePointError, ValidationError
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated
 
 #: golden-section fraction of Brent's safeguarding step
@@ -112,7 +113,7 @@ def apply_variable(
     raise ValidationError(f"unknown sweep variable {variable!r}")
 
 
-def _unstable_report(m: MechanicsParams, reason: str) -> CoolingReport:
+def _unstable_report(reason: str) -> CoolingReport:
     return CoolingReport(
         rates=RatePair(a_plus=math.nan, a_minus=math.nan),
         n_backaction=math.inf,
@@ -143,7 +144,8 @@ def evaluate(
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.  Invalid
-    input raises ValidationError before any work: evaluator, rtol, loop phase.
+    input raises ValidationError before any work: evaluator, rtol, loop phase;
+    a band, curve-domain or convergence failure raises as it is.
     """
     if evaluator not in EVALUATORS:
         raise ValidationError(f"unknown evaluator {evaluator!r}")
@@ -163,10 +165,8 @@ def evaluate(
         verdict = feedback.nyquist_stability(p, fb)
         # NaN rates fail the damping conjunct and so count as unstable
         stable = verdict.stable and report.gamma_opt > -m.gamma_m
-    except ValidationError:
-        raise
-    except LoopcoolError as exc:
-        return _unstable_report(m, f"unstable: {exc}")
+    except INSTABILITIES as exc:
+        return _unstable_report(f"unstable: {exc}")
     if not stable:
         return replace(report, stable=False, n_final=math.inf, temperature_final=math.inf)
     return report
@@ -352,9 +352,7 @@ def figure_preset(name: str, outdir, points: int | None = None) -> dict:
     manifest, entries = _PRESETS[name](points)
     manifest.update(files=_write_bundle(outdir, entries), preset=name, artifact="loopcool")
     meta_path = outdir / f"{name}.json"
-    with open(meta_path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    spectra.write_json(meta_path, manifest)
     manifest["metadata_file"] = str(meta_path)
     return manifest
 
@@ -370,25 +368,7 @@ def _write_bundle(outdir: Path, entries) -> dict:
 
 
 def _describe_system(sys: presets.PresetSystem) -> dict:
-    p, m, fb = sys.cavity, sys.mechanics, sys.loop
-    return {
-        "system": sys.name,
-        "cavity_hz": {
-            key: getattr(p, key) / model.TWO_PI
-            for key in ("kappa0", "kappa1", "kappa_prime", "detuning")
-        },
-        "mechanics_hz": {
-            "omega_m": m.omega_m / model.TWO_PI,
-            "gamma_m": m.gamma_m / model.TWO_PI,
-            "coupling": m.G / model.TWO_PI,
-            "n_th": m.n_th,
-        },
-        "feedback": {
-            "port": fb.port.value,
-            "phi_rad": fb.phi,
-            "eta": fb.eta,
-        },
-    }
+    return {"system": sys.name, **spectra.echo(sys.cavity, sys.mechanics, sys.loop)}
 
 
 def _sweep_curve(spec: SweepSpec, column: str, p, m, fb) -> tuple:

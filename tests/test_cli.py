@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loopcool import cli, ingest, langevin, presets
+from loopcool import cli, ingest, langevin, optimize, presets
 from loopcool.model import FlatDelay, MembraneGeometry, Port, membrane_modes
 
 TWO_PI = 2 * math.pi
@@ -112,6 +113,19 @@ class TestCooling:
         assert "must be finite" in err
         assert not (tmp_path / "run_cooling.json").exists()
 
+    def test_narrow_tabulated_band_exits_two(self, tmp_path, capsys):
+        # a gain sampled only on 300-360 kHz fails the band guard: an input
+        # error, not an instability
+        path = tmp_path / "narrow.csv"
+        rows = [f"{300e3 + 1e3 * k:g},-20,0" for k in range(61)]
+        path.write_text("frequency_hz,magnitude_db,phase_rad\n" + "\n".join(rows) + "\n")
+        doc = {"system": "experiment",
+               "feedback": {"gain": {"type": "tabulated", "path": str(path)}}}
+        code, _, err, outdir = _run_config(tmp_path, capsys, doc)
+        assert code == 2
+        assert "band too narrow" in err
+        assert not (outdir / "run_cooling.json").exists()
+
 
 class TestSpectrumCommand:
     def test_squash_spectrum_csv(self, tmp_path, capsys):
@@ -124,18 +138,6 @@ class TestSpectrumCommand:
         rows = np.loadtxt(tmp_path / "run_spectrum_squash.csv", delimiter=",", skiprows=1)
         assert rows.shape == (101, 2)
         np.testing.assert_allclose(rows[:, 1], 1.0)  # preset default gain is off
-
-    def test_determinism(self, tmp_path, capsys):
-        args = ["--out", None, "--points", "64", "spectrum", "squash"]
-        outs = []
-        for sub in ("a", "b"):
-            d = tmp_path / sub
-            args[1] = str(d)
-            assert cli.main(args) == 0
-            capsys.readouterr()
-            outs.append((d / "run_spectrum_squash.csv").read_bytes())
-        assert outs[0] == outs[1]
-
 
     @pytest.mark.parametrize("observable", ["q_mech", "n_mech", "squash"])
     def test_unstable_loop_exits_three(self, tmp_path, capsys, observable):
@@ -309,6 +311,37 @@ class TestPresetCommand:
         assert (tmp_path / "fig3_effective_cavity.json").exists()
 
 
+def _record_bits(record):
+    """A record's fields, floats as their hex bits and nested records alike."""
+    return {
+        f.name: _record_bits(v) if is_dataclass(v) else v.hex() if isinstance(v, float) else v
+        for f in fields(record) for v in [getattr(record, f.name)]
+    }
+
+
+class TestManifestSystemBlock:
+    """A figure manifest describes each system by the config sections a CLI
+    sidecar echoes, so the block alone rebuilds the preset's records."""
+
+    @pytest.mark.parametrize("name", optimize.PRESET_NAMES)
+    def test_block_rebuilds_the_preset_and_matches_the_sidecar(self, tmp_path, capsys, name):
+        optimize.figure_preset(name, tmp_path, points=2)
+        manifest = json.loads((tmp_path / f"{name}.json").read_text())
+        for block in manifest.get("systems", [manifest]):
+            sections = {key: block[key] for key in ("cavity", "mechanics", "feedback")}
+            # no 'system' key: every field comes from the block, none from the preset
+            p, m, fb, _, _ = cli.resolve_config(sections)
+            sys = presets.get_system(block["system"])
+            assert [_record_bits(r) for r in (p, m, fb)] == [
+                _record_bits(r) for r in (sys.cavity, sys.mechanics, sys.loop)
+            ]
+            code, _, _, outdir = _run_config(tmp_path, capsys, {"system": block["system"]})
+            assert code == 0
+            config = json.loads((outdir / "run_cooling.json").read_text())["config"]
+            del config["units"], config["evaluator"]
+            assert config == sections
+
+
 class TestIngestCommand:
     def test_decompose_and_delay(self, tmp_path, capsys, experiment_empty):
         sys = experiment_empty
@@ -366,6 +399,44 @@ class TestIngestCommand:
         code, _, err = run(args, capsys)
         assert code == 2
         assert f"{path}:6: non-finite" in err
+
+
+class TestByteIdenticalArtifacts:
+    """Every command writes the same bytes, CSV and sidecar, on a second run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cooling"],
+        ["effective-cavity"],
+        *(pytest.param(["--points", "64", "spectrum", observable], id=f"spectrum-{observable}")
+          for observable in ("i_fb", "x_cavity", "q_mech", "n_mech", "squash")),
+        ["solve"],
+        ["--points", "3", "optimize", "--free", "gain_amplitude:0:2"],
+        ["ingest", "--bode", "trace.csv"],
+        ["membrane", "--j", "3"],
+    ], ids=lambda argv: next(a for a in argv if a[0].isalpha()))
+    def test_two_runs_write_the_same_bytes(self, tmp_path, capsys, experiment_empty, argv):
+        f = np.linspace(10e3, 3e6, 400)
+        trace = ingest.compose_open_loop(
+            FlatDelay(0.4, 750e-9, math.pi), experiment_empty.cavity, Port.TRANSMISSION, f
+        )
+        rows = zip(trace.frequency_hz, trace.magnitude_db, trace.phase_rad)
+        (tmp_path / "trace.csv").write_text("frequency_hz,magnitude_db,phase_rad\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in rows
+        ))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment",
+            "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.9}},
+        }))
+        argv = [str(tmp_path / a) if a == "trace.csv" else a for a in argv]
+        if argv[0] != "membrane":
+            argv = ["--config", str(config), *argv]
+        written = []
+        for sub in ("a", "b"):
+            code, _, _ = run(["--out", str(tmp_path / sub), *argv], capsys)
+            assert code == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()})
+        assert written[0] and written[0] == written[1]
 
 
 class TestMembraneCommand:

@@ -1179,6 +1179,14 @@ class TestSpectrumExport:
         np.testing.assert_allclose(back[:, 0] * TWO_PI, w, rtol=1e-15)
         np.testing.assert_allclose(back[:, 1], values, rtol=1e-15)
 
+    def test_rows_of_unequal_columns_raise(self, tmp_path):
+        from loopcool import spectra
+
+        with pytest.raises(ValueError):
+            spectra.write_rows(tmp_path / "c.csv", ("x", "y"), [1.0, 2.0, 3.0], [4.0, 5.0])
+        with pytest.raises(ValueError):
+            spectra.write_curve_csv(tmp_path / "d.csv", "x", "y", [1.0, 2.0], [4.0, 5.0, 6.0])
+
 
 class TestDetailedBalanceAnchor:
     def test_extracted_linewidth_matches_rate_convention(self):
