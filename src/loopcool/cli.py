@@ -216,6 +216,8 @@ def _cmd_cooling(args, artifact, p, m, fb, evaluator):
 
 
 def _cmd_effective_cavity(args, artifact, p, m, fb, evaluator):
+    if fb.port is not Port.TRANSMISSION:
+        raise ValidationError("effective-cavity needs a transmission-port loop (feedback.port)")
     eff = feedback.effective_cavity(p, fb)
     result = {
         "kappa_eff_hz": eff.kappa_eff / TWO_PI,

@@ -20,7 +20,7 @@ from .errors import (
     LoopcoolError,
     ValidationError,
 )
-from .model import CavityParams, FeedbackConfig, FlatDelay, Port, Tabulated
+from .model import CavityParams, FeedbackConfig, FlatDelay, Port
 
 #: single-pole approximation is flagged valid only for detuning/kappa >= this
 SINGLE_POLE_DETUNING_RATIO = 5.0
@@ -156,29 +156,20 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
 
 
 def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
-    """Sorted real-frequency contour for the winding tests, from -hi to +hi.
+    """Sorted real-frequency contour of a Tabulated gain, from -hi to +hi.
 
-    The band must cover every frequency where the cavity-mediated loop is
-    non-negligible (|loop| < 1e-3 at the edges).  For a flat gain the band
-    edge is searched (_flat_band_edge); on the reflection port the direct
-    (cavity-bypassing) term does not decay with frequency and is treated as
-    band-limited, like a filter flat over the band.  The grid of a (Delta,
-    kappa, hi) is built once, cached and read-only; a tabulated gain clips it
-    to its measured band, which must meet the guard (else BandError); the gap
-    around zero carries no winding if the loop is negligible at its edges.
+    It closes where the loop is negligible: |loop| < 1e-3 at +-hi (else
+    BandError), so a reflection trace, whose direct term does not decay,
+    must roll off.  The unmeasured |w| < lo is one step, from -lo to lo,
+    held by winding_verdict to the quarter-turn rule of every other step
+    (refining it evaluates the curve there: CurveDomainError).
     """
-    if isinstance(fb.gain, Tabulated):
-        lo, hi = fb.gain.curve.domain
-        edge_loop = np.abs(loop_factor(p, fb, np.array([-hi, -lo, lo, hi])))
-        if np.any(edge_loop > _EDGE_LOOP_GUARD):
-            raise BandError(
-                f"band too narrow: loop factor {edge_loop.max():.2e} at the edges "
-                f"exceeds {_EDGE_LOOP_GUARD:g}"
-            )
-    else:
-        lo, hi = 0.0, _flat_band_edge(p, fb)
+    lo, hi = fb.gain.curve.domain
+    top = np.abs(loop_factor(p, fb, np.array([-hi, hi]))).max()
+    if top > _EDGE_LOOP_GUARD:
+        raise BandError(f"band too narrow: |loop| {top:.2e} > {_EDGE_LOOP_GUARD:g} at its top")
     omega = _contour_grid(p.detuning, p.kappa, hi)
-    return omega[np.abs(omega) >= lo] if lo > 0.0 else omega
+    return np.union1d(omega[np.abs(omega) > lo], (-lo, lo))
 
 
 @lru_cache(maxsize=1)
@@ -233,20 +224,21 @@ def winding_verdict(fn, omega: np.ndarray, d=None) -> StabilityVerdict:
 
 def nyquist_stability(p: CavityParams, fb: FeedbackConfig) -> StabilityVerdict:
     """Winding number of D(w) = 1 - 2*sqrt(eta)*zeta_out*g_fb around 0 as w
-    runs over loop_contour; stable iff the winding number is zero.  This is
-    the membrane-decoupled (G = 0) case of langevin.closed_loop_stability.
+    runs over a FlatDelay gain's contour; stable iff it is zero.  This is the
+    membrane-decoupled (G = 0) case of langevin.closed_loop_stability, the
+    test of a Tabulated gain (ValidationError here).
 
-    A flat gain's contour and its gain-free factors Z = 2*sqrt(eta)*zeta_out
-    and E = FlatDelay.phase_factor are cached by value, one entry each, so a
-    sweep point that changes only the gain amplitude forms only D = 1 - Z*(A*E),
+    The contour and its gain-free factors Z = 2*sqrt(eta)*zeta_out and E =
+    FlatDelay.phase_factor are cached by value, one entry each, so a sweep
+    point that changes only the gain amplitude forms only D = 1 - Z*(A*E),
     bit-identical to loop_denominator, which the refinement midpoints take.
     """
-    fn = partial(loop_denominator, p, fb)
-    if isinstance(fb.gain, Tabulated):
-        return winding_verdict(fn, loop_contour(p, fb))
+    if not isinstance(fb.gain, FlatDelay):
+        raise ValidationError("a tabulated gain's test is langevin.closed_loop_stability")
     hi, gain, key = _flat_band_edge(p, fb), fb.gain, (p.detuning, p.kappa)
     z = _contour_gain_free(p, fb.port, fb.phi, fb.eta, hi)
     e = _contour_phase(gain.delay, gain.phase_offset, *key, hi)
+    fn = partial(loop_denominator, p, fb)
     return winding_verdict(fn, _contour_grid(*key, hi), 1.0 - z * (gain.amplitude * e))
 
 

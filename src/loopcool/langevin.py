@@ -661,21 +661,15 @@ def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> flo
     if not isinstance(fb.gain, FlatDelay):
         return math.nan
     parts, c, neutral = _flat_loop(p, m, fb)
-    if neutral:
-        return 0.0
-    tau, scale = fb.gain.delay, parts.scale
-    # at zero gain F = |P|^2 changes sign nowhere: no crossings
-    crossings = _delay_crossings(parts, c, m.gamma_m / scale)
     try:
-        count = _undelayed_zeros(parts, c)
-        if tau > 0.0:
-            count = _delayed_zeros(count, tau, scale, crossings)
+        if neutral or _upper_half_plane_zeros(p, m, fb):
+            return 0.0
     except InstabilityBoundaryError:
         return 0.0
-    if count:
-        return 0.0
+    tau, scale = fb.gain.delay, parts.scale
     margins = []
-    for x, theta, direction in crossings:
+    # at zero gain F = |P|^2 changes sign nowhere: no crossings
+    for x, theta, direction in _delay_crossings(parts, c, m.gamma_m / scale):
         if direction > 0:
             lag = tau * scale * x - theta
             k = math.floor(lag / (2.0 * math.pi)) + 1 if lag > 0.0 else 0
@@ -689,10 +683,11 @@ def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfi
 
     For a FlatDelay gain the zeros are counted exactly by delay crossings
     (_upper_half_plane_zeros); a loop of neutral type is unstable.  For a
-    Tabulated gain this is the generalized Nyquist criterion: R(w)
-    (closed_loop_determinant) must wind zero times around 0 along the real
-    axis.  Seeding that contour with the occupancy quadrature's first-round
-    nodes resolves the same mechanical features as the integral.
+    Tabulated gain, of both evaluators (the weak one at G = 0, where R = D),
+    this is the generalized Nyquist criterion: R(w) (closed_loop_determinant)
+    must wind zero times around 0 along feedback.loop_contour.  Seeding it
+    with the occupancy quadrature's first-round nodes in the measured band
+    resolves the same mechanical features as the integral.
     """
     if isinstance(fb.gain, FlatDelay):
         return _upper_half_plane_zeros(p, m, fb) == 0
@@ -702,10 +697,7 @@ def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfi
     lo, hi = fb.gain.curve.domain
     seeds = seeds[(np.abs(seeds) >= lo) & (np.abs(seeds) <= hi)]
     omega = np.union1d(feedback.loop_contour(p, fb), seeds)
-    verdict = feedback.winding_verdict(
-        lambda w: closed_loop_determinant(p, m, fb, w), omega
-    )
-    return verdict.stable
+    return feedback.winding_verdict(lambda w: closed_loop_determinant(p, m, fb, w), omega).stable
 
 
 def displacement_spectrum(

@@ -140,7 +140,8 @@ def evaluate(
     anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter.  The
     exact evaluator then hands the report's gamma_opt to phonon_occupancy,
     which integrates to `rtol`, and takes its closed-loop verdict, the weak
-    one the G = 0 Nyquist test plus the rate sign.
+    one the G = 0 Nyquist test (a Tabulated gain's exact test at G = 0,
+    where R = D) plus the rate sign.
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.  Invalid
@@ -162,9 +163,12 @@ def evaluate(
                 n_final=n,
                 temperature_final=model.occupancy_to_temperature(n, m.omega_m),
             )
-        verdict = feedback.nyquist_stability(p, fb)
+        if isinstance(fb.gain, Tabulated):
+            stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
+        else:
+            stable = feedback.nyquist_stability(p, fb).stable
         # NaN rates fail the damping conjunct and so count as unstable
-        stable = verdict.stable and report.gamma_opt > -m.gamma_m
+        stable = stable and report.gamma_opt > -m.gamma_m
     except INSTABILITIES as exc:
         return _unstable_report(f"unstable: {exc}")
     if not stable:

@@ -127,6 +127,26 @@ class TestCooling:
         assert not (outdir / "run_cooling.json").exists()
 
 
+    @pytest.mark.parametrize("kind", ["weak_coupling", "langevin"])
+    def test_bode_copy_of_the_flat_gain_matches_it(self, tmp_path, capsys, experiment, kind):
+        # the experiment loop at gain_norm 0.5, measured from 1 mHz to 1 GHz:
+        # a trace reaching DC evaluates to the flat gain's occupancy
+        f = np.geomspace(1e-3, 1e9, 60000)
+        g = experiment.with_gain_norm(0.5).gain(2 * math.pi * f)
+        rows = [f"{fi!r},{20 * math.log10(abs(gi))!r},{math.atan2(gi.imag, gi.real)!r}"
+                for fi, gi in zip(f.tolist(), g.tolist())]
+        path = tmp_path / "copy.csv"
+        path.write_text("frequency_hz,magnitude_db,phase_rad\n" + "\n".join(rows) + "\n")
+        lines = []
+        for gain in ({"type": "tabulated", "path": str(path)},
+                     {"type": "preset_gain_norm", "value": 0.5}):
+            doc = {"system": "experiment", "feedback": {"gain": gain}, "evaluator": {"kind": kind}}
+            code, out, _, _ = _run_config(tmp_path, capsys, doc)
+            assert code == 0
+            lines.append(out)
+        assert "stable=True" in lines[0] and lines[0] == lines[1]
+
+
 class TestSpectrumCommand:
     def test_squash_spectrum_csv(self, tmp_path, capsys):
         code, out, _ = run(
@@ -490,6 +510,14 @@ class TestEffectiveCavityCommand:
         result = sidecar["result"]
         assert result["kappa_eff_hz"] == pytest.approx(0.1 * 20.15e3, rel=1e-9)
         assert result["single_pole_valid"] is True
+
+    @pytest.mark.parametrize("system", ["fig1_optical", "fig1_microwave"])
+    def test_reflection_port_exits_two(self, tmp_path, capsys, system):
+        code, _, err, outdir = _run_config(tmp_path, capsys, {"system": system},
+                                           ("effective-cavity",))
+        assert code == 2
+        assert "needs a transmission-port loop" in err
+        assert not (outdir / "run_effective-cavity.json").exists()
 
     def test_evaluator_override_flag(self, tmp_path, capsys, experiment):
         code, out, _ = run(

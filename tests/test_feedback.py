@@ -6,9 +6,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from loopcool import feedback, model
+from loopcool import feedback, langevin, model
 from loopcool.errors import BandError, ConvergenceError, ValidationError
-from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, Port
+from loopcool.model import (
+    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port, Tabulated, TransferCurve,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -233,13 +235,13 @@ class TestNyquist:
 
     def test_band_too_narrow(self):
         # measured gain whose band ends at Delta + 5 kappa, where the loop is
-        # still far above the edge guard
+        # still far above the edge guard: the contour cannot close there
         p = resolved_cavity()
         fb = aligned_loop(p, 0.5)
         w = np.linspace(p.kappa, p.detuning + 5 * p.kappa, 200)
         tabulated = replace(fb, gain=model.Tabulated(model.TransferCurve(w, fb.gain(w))))
         with pytest.raises(BandError, match="band too narrow"):
-            feedback.nyquist_stability(p, tabulated)
+            langevin.closed_loop_stability(p, decoupled_mechanics(p), tabulated)
 
     def test_reflection_flat_gain_uses_cavity_guard(self):
         p = resolved_cavity()
@@ -283,6 +285,11 @@ def doubling_band_edge(p, fb):
     raise BandError("no band edge")
 
 
+def flat_contour(p, fb):
+    """The flat gain's cached contour, as nyquist_stability reads it."""
+    return feedback._contour_grid(p.detuning, p.kappa, feedback._flat_band_edge(p, fb))
+
+
 def reference_contour(p, hi, samples=4096):
     grid = [np.linspace(-hi, hi, samples)]
     for center in (-abs(p.detuning), abs(p.detuning)):
@@ -315,7 +322,7 @@ class TestContourCache:
         # and both equal the uncached D(w) = loop_denominator on the same contour
         uncached = [
             triple(feedback.winding_verdict(
-                partial(feedback.loop_denominator, p, fb), feedback.loop_contour(p, fb)))
+                partial(feedback.loop_denominator, p, fb), flat_contour(p, fb)))
             for p, fb in points
         ]
         assert warm == uncached
@@ -333,7 +340,7 @@ class TestContourCache:
                                 rng.uniform(-4, 4), rng.uniform(0, 1), gain)
             hi = doubling_band_edge(p, fb)
             assert feedback._flat_band_edge(p, fb) == hi
-            assert np.array_equal(feedback.loop_contour(p, fb), reference_contour(p, hi))
+            assert np.array_equal(flat_contour(p, fb), reference_contour(p, hi))
 
     def test_amplitude_sweep_reuses_the_gain_free_factors(self, fig1_optical):
         for p, fb in amplitude_sweep(fig1_optical):
@@ -350,7 +357,7 @@ class TestContourCache:
 
     def test_cached_arrays_are_read_only(self, experiment):
         p, fb = experiment.cavity, experiment.loop
-        omega = feedback.loop_contour(p, fb)
+        omega = flat_contour(p, fb)
         feedback.nyquist_stability(p, fb)
         with pytest.raises(ValueError, match="read-only"):
             omega[0] = 0.0
@@ -412,18 +419,41 @@ class TestOptimalBareDetuning:
             feedback.optimal_bare_detuning(p, fb, omega_m)
 
 
+def decoupled_mechanics(p):
+    """A mode at the detuning, decoupled (G = 0): the closed-loop test is then
+    the loop's own, R = D."""
+    return MechanicsParams(omega_m=p.detuning, gamma_m=1e-5 * p.detuning, n_th=1e3)
+
+
+def band_pass(p):
+    """Band-pass electronics over a trace from 1 kHz: negligible loop at both
+    edges of the measured band."""
+    w = np.geomspace(1e3, 1.5e8, 4000)
+    hp = 1j * w / (1j * w + p.detuning / 2)
+    lp = 2 * p.detuning / (2 * p.detuning + 1j * w)
+    curve = TransferCurve(w, 2.0 * hp**3 * lp**3 * np.exp(1j * w * 1e-7))
+    return FeedbackConfig(gain=Tabulated(curve))
+
+
 class TestNyquistTabulated:
     def test_rolled_off_tabulated_filter(self):
-        from loopcool.model import Tabulated, TransferCurve
-
+        # the one winding test of a tabulated loop, at G = 0 as the weak
+        # evaluator takes it
         p = resolved_cavity()
-        # band-pass electronics: negligible loop at both edges of the
-        # measured band, so the contour gap around zero carries no winding
-        w = np.geomspace(1e3, 1.5e8, 4000)
-        hp = 1j * w / (1j * w + p.detuning / 2)
-        lp = 2 * p.detuning / (2 * p.detuning + 1j * w)
-        curve = TransferCurve(w, 2.0 * hp**3 * lp**3 * np.exp(1j * w * 1e-7))
-        fb = FeedbackConfig(gain=Tabulated(curve))
-        verdict = feedback.nyquist_stability(p, fb)
-        assert isinstance(verdict.winding_number, int)
-        assert verdict.margin > 0
+        fb = band_pass(p)
+        assert isinstance(langevin.closed_loop_stability(p, decoupled_mechanics(p), fb), bool)
+
+    def test_nyquist_stability_rejects_a_tabulated_gain(self):
+        p = resolved_cavity()
+        with pytest.raises(ValidationError, match="closed_loop_stability"):
+            feedback.nyquist_stability(p, band_pass(p))
+
+    def test_contour_spans_the_gap_below_the_band_in_one_step(self):
+        p = resolved_cavity()
+        fb = band_pass(p)
+        lo, hi = fb.gain.curve.domain
+        omega = feedback.loop_contour(p, fb)
+        assert omega[0] == -hi and omega[-1] == hi
+        gap = np.flatnonzero(omega == -lo)
+        assert gap.size == 1 and omega[gap[0] + 1] == lo
+        assert np.all(np.abs(omega) >= lo)

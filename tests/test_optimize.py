@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcool import cooling, feedback, langevin, optimize
-from loopcool.errors import LoopcoolError, ValidationError
-from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams
+from loopcool.errors import BandError, LoopcoolError, ValidationError
+from loopcool.model import (
+    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated, TransferCurve,
+)
 from loopcool.optimize import SweepSpec
 
 TWO_PI = 2 * math.pi
@@ -137,6 +139,58 @@ class TestEvaluate:
         assert report.stable and math.isfinite(report.n_final)
         assert solves.count((0.0, 2)) == 1
         assert all(m_g == sys.mechanics.G for m_g, _ in solves[1:])
+
+
+def tabulated_copy(fb, lo_hz=1e-3, hi_hz=1e8, samples=5000):
+    """The loop with its flat gain sampled into a measured-style trace."""
+    w = np.geomspace(TWO_PI * lo_hz, TWO_PI * hi_hz, samples)
+    return replace(fb, gain=Tabulated(TransferCurve(w, fb.gain(w))))
+
+
+#: experiment's loop from anti- to over-driven (gain_norm 1 is the threshold)
+COPY_GAIN_NORMS = [*np.linspace(-0.9, 1.05, 9).tolist(), 1.02, 1.2]
+
+
+class TestTabulatedCopies:
+    """A tabulated copy of a flat gain, sampled from 1 mHz, is the same loop:
+    both evaluators give the flat gain's verdict and occupancy."""
+
+    @pytest.mark.parametrize("gain_norm", COPY_GAIN_NORMS)
+    @pytest.mark.parametrize("evaluator", ["weak_coupling", "langevin"])
+    def test_copy_matches_the_flat_gain(self, experiment, evaluator, gain_norm):
+        p, m = experiment.cavity, experiment.mechanics
+        fb = experiment.with_gain_norm(gain_norm)
+        flat = optimize.evaluate(p, m, fb, evaluator)
+        copy = optimize.evaluate(p, m, tabulated_copy(fb), evaluator)
+        assert copy.stable is flat.stable
+        tol = 1e-9 if evaluator == "weak_coupling" else 2 * 2e-4
+        if flat.stable:
+            assert copy.n_final == pytest.approx(flat.n_final, rel=tol)
+        else:
+            assert math.isinf(copy.n_final)
+
+    @pytest.mark.parametrize("gain_norm", COPY_GAIN_NORMS)
+    def test_decoupled_winding_matches_nyquist(self, experiment, gain_norm):
+        # the weak verdict's winding conjunct alone, without the rate sign
+        p, m = experiment.cavity, replace(experiment.mechanics, G=0.0)
+        fb = experiment.with_gain_norm(gain_norm)
+        stable = feedback.nyquist_stability(p, fb).stable
+        assert stable is (gain_norm < 1.0)
+        assert langevin.closed_loop_stability(p, m, tabulated_copy(fb)) is stable
+
+    @pytest.mark.parametrize("system", ["fig1_optical", "fig1_microwave"])
+    def test_reflection_copy_cannot_close_its_contour(self, request, system):
+        # a limit, not a defect: the reflection port's direct path does not
+        # decay, so at the trace's top the loop is above the edge guard
+        sys = request.getfixturevalue(system)
+        p, m, fb = sys.cavity, sys.mechanics, sys.loop
+        top = abs(feedback.stokes_suppression_gain(p, fb, m.omega_m))
+        fb = replace(fb, gain=replace(fb.gain, amplitude=0.5 * top))
+        assert optimize.evaluate(p, m, fb, "weak_coupling").stable
+        copy = tabulated_copy(fb, hi_hz=1e10)
+        for evaluator in optimize.EVALUATORS:
+            with pytest.raises(BandError, match="band too narrow"):
+                optimize.evaluate(p, m, copy, evaluator)
 
 
 class TestSweep:
