@@ -29,7 +29,6 @@ from .model import (
     MembraneGeometry,
     Port,
     Tabulated,
-    TransferCurve,
     cavity_susceptibility,
     membrane_modes,
 )

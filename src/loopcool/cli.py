@@ -89,11 +89,20 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+#: the feedback.gain keys each gain type reads, besides 'type'
+_GAIN_KEYS = {
+    "flat_delay": spectra.FLAT_DELAY_KEYS.keys(),
+    "tabulated": {"path"},
+    "preset_gain_norm": {"value"},
+}
+
+
 def _build_gain(fbs: dict, base: FeedbackConfig, system) -> FeedbackConfig:
     section = _get(fbs, "gain", dict, "feedback")
-    allowed = spectra.FLAT_DELAY_KEYS.keys() | {"type", "path", "value"}
-    _reject_unknown(section, allowed, "feedback.gain")
     kind = _get(section, "type", str, "feedback.gain", "flat_delay")
+    if kind not in _GAIN_KEYS:
+        raise ValidationError(f"unknown gain type {kind!r}")
+    _reject_unknown(section, _GAIN_KEYS[kind] | {"type"}, f"feedback.gain of type {kind!r}")
     if kind == "flat_delay":
         gain = _override(FlatDelay(0.0), section, spectra.FLAT_DELAY_KEYS, "feedback.gain")
         return replace(base, gain=gain)
@@ -102,16 +111,13 @@ def _build_gain(fbs: dict, base: FeedbackConfig, system) -> FeedbackConfig:
         if path is None:
             raise ValidationError("tabulated gain needs a 'path'")
         trace = ingest.parse_bode(path)
-        curve = model.TransferCurve(TWO_PI * trace.frequency_hz, trace.values())
-        return replace(base, gain=model.Tabulated(curve))
-    if kind == "preset_gain_norm":
-        if system is None:
-            raise ValidationError("preset_gain_norm requires a 'system' entry")
-        clash = sorted(set(fbs) & {"eta", "phi_rad", "port"})
-        if clash:
-            raise ValidationError(f"preset_gain_norm rescales the preset's loop: drop {clash}")
-        return system.with_gain_norm(_get(section, "value", float, "feedback.gain", 0.0))
-    raise ValidationError(f"unknown gain type {kind!r}")
+        return replace(base, gain=model.Tabulated(TWO_PI * trace.frequency_hz, trace.values()))
+    if system is None:
+        raise ValidationError("preset_gain_norm requires a 'system' entry")
+    clash = sorted(set(fbs) & {"eta", "phi_rad", "port"})
+    if clash:
+        raise ValidationError(f"preset_gain_norm rescales the preset's loop: drop {clash}")
+    return system.with_gain_norm(_get(section, "value", float, "feedback.gain", 0.0))
 
 
 def _evaluator_kind(kind: str) -> str:
@@ -285,6 +291,8 @@ def _cmd_optimize(args, artifact, p, m, fb, evaluator):
             lo, hi = float(lo), float(hi)
         except ValueError:
             raise ValidationError(f"--free expects name:lo:hi, got {spec!r}") from None
+        if name in free:
+            raise ValidationError(f"--free names {name!r} more than once")
         if name in ("detuning", "coupling"):
             lo, hi = TWO_PI * lo, TWO_PI * hi
         free[name] = (lo, hi)
@@ -316,13 +324,12 @@ def _cmd_optimize(args, artifact, p, m, fb, evaluator):
 def _cmd_ingest(args, artifact, p, m, fb, evaluator):
     trace = ingest.parse_bode(args.bode)
     filt = ingest.decompose_electronic_filter(trace, p, fb.port)
-    curve = filt.curve
     csv_path = artifact("filter.csv")
-    spectra.write_complex_csv(csv_path, curve.omega, curve.values)
-    lo, hi = _parse_band(args.band, curve.domain)
+    spectra.write_complex_csv(csv_path, filt.omega, filt.values)
+    lo, hi = _parse_band(args.band, filt.domain)
     delay = ingest.delay_from_phase(filt, (lo, hi))
     payload = {
-        "result": {"delay_s": delay, "samples": int(curve.omega.size)},
+        "result": {"delay_s": delay, "samples": int(filt.omega.size)},
         "files": {csv_path.name: "decomposed electronic filter (re, im)"},
         "note": "filter absorbs sqrt(eta); eta defaults to 1 downstream",
     }

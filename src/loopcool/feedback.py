@@ -164,7 +164,7 @@ def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
     held by winding_verdict to the quarter-turn rule of every other step
     (refining it evaluates the curve there: CurveDomainError).
     """
-    lo, hi = fb.gain.curve.domain
+    lo, hi = fb.gain.domain
     top = np.abs(loop_factor(p, fb, np.array([-hi, hi]))).max()
     if top > _EDGE_LOOP_GUARD:
         raise BandError(f"band too narrow: |loop| {top:.2e} > {_EDGE_LOOP_GUARD:g} at its top")

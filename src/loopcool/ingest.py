@@ -17,7 +17,7 @@ import numpy as np
 
 from . import feedback, model
 from .errors import BandError, ParseError, ValidationError
-from .model import TWO_PI, CavityParams, Port, Tabulated, TransferCurve
+from .model import TWO_PI, CavityParams, Port, Tabulated
 from .spectra import Spectrum
 
 #: decompose_electronic_filter drops samples whose cavity response is below this
@@ -197,20 +197,19 @@ def decompose_electronic_filter(
             f"cavity response too small on {dropped}/{len(trace)} samples"
         )
     g = trace.values()[keep] / response[keep]
-    return Tabulated(TransferCurve(omega[keep], g))
+    return Tabulated(omega[keep], g)
 
 
 def delay_from_phase(filt: Tabulated, band: tuple[float, float]) -> float:
     """Loop delay from the slope of the filter's unwrapped phase over the
     band (rad/s): a pure delay line e^{i w tau} fits slope +tau, constant
     offsets land in the intercept."""
-    curve = filt.curve
-    sel = (curve.omega >= band[0]) & (curve.omega <= band[1])
+    sel = (filt.omega >= band[0]) & (filt.omega <= band[1])
     if int(sel.sum()) < _MIN_DELAY_SAMPLES:
         raise BandError(
             f"band too sparse: {int(sel.sum())} samples, need {_MIN_DELAY_SAMPLES}"
         )
-    slope, _ = np.polyfit(curve.omega[sel], curve.unwrapped_phase[sel], 1)
+    slope, _ = np.polyfit(filt.omega[sel], filt.unwrapped_phase[sel], 1)
     return float(slope)
 
 
@@ -218,11 +217,10 @@ def phase_flatness(filt: Tabulated, band: tuple[float, float]) -> float:
     """RMS of the unwrapped phase residual about its best line over the
     band; a diagnostic for using the wrong port's cavity form (a correct
     decomposition of a delay-line filter is flat to rounding)."""
-    curve = filt.curve
-    sel = (curve.omega >= band[0]) & (curve.omega <= band[1])
+    sel = (filt.omega >= band[0]) & (filt.omega <= band[1])
     if int(sel.sum()) < 3:
         raise BandError("band too sparse for a flatness estimate")
-    w = curve.omega[sel]
-    ph = curve.unwrapped_phase[sel]
+    w = filt.omega[sel]
+    ph = filt.unwrapped_phase[sel]
     coeffs = np.polyfit(w, ph, 1)
     return float(np.sqrt(np.mean((ph - np.polyval(coeffs, w)) ** 2)))

@@ -319,7 +319,10 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
 def _mechanical_linewidth_guess(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, gamma_opt: float | None = None
 ) -> float:
-    # Gamma_opt = G^2 [S_X(omega_m) - S_X(-omega_m)] at G = 0, unless the caller has it
+    # Gamma_opt = G^2 [S_X(omega_m) - S_X(-omega_m)] at G = 0, unless the caller
+    # has it; at G = 0 it is 0 without the solve
+    if m.G == 0.0:
+        return m.gamma_m
     if gamma_opt is None:
         try:
             s_x = observable_spectrum(
@@ -694,7 +697,7 @@ def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfi
     edges = _occupancy_edges(p, m, fb)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    lo, hi = fb.gain.curve.domain
+    lo, hi = fb.gain.domain
     seeds = seeds[(np.abs(seeds) >= lo) & (np.abs(seeds) <= hi)]
     omega = np.union1d(feedback.loop_contour(p, fb), seeds)
     return feedback.winding_verdict(lambda w: closed_loop_determinant(p, m, fb, w), omega).stable

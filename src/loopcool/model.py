@@ -33,7 +33,7 @@ MAX_RATE = 1e30
 #: smallest accepted omega_m in rad/s: hbar omega_m, the unit the occupancy
 #: is converted with, stays a normal float
 MIN_OMEGA_M = 1e-6
-#: largest accepted |gain| (a FlatDelay amplitude, a TransferCurve sample): up
+#: largest accepted |gain| (a FlatDelay amplitude, a Tabulated sample): up
 #: to it the flat-gain zero count is the same at every rate scale to MAX_RATE
 MAX_GAIN = 1e6
 #: largest accepted loop delay in s: delay * w < 1e240 for every w up to 1e40 rad/s
@@ -147,8 +147,8 @@ class FlatDelay:
 
 
 @dataclass(frozen=True)
-class TransferCurve:
-    """Sampled complex response over a one-sided (positive) frequency band.
+class Tabulated:
+    """Gain sampled over a one-sided (positive) frequency band, as measured.
 
     Interpolation is linear in (log magnitude, unwrapped phase).
     Negative frequencies evaluate through the reflection rule
@@ -165,16 +165,16 @@ class TransferCurve:
         omega = np.asarray(self.omega, dtype=float)
         values = np.asarray(self.values, dtype=complex)
         if omega.ndim != 1 or omega.size < 2:
-            raise ValidationError("TransferCurve needs at least two samples")
+            raise ValidationError("Tabulated needs at least two samples")
         if values.shape != omega.shape:
             raise ValidationError("omega and values must have matching shapes")
         if omega[0] <= 0:
-            raise ValidationError("TransferCurve frequencies must be positive")
+            raise ValidationError("Tabulated frequencies must be positive")
         if not np.all(np.diff(omega) > 0):
-            raise ValidationError("TransferCurve frequencies must strictly increase")
+            raise ValidationError("Tabulated frequencies must strictly increase")
         mags = np.abs(values)
         if not np.all((mags > 0) & (mags <= MAX_GAIN)):
-            raise ValidationError(f"TransferCurve sample magnitudes must lie in (0, {MAX_GAIN:g}]")
+            raise ValidationError(f"Tabulated sample magnitudes must lie in (0, {MAX_GAIN:g}]")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_log_mag", np.log(mags))
@@ -204,21 +204,8 @@ class TransferCurve:
         np.conjugate(out, where=w < 0, out=out)
         return complex(out[0]) if scalar else out
 
-    def scaled(self, factor: float) -> "TransferCurve":
-        return TransferCurve(self.omega, self.values * factor)
-
-
-@dataclass(frozen=True)
-class Tabulated:
-    """Gain model backed by a measured/tabulated curve."""
-
-    curve: TransferCurve
-
-    def __call__(self, omega):
-        return self.curve(omega)
-
     def scaled(self, factor: float) -> "Tabulated":
-        return Tabulated(self.curve.scaled(factor))
+        return Tabulated(self.omega, self.values * factor)
 
 
 GainModel = Union[FlatDelay, Tabulated]

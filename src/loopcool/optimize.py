@@ -98,7 +98,8 @@ def apply_variable(
         if isinstance(fb.gain, FlatDelay):
             return p, m, replace(fb, gain=replace(fb.gain, amplitude=value))
         if isinstance(fb.gain, Tabulated):
-            return p, m, replace(fb, gain=fb.gain.scaled(value))
+            # amplitude 0 is the zero loop, whatever the measured shape
+            return p, m, replace(fb, gain=fb.gain.scaled(value) if value else FlatDelay(0.0))
         raise ValidationError("gain model does not support amplitude sweeps")
     if variable == "homodyne_phase":
         return p, m, replace(fb, phi=value)

@@ -59,11 +59,11 @@ def echo(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> dict:
     if isinstance(fb.gain, FlatDelay):
         gain = {"type": "flat_delay", **_echo(fb.gain, FLAT_DELAY_KEYS)}
     else:
-        lo, hi = fb.gain.curve.domain
+        lo, hi = fb.gain.domain
         gain = {
             "type": "tabulated",
             "band_hz": [lo / TWO_PI, hi / TWO_PI],
-            "samples": int(fb.gain.curve.omega.size),
+            "samples": int(fb.gain.omega.size),
         }
     return {
         "cavity": _echo(p, CAVITY_KEYS),

@@ -377,11 +377,10 @@ def test_criterion_10_ingestion_round_trip():
 
     from scipy.optimize import curve_fit
 
-    curve = filt.curve
     popt, _ = curve_fit(
         lambda w, amp, wc: np.log(amp * w / np.hypot(w, wc)),
-        curve.omega,
-        np.log(np.abs(curve.values)),
+        filt.omega,
+        np.log(np.abs(filt.values)),
         p0=(1.0, TWO_PI * 1e5),
     )
     assert popt[1] == pytest.approx(corner, rel=0.10)

@@ -23,6 +23,15 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def write_bode_copy(path, gain, f):
+    """A Bode-trace CSV of `gain` sampled at the frequencies `f` (Hz)."""
+    g = gain(2 * math.pi * f)
+    rows = [f"{fi!r},{20 * math.log10(abs(gi))!r},{math.atan2(gi.imag, gi.real)!r}"
+            for fi, gi in zip(f.tolist(), g.tolist())]
+    path.write_text("frequency_hz,magnitude_db,phase_rad\n" + "\n".join(rows) + "\n")
+    return path
+
+
 class TestCooling:
     def test_experiment_no_feedback_reports_two_kelvin(self, tmp_path, capsys, experiment):
         code, out, _ = run(["--out", str(tmp_path), "cooling"], capsys)
@@ -132,11 +141,7 @@ class TestCooling:
         # the experiment loop at gain_norm 0.5, measured from 1 mHz to 1 GHz:
         # a trace reaching DC evaluates to the flat gain's occupancy
         f = np.geomspace(1e-3, 1e9, 60000)
-        g = experiment.with_gain_norm(0.5).gain(2 * math.pi * f)
-        rows = [f"{fi!r},{20 * math.log10(abs(gi))!r},{math.atan2(gi.imag, gi.real)!r}"
-                for fi, gi in zip(f.tolist(), g.tolist())]
-        path = tmp_path / "copy.csv"
-        path.write_text("frequency_hz,magnitude_db,phase_rad\n" + "\n".join(rows) + "\n")
+        path = write_bode_copy(tmp_path / "copy.csv", experiment.with_gain_norm(0.5).gain, f)
         lines = []
         for gain in ({"type": "tabulated", "path": str(path)},
                      {"type": "preset_gain_norm", "value": 0.5}):
@@ -294,6 +299,17 @@ class TestSolveAndOptimize:
         )
         assert code == 2
         assert "lo < hi" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_optimize_repeated_free_variable_exits_two(self, tmp_path, capsys):
+        # the later range used to replace the earlier one
+        code, _, err = run(
+            ["--out", str(tmp_path), "--points", "3", "optimize",
+             "--free", "gain_amplitude:0:0.5", "--free", "gain_amplitude:0.1:0.2"],
+            capsys,
+        )
+        assert code == 2
+        assert "'gain_amplitude'" in err
         assert not list(tmp_path.iterdir())
 
     def test_optimize_without_free_is_validation_error(self, tmp_path, capsys):
@@ -570,6 +586,32 @@ class TestConfigReader:
         code, _, err, outdir = _run_config(tmp_path, capsys, doc, ("effective-cavity",))
         assert code == 2
         assert "preset_gain_norm" in err and all(repr(key) in err for key in extra)
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("kind, stray", [
+        ("flat_delay", {"value": 0.5}),
+        ("flat_delay", {"path": "nope.csv"}),
+        ("tabulated", {"amplitude": 5.0}),
+        ("tabulated", {"amplitude": 5.0, "delay_s": 1.0}),
+        ("preset_gain_norm", {"amplitude": 7.0}),
+        ("preset_gain_norm", {"amplitude": 7.0, "delay_s": 1e-3, "path": "nope.csv"}),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_gain_type_rejects_keys_it_does_not_read(
+        self, tmp_path, capsys, experiment, kind, stray
+    ):
+        # each runs with exit 0 without its stray keys
+        own = {
+            "flat_delay": {},
+            "tabulated": {"path": str(write_bode_copy(
+                tmp_path / "copy.csv", experiment.with_gain_norm(0.5).gain,
+                np.geomspace(1e-3, 1e8, 5000),
+            ))},
+            "preset_gain_norm": {"value": 0.5},
+        }[kind]
+        doc = {"system": "experiment", "feedback": {"gain": {"type": kind, **own, **stray}}}
+        code, _, err, outdir = _run_config(tmp_path, capsys, doc)
+        assert code == 2
+        assert repr(kind) in err and all(repr(key) in err for key in stray)
         assert not list(outdir.iterdir())
 
     @pytest.mark.parametrize("path", [987654, 5.5, ["trace.csv"], None])

@@ -9,7 +9,7 @@ import pytest
 from loopcool import feedback, langevin, model
 from loopcool.errors import BandError, ConvergenceError, ValidationError
 from loopcool.model import (
-    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port, Tabulated, TransferCurve,
+    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port, Tabulated,
 )
 
 TWO_PI = 2 * math.pi
@@ -239,7 +239,7 @@ class TestNyquist:
         p = resolved_cavity()
         fb = aligned_loop(p, 0.5)
         w = np.linspace(p.kappa, p.detuning + 5 * p.kappa, 200)
-        tabulated = replace(fb, gain=model.Tabulated(model.TransferCurve(w, fb.gain(w))))
+        tabulated = replace(fb, gain=model.Tabulated(w, fb.gain(w)))
         with pytest.raises(BandError, match="band too narrow"):
             langevin.closed_loop_stability(p, decoupled_mechanics(p), tabulated)
 
@@ -431,8 +431,7 @@ def band_pass(p):
     w = np.geomspace(1e3, 1.5e8, 4000)
     hp = 1j * w / (1j * w + p.detuning / 2)
     lp = 2 * p.detuning / (2 * p.detuning + 1j * w)
-    curve = TransferCurve(w, 2.0 * hp**3 * lp**3 * np.exp(1j * w * 1e-7))
-    return FeedbackConfig(gain=Tabulated(curve))
+    return FeedbackConfig(gain=Tabulated(w, 2.0 * hp**3 * lp**3 * np.exp(1j * w * 1e-7)))
 
 
 class TestNyquistTabulated:
@@ -451,7 +450,7 @@ class TestNyquistTabulated:
     def test_contour_spans_the_gap_below_the_band_in_one_step(self):
         p = resolved_cavity()
         fb = band_pass(p)
-        lo, hi = fb.gain.curve.domain
+        lo, hi = fb.gain.domain
         omega = feedback.loop_contour(p, fb)
         assert omega[0] == -hi and omega[-1] == hi
         gap = np.flatnonzero(omega == -lo)

@@ -7,7 +7,7 @@ import pytest
 
 from loopcool import feedback, ingest
 from loopcool.errors import BandError, ParseError, ValidationError
-from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, Port, Tabulated, TransferCurve
+from loopcool.model import CavityParams, FeedbackConfig, FlatDelay, Port, Tabulated
 
 TWO_PI = 2 * math.pi
 
@@ -113,9 +113,8 @@ class TestDecomposition:
         true = FlatDelay(0.37, DELAY, math.pi)
         trace = ingest.compose_open_loop(true, p, Port.TRANSMISSION, self.freqs())
         filt = ingest.decompose_electronic_filter(trace, p, Port.TRANSMISSION)
-        curve = filt.curve
-        np.testing.assert_allclose(np.abs(curve.values), 0.37, rtol=1e-6)
-        fitted = ingest.delay_from_phase(filt, curve.domain)
+        np.testing.assert_allclose(np.abs(filt.values), 0.37, rtol=1e-6)
+        fitted = ingest.delay_from_phase(filt, filt.domain)
         assert fitted == pytest.approx(DELAY, abs=1e-9)
         # recompose and compare with the original trace
         back = ingest.compose_open_loop(filt, p, Port.TRANSMISSION, self.freqs())
@@ -132,9 +131,8 @@ class TestDecomposition:
         # high-pass corner from a magnitude-model fit of the recovered filter
         from scipy.optimize import curve_fit
 
-        curve = filt.curve
-        w = curve.omega
-        mags = np.abs(curve.values)
+        w = filt.omega
+        mags = np.abs(filt.values)
 
         def log_model(omega, amp, w_hp, w_lp):
             hp = omega / np.hypot(omega, w_hp)
@@ -164,22 +162,22 @@ class TestDecomposition:
 
     def test_delay_with_constant_offset(self):
         w = TWO_PI * self.freqs()
-        curve = TransferCurve(w, 0.5 * np.exp(1j * (w * DELAY + math.pi)))
-        fitted = ingest.delay_from_phase(Tabulated(curve), (w[0], w[-1]))
+        filt = Tabulated(w, 0.5 * np.exp(1j * (w * DELAY + math.pi)))
+        fitted = ingest.delay_from_phase(filt, (w[0], w[-1]))
         assert fitted == pytest.approx(DELAY, rel=1e-6)
 
     def test_noisy_phase_delay(self, rng):
         w = TWO_PI * np.linspace(0.5e6, 3e6, 800)
         noise = rng.normal(0.0, 0.01, size=w.size)
-        curve = TransferCurve(w, np.exp(1j * (w * DELAY + noise)))
-        fitted = ingest.delay_from_phase(Tabulated(curve), (w[0], w[-1]))
+        filt = Tabulated(w, np.exp(1j * (w * DELAY + noise)))
+        fitted = ingest.delay_from_phase(filt, (w[0], w[-1]))
         assert fitted == pytest.approx(DELAY, rel=0.02)
 
     def test_band_too_sparse(self):
         w = TWO_PI * np.linspace(1e5, 1e6, 50)
-        curve = TransferCurve(w, np.exp(1j * w * DELAY))
+        filt = Tabulated(w, np.exp(1j * w * DELAY))
         with pytest.raises(BandError, match="sparse"):
-            ingest.delay_from_phase(Tabulated(curve), (w[0], w[0] + 1.0))
+            ingest.delay_from_phase(filt, (w[0], w[0] + 1.0))
 
     def test_wrong_port_detectable_by_flatness(self):
         p = cavity()
@@ -205,7 +203,7 @@ class TestDecomposition:
             filt = ingest.decompose_electronic_filter(
                 trace, p, Port.TRANSMISSION
             )
-        assert filt.curve.omega.size == 50
+        assert filt.omega.size == 50
 
     def test_too_many_dropped_is_error(self):
         p = CavityParams(kappa0=0.5, kappa1=0.5, kappa_prime=0.0, detuning=10.0)

@@ -19,7 +19,7 @@ from loopcool.errors import (
     ValidationError,
 )
 from loopcool.model import (
-    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port, Tabulated, TransferCurve,
+    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port, Tabulated,
 )
 from loopcool.spectra import Spectrum
 
@@ -495,7 +495,7 @@ class TestDelayCrossingCount:
         quiet = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=0.0))
         assert langevin.delay_margin(p, m, quiet) == math.inf
         omega = np.linspace(1e3, 1e9, 64)
-        tabulated = replace(sys.loop, gain=Tabulated(TransferCurve(omega, 0.1 + 0j * omega)))
+        tabulated = replace(sys.loop, gain=Tabulated(omega, 0.1 + 0j * omega))
         assert math.isnan(langevin.delay_margin(p, m, tabulated))
 
     def test_weak_coupling_mechanical_crossings(self, fig1_optical):

@@ -16,7 +16,6 @@ from loopcool.model import (
     MembraneGeometry,
     Port,
     Tabulated,
-    TransferCurve,
 )
 
 TWO_PI = 2 * math.pi
@@ -251,8 +250,7 @@ class TestGainModels:
     def test_tabulated_symmetry_and_domain(self):
         w = np.linspace(1e3, 1e6, 300)
         vals = 0.4 * np.exp(1j * (w * 5e-7 + math.pi))
-        curve = TransferCurve(w, vals)
-        gain = Tabulated(curve)
+        gain = Tabulated(w, vals)
         probe = np.array([2e3, 5e5])
         np.testing.assert_allclose(np.conjugate(gain(probe)), gain(-probe), atol=1e-15)
         with pytest.raises(CurveDomainError):
@@ -264,18 +262,18 @@ class TestGainModels:
         w = np.geomspace(1e3, 1e6, 60)
         corner = TWO_PI * 150e3
         vals = (1j * w / (1j * w + corner)) * np.exp(1j * w * 7.5e-7)
-        gain = Tabulated(TransferCurve(w, vals))
+        gain = Tabulated(w, vals)
         probe = np.geomspace(2e3, 8e5, 57)
         expected = (1j * probe / (1j * probe + corner)) * np.exp(1j * probe * 7.5e-7)
         np.testing.assert_allclose(gain(probe), expected, rtol=3e-3)
 
     def test_tabulated_validation(self):
         with pytest.raises(ValidationError):
-            TransferCurve(np.array([1.0, 1.0, 2.0]), np.ones(3, complex))
+            Tabulated(np.array([1.0, 1.0, 2.0]), np.ones(3, complex))
         with pytest.raises(ValidationError):
-            TransferCurve(np.array([1.0, 2.0]), np.array([1.0, 0.0], complex))
+            Tabulated(np.array([1.0, 2.0]), np.array([1.0, 0.0], complex))
         with pytest.raises(ValidationError):
-            TransferCurve(np.array([-1.0, 2.0]), np.ones(2, complex))
+            Tabulated(np.array([-1.0, 2.0]), np.ones(2, complex))
 
 
 class TestParamValidation:
@@ -292,8 +290,8 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match="delay too long"):
             model.check_loop_phase(fast, m, FeedbackConfig(gain=FlatDelay(0.1, 0.02 * delay)))
         # a tabulated gain has no delay to bound
-        curve = TransferCurve(np.array([1.0, 2.0]), np.ones(2, complex))
-        model.check_loop_phase(fast, m, FeedbackConfig(gain=Tabulated(curve)))
+        gain = Tabulated(np.array([1.0, 2.0]), np.ones(2, complex))
+        model.check_loop_phase(fast, m, FeedbackConfig(gain=gain))
 
     def test_cavity(self):
         with pytest.raises(ValidationError):
@@ -344,13 +342,13 @@ class TestParamValidation:
 
     def test_gain_samples_share_the_amplitude_bound(self):
         omega = np.linspace(1e3, 1e6, 8)
-        curve = TransferCurve(omega, np.full(8, model.MAX_GAIN * 1j))
+        gain = Tabulated(omega, np.full(8, model.MAX_GAIN * 1j))
         with pytest.raises(ValidationError, match="magnitudes"):
-            TransferCurve(omega, np.full(8, 2.0 * model.MAX_GAIN))
+            Tabulated(omega, np.full(8, 2.0 * model.MAX_GAIN))
         with pytest.raises(ValidationError, match="magnitudes"):
-            Tabulated(curve).scaled(1.5)
+            gain.scaled(1.5)
         with pytest.raises(ValidationError, match="magnitudes"):
-            TransferCurve(omega, np.full(8, complex(1.0, math.nan)))
+            Tabulated(omega, np.full(8, complex(1.0, math.nan)))
 
 
 class TestMembraneModes:

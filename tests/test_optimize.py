@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from loopcool import cooling, feedback, langevin, optimize
 from loopcool.errors import BandError, LoopcoolError, ValidationError
 from loopcool.model import (
-    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated, TransferCurve,
+    CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated,
 )
 from loopcool.optimize import SweepSpec
 
@@ -140,11 +140,27 @@ class TestEvaluate:
         assert solves.count((0.0, 2)) == 1
         assert all(m_g == sys.mechanics.G for m_g, _ in solves[1:])
 
+    def test_weak_evaluate_of_a_tabulated_gain_solves_rates_once(self, monkeypatch, experiment):
+        # the contour's quadrature seeds need no linewidth solve at G = 0,
+        # where Gamma_opt = G^2 (...) is 0
+        original = langevin.solve_rows
+        solves = []
+
+        def counting(p, m, fb, omega, weights):
+            solves.append((m.G, np.size(omega)))
+            return original(p, m, fb, omega, weights)
+
+        monkeypatch.setattr(langevin, "solve_rows", counting)
+        fb = tabulated_copy(experiment.with_gain_norm(0.5))
+        report = optimize.evaluate(experiment.cavity, experiment.mechanics, fb, "weak_coupling")
+        assert report.stable and math.isfinite(report.n_final)
+        assert solves.count((0.0, 2)) == 1
+
 
 def tabulated_copy(fb, lo_hz=1e-3, hi_hz=1e8, samples=5000):
     """The loop with its flat gain sampled into a measured-style trace."""
     w = np.geomspace(TWO_PI * lo_hz, TWO_PI * hi_hz, samples)
-    return replace(fb, gain=Tabulated(TransferCurve(w, fb.gain(w))))
+    return replace(fb, gain=Tabulated(w, fb.gain(w)))
 
 
 #: experiment's loop from anti- to over-driven (gain_norm 1 is the threshold)
@@ -191,6 +207,16 @@ class TestTabulatedCopies:
         for evaluator in optimize.EVALUATORS:
             with pytest.raises(BandError, match="band too narrow"):
                 optimize.evaluate(p, m, copy, evaluator)
+
+    def test_amplitude_sweep_from_zero(self, experiment):
+        # amplitude 0 scales any measured shape to the zero loop, which no
+        # sample can hold (magnitudes must be > 0)
+        p, m = experiment.cavity, experiment.mechanics
+        fb = tabulated_copy(experiment.with_gain_norm(0.5))
+        rows = optimize.sweep(SweepSpec("gain_amplitude", 0.0, 1.0, 3), p, m, fb)
+        assert [value for value, _ in rows] == [0.0, 0.5, 1.0]
+        assert all(report.stable for _, report in rows)
+        assert rows[0][1] == optimize.evaluate(p, m, replace(fb, gain=FlatDelay(0.0)))
 
 
 class TestSweep:
