@@ -324,10 +324,9 @@ def _cmd_optimize(args, artifact, p, m, fb, evaluator):
 def _cmd_ingest(args, artifact, p, m, fb, evaluator):
     trace = ingest.parse_bode(args.bode)
     filt = ingest.decompose_electronic_filter(trace, p, fb.port)
+    delay = ingest.delay_from_phase(filt, _parse_band(args.band, filt.domain))
     csv_path = artifact("filter.csv")
     spectra.write_complex_csv(csv_path, filt.omega, filt.values)
-    lo, hi = _parse_band(args.band, filt.domain)
-    delay = ingest.delay_from_phase(filt, (lo, hi))
     payload = {
         "result": {"delay_s": delay, "samples": int(filt.omega.size)},
         "files": {csv_path.name: "decomposed electronic filter (re, im)"},
@@ -367,6 +366,23 @@ def _cmd_membrane(args, outdir: Path) -> int:
     return EXIT_OK
 
 
+#: each command once: its handler, the shared flags besides --out that it
+#: reads (any other exits 2) and its help.  A command that reads --config
+#: resolves one and writes a sidecar; the others write their own files.
+_COMMANDS = {
+    "cooling": (_cmd_cooling, {"config", "evaluator"},
+                "rates, occupancy and stability at one point"),
+    "effective-cavity": (_cmd_effective_cavity, {"config"}, "single-pole closed-loop cavity"),
+    "spectrum": (_cmd_spectrum, {"config", "points", "band"}, "sampled spectral density"),
+    "solve": (_cmd_solve, {"config"}, "exact occupancy and displacement spectrum"),
+    "optimize": (_cmd_optimize, {"config", "evaluator", "points"},
+                 "minimize occupancy over loop settings"),
+    "preset": (_cmd_preset, {"points"}, "emit a named figure-study bundle"),
+    "ingest": (_cmd_ingest, {"config", "band"}, "decompose a measured open-loop trace"),
+    "membrane": (_cmd_membrane, set(), "circular-membrane mode table"),
+}
+
+
 def _common_options(defaults: bool) -> argparse.ArgumentParser:
     # the subcommand copies use SUPPRESS so a flag given before the
     # subcommand is not clobbered by the copy's default
@@ -392,34 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = _common_options(defaults=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("cooling", parents=[common],
-                   help="rates, occupancy and stability at one point")
-    sub.add_parser("effective-cavity", parents=[common],
-                   help="single-pole closed-loop cavity")
-    sp = sub.add_parser("spectrum", parents=[common], help="sampled spectral density")
-    sp.add_argument(
+    cmd = {name: sub.add_parser(name, parents=[common], help=text)
+           for name, (_, _, text) in _COMMANDS.items()}
+    cmd["spectrum"].add_argument(
         "observable",
         choices=["i_fb", "x_cavity", "q_mech", "n_mech", "squash"],
         nargs="?",
         default="squash",
     )
-    sub.add_parser("solve", parents=[common],
-                   help="exact occupancy and displacement spectrum")
-    op = sub.add_parser("optimize", parents=[common],
-                        help="minimize occupancy over loop settings")
-    op.add_argument(
+    cmd["optimize"].add_argument(
         "--free", action="append", default=[],
         help="variable:lo:hi (Hz for detuning/coupling); repeatable",
     )
-    pr = sub.add_parser("preset", parents=[common],
-                        help="emit a named figure-study bundle")
-    pr.add_argument("name", choices=list(optimize.PRESET_NAMES))
-    ig = sub.add_parser("ingest", parents=[common],
-                        help="decompose a measured open-loop trace")
-    ig.add_argument("--bode", required=True, help="trace CSV path")
-    mb = sub.add_parser("membrane", parents=[common],
-                        help="circular-membrane mode table")
+    cmd["preset"].add_argument("name", choices=list(optimize.PRESET_NAMES))
+    cmd["ingest"].add_argument("--bode", required=True, help="trace CSV path")
+    mb = cmd["membrane"]
     mb.add_argument("--radius", type=float, default=None)
     mb.add_argument("--thickness", type=float, default=None)
     mb.add_argument("--density", type=float, default=None)
@@ -430,44 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "cooling": _cmd_cooling,
-    "effective-cavity": _cmd_effective_cavity,
-    "spectrum": _cmd_spectrum,
-    "solve": _cmd_solve,
-    "optimize": _cmd_optimize,
-    "ingest": _cmd_ingest,
-}
-_STANDALONE = {"preset": _cmd_preset, "membrane": _cmd_membrane}
-#: the shared flags besides --out that each command reads; any other exits 2
-_READS = {
-    "cooling": {"config", "evaluator"},
-    "effective-cavity": {"config"},
-    "spectrum": {"config", "points", "band"},
-    "solve": {"config"},
-    "optimize": {"config", "evaluator", "points"},
-    "ingest": {"config", "band"},
-    "preset": {"points"},
-    "membrane": set(),
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        handler, reads, _ = _COMMANDS[args.command]
         unread = [
             f"--{flag}" for flag in ("config", "evaluator", "points", "band")
-            if getattr(args, flag) is not None and flag not in _READS[args.command]
+            if getattr(args, flag) is not None and flag not in reads
         ]
         if unread:
             raise ValidationError(f"{args.command} does not read {', '.join(unread)}")
         if args.points is not None and args.points < 2:
             raise ValidationError("--points must be at least 2")
-        if args.command in _STANDALONE:
-            return _STANDALONE[args.command](args, outdir)
+        if "config" not in reads:
+            return handler(args, outdir)
         p, m, fb, evaluator, label = resolve_config(_load_config(args.config))
         if args.evaluator:
             evaluator = {**evaluator, "kind": _evaluator_kind(args.evaluator)}
@@ -475,9 +457,7 @@ def main(argv=None) -> int:
         def artifact(suffix: str) -> Path:
             return outdir / f"{label}_{suffix}"
 
-        name, payload, message, code = _COMMANDS[args.command](
-            args, artifact, p, m, fb, evaluator
-        )
+        name, payload, message, code = handler(args, artifact, p, m, fb, evaluator)
         config = {"units": "frequencies in Hz at this boundary; rad/s internally",
                   **spectra.echo(p, m, fb), "evaluator": evaluator}
         spectra.write_json(artifact(f"{name}.json"),

@@ -146,14 +146,15 @@ class FlatDelay:
         return out if out.ndim else complex(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated:
     """Gain sampled over a one-sided (positive) frequency band, as measured.
 
     Interpolation is linear in (log magnitude, unwrapped phase).
     Negative frequencies evaluate through the reflection rule
     value(-w) = value(w)*; evaluation outside [omega[0], omega[-1]] is an
-    error, never extrapolation.
+    error, never extrapolation.  Two gains are equal, and hash alike, when
+    their samples are equal byte for byte.
     """
 
     omega: np.ndarray
@@ -206,6 +207,17 @@ class Tabulated:
 
     def scaled(self, factor: float) -> "Tabulated":
         return Tabulated(self.omega, self.values * factor)
+
+    def _samples(self) -> tuple[bytes, bytes]:
+        return self.omega.tobytes(), self.values.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Tabulated):
+            return NotImplemented
+        return self._samples() == other._samples()
+
+    def __hash__(self):
+        return hash(self._samples())
 
 
 GainModel = Union[FlatDelay, Tabulated]
@@ -364,8 +376,8 @@ class MembraneMode:
     """One (n, j) drum mode.
 
     m_eff_ratio is the defining integral int_0^1 x J_n(a_nj x)^2 dx, i.e.
-    m_eff = m * m_eff_ratio.  (At a zero a of J_n this integral equals
-    J_{n+1}(a)^2 / 2; quoted effective masses sometimes omit the 1/2.)
+    m_eff = m * m_eff_ratio, taken in its closed form J_{n+1}(a_nj)^2 / 2
+    (a_nj is a zero of J_n).  Quoted effective masses sometimes omit the 1/2.
     """
 
     n: int
@@ -379,7 +391,7 @@ def membrane_modes(
 ) -> list[MembraneMode]:
     """Eigenfrequencies w_nj = (c_s/R) * a_nj and effective-mass ratios for
     azimuthal orders n = 0..n_max-1 and radial orders j = 1..j_max."""
-    from scipy import integrate, special
+    from scipy import special
 
     if n_max < 1 or j_max < 1:
         raise ValidationError("n_max and j_max must be >= 1")
@@ -387,19 +399,12 @@ def membrane_modes(
     for n in range(n_max):
         zeros = special.jn_zeros(n, j_max)
         for j, alpha in enumerate(zeros, start=1):
-            ratio, _ = integrate.quad(
-                lambda x, n=n, a=alpha: x * special.jv(n, a * x) ** 2,
-                0.0,
-                1.0,
-                epsabs=1e-10,
-                epsrel=1e-10,
-            )
             modes.append(
                 MembraneMode(
                     n=n,
                     j=j,
                     omega=geom.c_s / geom.radius * alpha,
-                    m_eff_ratio=ratio,
+                    m_eff_ratio=float(special.jv(n + 1, alpha) ** 2 / 2.0),
                 )
             )
     modes.sort(key=lambda mode: mode.omega)

@@ -291,6 +291,24 @@ class TestSolveAndOptimize:
         assert 0.0 < sidecar["result"]["delay_margin_s"] < math.inf
         assert "stability_margin" not in sidecar["result"]
 
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("detuning", 320e3, 350e3), ("coupling", 1000.0, 2000.0),
+    ])
+    def test_optimize_reports_best_params_in_hz(self, tmp_path, capsys, name, lo, hi):
+        # the loop is on, so detuning and coupling both move the occupancy
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment",
+            "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.5}},
+        }))
+        out = tmp_path / "out"
+        code, _, _ = run(["--config", str(config), "--out", str(out), "--points", "3",
+                          "optimize", "--free", f"{name}:{lo}:{hi}"], capsys)
+        assert code == 0
+        best = json.loads((out / "run_optimize.json").read_text())["result"]["best_params"]
+        assert list(best) == [name]
+        assert lo <= best[name] <= hi
+
     def test_optimize_reversed_bounds_exit_two(self, tmp_path, capsys):
         code, _, err = run(
             ["--out", str(tmp_path), "--points", "3", "optimize",
@@ -400,6 +418,21 @@ class TestIngestCommand:
         assert code == 0
         assert "delay=750" in out
         assert (tmp_path / "run_filter.csv").exists()
+
+    @pytest.mark.parametrize("band, message", [
+        ("1:x", "--band expects lo:hi in Hz, got '1:x'"),
+        ("1:2", "band too sparse"),
+    ], ids=["malformed", "sparse"])
+    def test_bad_band_exits_two_and_writes_nothing(self, tmp_path, capsys, band, message):
+        # the filter CSV used to be written before the band was read
+        path = write_bode_copy(tmp_path / "trace.csv", FlatDelay(0.4, 750e-9, math.pi),
+                               np.linspace(10e3, 3e6, 200))
+        out = tmp_path / "out"
+        code, stdout, err = run(["--out", str(out), "ingest", "--bode", str(path),
+                                 "--band", band], capsys)
+        assert code == 2 and not stdout
+        assert message in err
+        assert not list(out.iterdir())
 
     def test_malformed_trace_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -839,3 +872,95 @@ class TestUnreadFlags:
         assert code == 0
         rows = (tmp_path / "fig3_kappa_eff.csv").read_text().splitlines()
         assert len(rows) == 1 + 3
+
+    #: README's "read by" table, spelled out here and not read from cli
+    READ_BY = {
+        "--config": {"cooling", "effective-cavity", "spectrum", "solve", "optimize", "ingest"},
+        "--evaluator": {"cooling", "optimize"},
+        "--points": {"spectrum", "optimize", "preset"},
+        "--band": {"spectrum", "ingest"},
+    }
+    COMMANDS = {
+        "cooling": [], "effective-cavity": [], "spectrum": ["squash"], "solve": [],
+        "optimize": ["--free", "homodyne_phase:0:1"], "preset": ["fig4_gain"],
+        "ingest": ["--bode", "trace.csv"], "membrane": [],
+    }
+
+    @pytest.mark.parametrize("flag", ["--config", "--evaluator", "--points", "--band"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_every_command_against_every_shared_flag(
+        self, tmp_path, capsys, command, flag, before
+    ):
+        # a read flag passes the check, and a missing config file or
+        # --points 1 stops the run before any work
+        missing = str(tmp_path / "missing.json")
+        value = {"--config": missing, "--evaluator": "langevin", "--points": "1",
+                 "--band": "1:2"}[flag]
+        flags = ["--out", str(tmp_path / "out"), flag, value]
+        if command in self.READ_BY["--config"] and flag != "--config":
+            flags += ["--config", missing]
+        words = [command, *self.COMMANDS[command]]
+        code, out, err = run([*flags, *words] if before else [*words, *flags], capsys)
+        assert code == 2 and not out
+        if command in self.READ_BY[flag]:
+            expected = "--points must be at least 2" if flag == "--points" else missing
+            assert "does not read" not in err and expected in err
+        else:
+            assert err == f"error: {command} does not read {flag}\n"
+        assert not list((tmp_path / "out").iterdir())
+
+
+#: cavity and mechanics sections that stand without a 'system'
+_BARE = {
+    "cavity": {"kappa0_hz": 10e3, "kappa1_hz": 10e3, "detuning_hz": 330e3},
+    "mechanics": {"omega_m_hz": 343.13e3, "gamma_m_hz": 1.18, "n_th": 100.0},
+}
+
+
+class TestInputChecks:
+    """Each input check exits 2 with its message and writes nothing."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"system": "experiment", "feedback": {"gain": {"type": "bode"}}},
+         "unknown gain type 'bode'"),
+        ({"system": "experiment", "feedback": {"gain": {"type": "tabulated"}}},
+         "tabulated gain needs a 'path'"),
+        ({**_BARE, "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.5}}},
+         "preset_gain_norm requires a 'system' entry"),
+        ({"system": "experiment", "evaluator": {"kind": "exact"}},
+         "unknown evaluator 'exact'"),
+        ({"cavity": _BARE["cavity"]}, "config needs a 'system' or a 'mechanics' section"),
+        ({"mechanics": _BARE["mechanics"]}, "config needs a 'system' or a 'cavity' section"),
+        ({"system": "experiment", "feedback": {"port": "both"}},
+         "port must be 'reflection' or 'transmission', got 'both'"),
+    ], ids=["gain_type", "tabulated_path", "gain_norm_system", "evaluator", "no_mechanics",
+            "no_cavity", "port"])
+    def test_config_check(self, tmp_path, capsys, doc, message):
+        code, out, err, outdir = _run_config(tmp_path, capsys, doc)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("command, flags, message", [
+        (["spectrum", "squash"], ["--band", "300e3-360e3"],
+         "--band expects lo:hi in Hz, got '300e3-360e3'"),
+        (["spectrum", "squash"], ["--band", "1:2:3"], "--band expects lo:hi in Hz, got '1:2:3'"),
+        (["spectrum", "squash"], ["--band", "360e3:300e3"], "--band needs lo < hi"),
+        (["spectrum", "squash"], ["--band", "3e5:3e5"], "--band needs lo < hi"),
+        (["optimize", "--free", "gain_amplitude:0"], [],
+         "--free expects name:lo:hi, got 'gain_amplitude:0'"),
+        (["optimize", "--free", "gain_amplitude:0:x"], [],
+         "--free expects name:lo:hi, got 'gain_amplitude:0:x'"),
+        (["spectrum", "squash"], ["--points", "1"], "--points must be at least 2"),
+        (["optimize", "--free", "gain_amplitude:0:1"], ["--points", "0"],
+         "--points must be at least 2"),
+        (["preset", "fig4_gain"], ["--points", "-3"], "--points must be at least 2"),
+    ], ids=["band_dash", "band_three", "band_reversed", "band_empty", "free_short",
+            "free_word", "points_spectrum", "points_optimize", "points_preset"])
+    def test_flag_check(self, tmp_path, capsys, command, flags, message):
+        code, out, err = run(["--out", str(tmp_path), *command, *flags], capsys)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+

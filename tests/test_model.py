@@ -1,9 +1,9 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 from scipy.constants import hbar, k as k_B
 
 from loopcool import model
@@ -275,6 +275,21 @@ class TestGainModels:
         with pytest.raises(ValidationError):
             Tabulated(np.array([-1.0, 2.0]), np.ones(2, complex))
 
+    def test_tabulated_compares_and_hashes_by_its_samples(self):
+        # numpy's elementwise == used to make both raise
+        w = np.linspace(1e3, 1e6, 50)
+        vals = 0.4 * np.exp(1j * w * 5e-7)
+        gain = Tabulated(w, vals)
+        twin = Tabulated(w.copy(), list(vals))
+        assert gain == twin and hash(gain) == hash(twin)
+        assert gain != gain.scaled(1.0 + 1e-15)
+        assert gain != Tabulated(w[:-1], vals[:-1])
+        assert gain != FlatDelay(0.4)
+        loop = FeedbackConfig(Port.TRANSMISSION, 0.0, 1.0, gain)
+        assert loop == FeedbackConfig(Port.TRANSMISSION, 0.0, 1.0, twin)
+        assert len({loop, replace(loop, gain=twin)}) == 1
+        assert loop != replace(loop, gain=gain.scaled(0.5))
+
 
 class TestParamValidation:
     def test_loop_phase_bound(self):
@@ -363,11 +378,15 @@ class TestMembraneModes:
         assert ratio == pytest.approx(2.2954, abs=2e-4)
 
     def test_effective_mass_against_closed_form(self):
-        # identity: int_0^1 x J_n(a x)^2 dx = J_{n+1}(a)^2 / 2 at a zero of J_n
+        # the closed form J_{n+1}(a)^2 / 2 against its defining integral
+        # int_0^1 x J_n(a x)^2 dx, at a zero a of J_n
         modes = model.membrane_modes(self.GEOM, 4, 3)
         for mode in modes:
             alpha = special.jn_zeros(mode.n, mode.j)[-1]
-            expected = special.jv(mode.n + 1, alpha) ** 2 / 2.0
+            expected, _ = integrate.quad(
+                lambda x: x * special.jv(mode.n, alpha * x) ** 2, 0.0, 1.0,
+                epsabs=1e-10, epsrel=1e-10,
+            )
             assert mode.m_eff_ratio == pytest.approx(expected, rel=1e-8)
 
     def test_fundamental_ratio_value(self):
