@@ -242,14 +242,14 @@ def _cmd_spectrum(args, artifact, p, m, fb, evaluator):
     observable, points = args.observable, args.points or 801
     # squash is the photocurrent with the membrane decoupled (G = 0)
     decoupled = replace(m, G=0.0) if observable == "squash" else m
-    if not langevin.closed_loop_stability(p, decoupled, fb):
-        raise OptomechanicalInstabilityError("closed loop unstable; no stationary spectrum")
     if observable in ("q_mech", "n_mech"):
         width = 60.0 * m.gamma_m + 4.0 * abs(m.G)
         default = (m.omega_m - width, m.omega_m + width)
     else:
         default = (p.detuning - 10 * p.kappa, p.detuning + 10 * p.kappa)
     lo, hi = _parse_band(args.band, default)
+    if not langevin.closed_loop_stability(p, decoupled, fb):
+        raise OptomechanicalInstabilityError("closed loop unstable; no stationary spectrum")
     omega = np.linspace(lo, hi, points)
     if observable == "squash":
         values = feedback.squash_spectrum(p, fb, omega)

@@ -2,17 +2,16 @@
 high-temperature cooling chain.
 
 The rate spectrum is the empty-cavity amplitude-quadrature spectrum S_X(w),
-taken from the exact closed-loop solve (langevin) at G = 0; Stokes and
-anti-Stokes rates follow as A+- = G^2 S_X(-+omega_m).  All spectra use the
-<O(w)O(w')> = delta(w+w') S(w) convention with shot noise 1.
+taken from the exact closed-loop solve at G = 0; Stokes and anti-Stokes
+rates follow as A+- = G^2 S_X(-+omega_m), solved in langevin.sideband_rates.
+All spectra use the <O(w)O(w')> = delta(w+w') S(w) convention with shot
+noise 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import feedback, langevin, model
 from .errors import OptomechanicalInstabilityError, ValidationError
@@ -62,12 +61,10 @@ class CoolingReport:
 
 
 def scattering_rates(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> RatePair:
-    """A+- = G^2 S_X(-+omega_m), S_X being the exact closed-loop solve of the
-    cavity quadrature at G = 0."""
-    s = langevin.observable_spectrum(
-        p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
-    )
-    return RatePair(a_plus=m.G**2 * float(s[0]), a_minus=m.G**2 * float(s[1]))
+    """A+- = G^2 S_X(-+omega_m) as a RatePair; langevin.sideband_rates solves
+    them, S_X being the exact closed-loop cavity quadrature at G = 0."""
+    a_plus, a_minus = langevin.sideband_rates(p, m, fb)
+    return RatePair(a_plus=a_plus, a_minus=a_minus)
 
 
 def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:

@@ -278,9 +278,10 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     from the round that bisected its parent; the seed panels have none, so
     the first round's call evaluates them beside their halves.  A panel is
     retired when its refinement error is below its share of the global
-    budget.  Open panels stay sorted by position, which fixes the node order
-    of every call.  Sums are math.fsum, correctly rounded, so they do not
-    depend on the order in which panels were retired.
+    budget.  A split panel's halves take its place, so open panels stay
+    sorted by position, which fixes the node order of every call.  Sums are
+    math.fsum, correctly rounded, so they do not depend on the order in
+    which panels were retired.
     """
     check_rtol(rtol)
     a = np.asarray(edges[:-1], dtype=float)
@@ -306,29 +307,37 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
         budget = rtol * abs(total)
         if math.fsum(err.tolist()) <= budget:
             return math.fsum(done + refined.tolist())
-        keep = err <= budget / (4.0 * max(err.size, 1))
-        done += refined[keep].tolist()
-        a = np.concatenate([a[~keep], mid[~keep]])
-        b = np.concatenate([mid[~keep], b[~keep]])
-        coarse = np.concatenate([left[~keep], right[~keep]])
-        order = np.argsort(a)
-        a, b, coarse = a[order], b[order], coarse[order]
+        # a NaN error fails the test, so its panel is split
+        split = ~(err <= budget / (4.0 * max(err.size, 1)))
+        done += refined[~split].tolist()
+        a = np.stack([a[split], mid[split]], axis=1).ravel()
+        b = np.stack([mid[split], b[split]], axis=1).ravel()
+        coarse = np.stack([left[split], right[split]], axis=1).ravel()
     raise ConvergenceError("quadrature did not converge within the refinement cap")
+
+
+def sideband_rates(
+    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
+) -> tuple[float, float]:
+    """Weak-coupling Stokes and anti-Stokes rates (A+, A-) = G^2 S_X(-+omega_m),
+    S_X the cavity quadrature spectrum of the closed loop at G = 0."""
+    s_x = observable_spectrum(
+        p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
+    )
+    return m.G**2 * float(s_x[0]), m.G**2 * float(s_x[1])
 
 
 def _mechanical_linewidth_guess(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig, gamma_opt: float | None = None
 ) -> float:
-    # Gamma_opt = G^2 [S_X(omega_m) - S_X(-omega_m)] at G = 0, unless the caller
-    # has it; at G = 0 it is 0 without the solve
+    # Gamma_opt = A- - A+ (sideband_rates), unless the caller has it; at G = 0
+    # it is 0 without the solve
     if m.G == 0.0:
         return m.gamma_m
     if gamma_opt is None:
         try:
-            s_x = observable_spectrum(
-                p, replace(m, G=0.0), fb, np.array([-m.omega_m, m.omega_m]), "x_cavity"
-            )
-            gamma_opt = m.G**2 * s_x[1] - m.G**2 * s_x[0]
+            a_plus, a_minus = sideband_rates(p, m, fb)
+            gamma_opt = a_minus - a_plus
         except LoopcoolError:
             gamma_opt = 0.0
     return max(m.gamma_m + abs(gamma_opt), m.gamma_m)
@@ -562,21 +571,6 @@ def _crossing_frequencies(
     return found
 
 
-def _delay_crossings(
-    parts: _DetParts, c: complex, gamma: float
-) -> list[tuple[float, float, int]]:
-    """Every delay crossing (x, theta, direction) of the loop P + c e^{i tau
-    w} Q: at each crossing frequency w_c = s x (_crossing_frequencies) a pair
-    of zeros crosses the real axis at the delays tau_k = (theta + 2 pi k) /
-    w_c, k >= 0, theta = arg(-P / (c Q)) mod 2 pi there, moving up for
-    direction +1 and down for -1."""
-    crossings = []
-    for x, direction in _crossing_frequencies(parts, c, gamma):
-        p_val, q_val = parts.values(x)
-        crossings.append((x, cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi), direction))
-    return crossings
-
-
 def _undelayed_zeros(parts: _DetParts, c: complex) -> int:
     """Zeros of the polynomial P + c Q (the loop at tau = 0) in the upper
     half plane, each polished by Newton steps that stop at rounding level.
@@ -597,54 +591,49 @@ def _undelayed_zeros(parts: _DetParts, c: complex) -> int:
     return count
 
 
-def _delayed_zeros(count: int, tau: float, scale: float, crossings) -> int:
-    """The upper-half-plane zero count at delay tau > 0 from `count` at tau
-    = 0: each crossing pair passed on the way adds 2 direction.  A delay on
-    a crossing raises InstabilityBoundaryError."""
-    for x, theta, direction in crossings:
-        lag = tau * scale * x - theta
-        if abs(math.remainder(lag, 2.0 * math.pi)) < _CROSSING_PHASE_TOL:
-            raise InstabilityBoundaryError("loop delay sits on a closed-loop pole crossing")
-        if lag > 0.0:
-            count += 2 * direction * (math.floor(lag / (2.0 * math.pi)) + 1)
-    if count < 0:  # a direct ratio within rounding of 1: the retarded/neutral boundary
-        raise InstabilityBoundaryError(f"loop on the neutral boundary (crossing count {count})")
-    return count
-
-
-def _flat_loop(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
-    """(parts, c, neutral) of a FlatDelay loop, c = A e^{i phase_offset} and
-    neutral whether it is of neutral type (|c Q_4| >= |P_4|)."""
-    parts = _DetParts(p, m, fb)
-    c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
-    return parts, c, abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0])
-
-
-def _upper_half_plane_zeros(
+def _zero_count(
     p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
-) -> float:
-    """Number of zeros of det M(w) = P(w) + c e^{i tau w} Q(w) in the upper
-    half plane for a FlatDelay gain c e^{i tau w}, by the delay-crossing
-    method (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac & Sipahi,
-    IEEE TAC 47, 793 (2002)).
+) -> tuple[float, float]:
+    """(count, margin) of a FlatDelay loop c e^{i tau w}: the number of zeros
+    of det M(w) = P(w) + c e^{i tau w} Q(w) in the upper half plane and its
+    delay_margin, from one set of parts and one walk over the delay
+    crossings (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac &
+    Sipahi, IEEE TAC 47, 793 (2002)).
 
     The zeros of the polynomial P + c Q are counted at tau = 0
     (_undelayed_zeros).  As the delay grows to tau, zeros cross the real
-    axis only at the delay crossings (_delay_crossings).  Zeros come in
-    pairs w, -w*, so each crossing at w_c > 0 counts twice.  A loop of
-    neutral type (deg Q = deg P and |c Q_4| >= |P_4|, tau > 0) has
-    infinitely many unstable zeros.  A zero on the real axis, or a delay on
-    a crossing, raises InstabilityBoundaryError.
+    axis only at the delay crossings: at each crossing frequency w_c = s x
+    (_crossing_frequencies) a pair w, -w* crosses at the delays tau_k =
+    (theta + 2 pi k) / w_c, k >= 0, theta = arg(-P / (c Q)) mod 2 pi there,
+    moving up for direction +1 and down for -1, so each crossing passed
+    adds 2 direction.  A loop of neutral type (deg Q = deg P and |c Q_4| >=
+    |P_4|) has infinitely many unstable zeros at tau > 0.  A zero on the
+    real axis, or a delay tau > 0 on a crossing, raises
+    InstabilityBoundaryError.
     """
-    parts, c, neutral = _flat_loop(p, m, fb)
-    tau = fb.gain.delay
-    if tau > 0.0 and neutral:
-        return math.inf
+    parts = _DetParts(p, m, fb)
+    c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
+    tau, scale = fb.gain.delay, parts.scale
+    if abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0]):  # neutral type
+        return (math.inf if tau > 0.0 else _undelayed_zeros(parts, c)), 0.0
     count = _undelayed_zeros(parts, c)
-    if tau == 0.0 or c == 0.0:
-        return count
-    crossings = _delay_crossings(parts, c, m.gamma_m / parts.scale)
-    return _delayed_zeros(count, tau, parts.scale, crossings)
+    # zero gain has no crossings, and at tau = 0 an unstable loop no margin
+    if c == 0.0 or (count and tau == 0.0):
+        return count, 0.0 if count else math.inf
+    margins = []
+    for x, direction in _crossing_frequencies(parts, c, m.gamma_m / scale):
+        p_val, q_val = parts.values(x)
+        theta = cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi)
+        lag = tau * scale * x - theta
+        if tau > 0.0 and abs(math.remainder(lag, 2.0 * math.pi)) < _CROSSING_PHASE_TOL:
+            raise InstabilityBoundaryError("loop delay sits on a closed-loop pole crossing")
+        passed = math.floor(lag / (2.0 * math.pi)) + 1 if lag > 0.0 else 0
+        count += 2 * direction * passed
+        if direction > 0:
+            margins.append((theta + 2.0 * math.pi * passed) / (scale * x) - tau)
+    if count < 0:  # a direct ratio within rounding of 1: the retarded/neutral boundary
+        raise InstabilityBoundaryError(f"loop on the neutral boundary (crossing count {count})")
+    return count, 0.0 if count else min(margins, default=math.inf)
 
 
 def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> float:
@@ -652,8 +641,8 @@ def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> flo
     can grow before a pair of closed-loop poles crosses into the upper half
     plane (Michiels & Niculescu, Stability and Stabilization of Time-Delay
     Systems, SIAM 2007).  It is the smallest tau_k - tau > 0 over the
-    destabilising (direction +1) delay crossings, read from the same
-    crossings as the zero count, so it is exact: the count is 0 just below
+    destabilising (direction +1) delay crossings, read in the same pass as
+    the zero count (_zero_count), so it is exact: the count is 0 just below
     tau + margin and at least 2 just above.
 
     inf for a stable loop that no crossing destabilises (zero gain among
@@ -663,21 +652,10 @@ def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> flo
     """
     if not isinstance(fb.gain, FlatDelay):
         return math.nan
-    parts, c, neutral = _flat_loop(p, m, fb)
     try:
-        if neutral or _upper_half_plane_zeros(p, m, fb):
-            return 0.0
+        return _zero_count(p, m, fb)[1]
     except InstabilityBoundaryError:
         return 0.0
-    tau, scale = fb.gain.delay, parts.scale
-    margins = []
-    # at zero gain F = |P|^2 changes sign nowhere: no crossings
-    for x, theta, direction in _delay_crossings(parts, c, m.gamma_m / scale):
-        if direction > 0:
-            lag = tau * scale * x - theta
-            k = math.floor(lag / (2.0 * math.pi)) + 1 if lag > 0.0 else 0
-            margins.append((theta + 2.0 * math.pi * k) / (scale * x) - tau)
-    return min(margins, default=math.inf)
 
 
 def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> bool:
@@ -685,15 +663,16 @@ def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfi
     unstable closed-loop poles, static runaways included.
 
     For a FlatDelay gain the zeros are counted exactly by delay crossings
-    (_upper_half_plane_zeros); a loop of neutral type is unstable.  For a
-    Tabulated gain, of both evaluators (the weak one at G = 0, where R = D),
-    this is the generalized Nyquist criterion: R(w) (closed_loop_determinant)
-    must wind zero times around 0 along feedback.loop_contour.  Seeding it
-    with the occupancy quadrature's first-round nodes in the measured band
-    resolves the same mechanical features as the integral.
+    (_zero_count, which gives delay_margin in the same pass); a loop of
+    neutral type is unstable.  For a Tabulated gain, of both evaluators (the
+    weak one at G = 0, where R = D), this is the generalized Nyquist
+    criterion: R(w) (closed_loop_determinant) must wind zero times around 0
+    along feedback.loop_contour.  Seeding it with the occupancy quadrature's
+    first-round nodes in the measured band resolves the same mechanical
+    features as the integral.
     """
     if isinstance(fb.gain, FlatDelay):
-        return _upper_half_plane_zeros(p, m, fb) == 0
+        return _zero_count(p, m, fb)[0] == 0
     edges = _occupancy_edges(p, m, fb)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()

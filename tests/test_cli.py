@@ -916,6 +916,9 @@ _BARE = {
     "cavity": {"kappa0_hz": 10e3, "kappa1_hz": 10e3, "detuning_hz": 330e3},
     "mechanics": {"omega_m_hz": 343.13e3, "gamma_m_hz": 1.18, "n_th": 100.0},
 }
+#: a loop past its threshold: the spectrum's stability check exits 3 on it
+_UNSTABLE = {"system": "experiment",
+             "feedback": {"gain": {"type": "preset_gain_norm", "value": 1.5}}}
 
 
 class TestInputChecks:
@@ -956,10 +959,21 @@ class TestInputChecks:
         (["optimize", "--free", "gain_amplitude:0:1"], ["--points", "0"],
          "--points must be at least 2"),
         (["preset", "fig4_gain"], ["--points", "-3"], "--points must be at least 2"),
+        # the band is read before the stability check of this unstable loop
+        (["spectrum", "i_fb"], ["--band", "1:x", "--config", _UNSTABLE],
+         "--band expects lo:hi in Hz, got '1:x'"),
     ], ids=["band_dash", "band_three", "band_reversed", "band_empty", "free_short",
-            "free_word", "points_spectrum", "points_optimize", "points_preset"])
-    def test_flag_check(self, tmp_path, capsys, command, flags, message):
-        code, out, err = run(["--out", str(tmp_path), *command, *flags], capsys)
+            "free_word", "points_spectrum", "points_optimize", "points_preset",
+            "band_unstable"])
+    def test_flag_check(self, tmp_path, tmp_path_factory, capsys, command, flags, message):
+        args = []
+        for flag in flags:
+            if isinstance(flag, dict):  # a config document, written outside --out
+                path = tmp_path_factory.mktemp("config") / "cfg.json"
+                path.write_text(json.dumps(flag))
+                flag = str(path)
+            args.append(flag)
+        code, out, err = run(["--out", str(tmp_path), *command, *args], capsys)
         assert code == 2 and not out
         assert err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())

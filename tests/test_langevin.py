@@ -426,7 +426,7 @@ class TestDelayCrossingCount:
     def test_matches_argument_principle(self, loop):
         p, m, fb = loop
         scale = max(abs(p.detuning), m.omega_m, p.kappa)
-        count = langevin._upper_half_plane_zeros(p, m, fb)
+        count = langevin._zero_count(p, m, fb)[0]
         assert count == box_zero_count(p, m, fb, 6.0 * scale, 3.0 * scale)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -434,7 +434,7 @@ class TestDelayCrossingCount:
     def test_mechanical_crossings_match_argument_principle(self, loop):
         p, m, fb = loop
         scale = max(abs(p.detuning), m.omega_m, p.kappa)
-        count = langevin._upper_half_plane_zeros(p, m, fb)
+        count = langevin._zero_count(p, m, fb)[0]
         assert count == box_zero_count(p, m, fb, 6.0 * scale, 3.0 * scale)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -446,7 +446,7 @@ class TestDelayCrossingCount:
         # a pole on the real axis is an outcome too
         def outcome(p, m, fb):
             try:
-                return langevin._upper_half_plane_zeros(p, m, fb)
+                return langevin._zero_count(p, m, fb)[0]
             except InstabilityBoundaryError:
                 return "boundary"
 
@@ -486,8 +486,8 @@ class TestDelayCrossingCount:
                 replace(fb, gain=replace(fb.gain, delay=tau + margin * factor))
                 for factor in (1.0 - 1e-6, 1.0 + 1e-6)
             )
-            assert langevin._upper_half_plane_zeros(p, m, below) == 0
-            assert langevin._upper_half_plane_zeros(p, m, above) >= 2
+            assert langevin._zero_count(p, m, below)[0] == 0
+            assert langevin._zero_count(p, m, above)[0] >= 2
 
     def test_delay_margin_without_a_delay_to_tune(self, fig1_optical):
         sys = fig1_optical
@@ -497,6 +497,29 @@ class TestDelayCrossingCount:
         omega = np.linspace(1e3, 1e9, 64)
         tabulated = replace(sys.loop, gain=Tabulated(omega, 0.1 + 0j * omega))
         assert math.isnan(langevin.delay_margin(p, m, tabulated))
+
+    def test_delay_margin_makes_one_crossing_pass(self, monkeypatch, fig1_optical):
+        # the margin and the zero count it rests on come from one set of
+        # parts and one crossing search, here on a stable loop with crossings
+        sys = fig1_optical
+        p, m = sys.cavity, sys.mechanics
+        amplitude = 0.5 * abs(feedback.stokes_suppression_gain(p, sys.loop, m.omega_m))
+        fb = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=amplitude))
+        calls = {}
+
+        def counted(name):
+            original = getattr(langevin, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            return wrapper
+
+        for name in ("_DetParts", "_crossing_frequencies"):
+            monkeypatch.setattr(langevin, name, counted(name))
+        assert 0.0 < langevin.delay_margin(p, m, fb) < math.inf
+        assert calls == {"_DetParts": 1, "_crossing_frequencies": 1}
 
     def test_weak_coupling_mechanical_crossings(self, fig1_optical):
         # crossings within ~gamma_m of omega_m: an evaluation of the expanded
@@ -595,7 +618,7 @@ class TestDelayCrossingCount:
             fig1_optical.loop, phi=theta_fb, eta=1.0, gain=FlatDelay(-0.6, 1e-8)
         )
         assert direct_ratio(p, fb) == pytest.approx(1.2)
-        assert langevin._upper_half_plane_zeros(p, m, fb) == math.inf
+        assert langevin._zero_count(p, m, fb)[0] == math.inf
         assert langevin.closed_loop_stability(p, m, fb) is False
         report = optimize.evaluate(p, m, fb, "langevin")
         assert report.stable is False
@@ -658,7 +681,7 @@ class TestDelayCrossingCount:
         monkeypatch.setattr(langevin, "_DetParts", ZeroAtCenter)
         sys = fig1_optical
         with pytest.raises(InstabilityBoundaryError, match="real frequency axis"):
-            langevin._upper_half_plane_zeros(sys.cavity, sys.mechanics, sys.loop)
+            langevin._zero_count(sys.cavity, sys.mechanics, sys.loop)[0]
 
     def test_root_at_bracket_midpoint_stops_at_once(self, monkeypatch):
         # F = |P|^2 - |Q|^2 with P = e^{64 (x - 1)} + i h, Q = 1 and c = 1
@@ -1256,6 +1279,26 @@ class TestModuleGraph:
                     for call in ast.walk(node)
                 )
         assert calls == dict.fromkeys(consumers, True)
+
+    def test_one_home_for_the_sideband_rates(self):
+        # the G = 0 solve of the cavity quadrature behind the scattering rates
+        # and the occupancy's linewidth guess is written once in the package
+        sites = []
+        for path in sorted(Path(langevin.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                for call in ast.walk(node):
+                    if not isinstance(call, ast.Call) or not any(
+                        isinstance(arg, ast.Constant) and arg.value == "x_cavity"
+                        for arg in call.args
+                    ):
+                        continue
+                    decoupled = any(
+                        kw.arg == "G" and getattr(kw.value, "value", None) == 0.0
+                        for arg in call.args if isinstance(arg, ast.Call)
+                        for kw in arg.keywords
+                    )
+                    sites.append((path.name, node.name, decoupled))
+        assert sites == [("langevin.py", "sideband_rates", True)]
 
     def test_no_dense_solve_in_package(self):
         # the per-frequency solve is closed form; the dense 5x5 solve lives
