@@ -394,17 +394,17 @@ def closed_loop_determinant(
 ) -> np.ndarray:
     """R(w) = det M(w) / (d_a d_ac d_b d_bc) for the system solve_rows solves.
 
-    By the kernel's elimination R = D(w) + s cof_s / (d_a d_ac d_b d_bc): D
-    = loop / (d_a d_ac) is the empty-cavity loop denominator and s = G^2
-    (d_bc - d_b) vanishes at G = 0, so there R equals D exactly.  The
-    winding of R decides stability for tabulated gains
-    (closed_loop_stability).
+    It comes from the kernel's one elimination alone, the gain read once: R
+    = D + s cof_s / (d_a d_ac d_b d_bc), D = loop / (d_a d_ac) being the
+    empty-cavity loop denominator; s = G^2 (d_bc - d_b) is an exact zero at
+    G = 0, so there R is D.  Its winding decides a tabulated gain's
+    stability (closed_loop_stability).
     """
     kernel = _Kernel(p, m, fb)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     d_a, d_ac, d_b, d_bc, *_ = entries = kernel.at(w, np.asarray(fb.gain(w), complex))
-    _loop, s, cof_s, _det = kernel.eliminate(*entries)
-    return feedback.loop_denominator(p, fb, omega) + s * cof_s / (d_a * d_ac * d_b * d_bc)
+    loop, s, cof_s, _det = kernel.eliminate(*entries)
+    return loop / (d_a * d_ac) + s * cof_s / (d_a * d_ac * d_b * d_bc)
 
 
 #: |Im| of a root, in units of the frequency scale, below which it counts as
@@ -666,14 +666,14 @@ def closed_loop_stability(p: CavityParams, m: MechanicsParams, fb: FeedbackConfi
     (_zero_count, which gives delay_margin in the same pass); a loop of
     neutral type is unstable.  For a Tabulated gain, of both evaluators (the
     weak one at G = 0, where R = D), this is the generalized Nyquist
-    criterion: R(w) (closed_loop_determinant) must wind zero times around 0
-    along feedback.loop_contour.  Seeding it with the occupancy quadrature's
-    first-round nodes in the measured band resolves the same mechanical
-    features as the integral.
+    criterion (MacFarlane & Postlethwaite 1977): R(w) (closed_loop_determinant)
+    must wind zero times around 0 along feedback.loop_contour, seeded in the
+    measured band with the quadrature's first-round nodes on the decoupled
+    (G = 0) panels: one seed rule for both evaluators, and no rates solved.
     """
     if isinstance(fb.gain, FlatDelay):
         return _zero_count(p, m, fb)[0] == 0
-    edges = _occupancy_edges(p, m, fb)
+    edges = _occupancy_edges(p, m, fb, 0.0)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     seeds = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
     lo, hi = fb.gain.domain

@@ -268,11 +268,13 @@ class TestClosedLoopDeterminant:
         port=st.sampled_from(list(Port)),
     )
     def test_is_loop_denominator_without_coupling(self, gain, phi, eta, delay, port):
+        # R is the elimination's loop / (d_a d_ac), the same D as feedback's
+        # 1 - 2 sqrt(eta) zeta_out g formula up to rounding
         p, m, _ = toy_system(coupling=0.0)
         fb = FeedbackConfig(port=port, phi=phi, eta=eta, gain=FlatDelay(gain, delay))
         w = np.linspace(-30.0, 30.0, 601)
         r = langevin.closed_loop_determinant(p, m, fb, w)
-        assert np.array_equal(r, feedback.loop_denominator(p, fb, w))
+        np.testing.assert_allclose(r, feedback.loop_denominator(p, fb, w), rtol=1e-13)
 
 
 def strong_coupling_case(name, coupling, detuning, amplitude, phi):
@@ -364,6 +366,15 @@ def flat_loops(draw, max_strength=1.5, max_ratio=0.9, min_strength=0.0):
     fb = replace(fb, gain=gain)
     assume(direct_ratio(p, fb) <= max_ratio)
     return p, m, fb
+
+
+def short_delay_neutral_loop(tau):
+    """A reflection loop of neutral type (direct ratio above 1), stable at
+    tau = 0, in units of omega_m."""
+    p = CavityParams(kappa0=0.02, kappa1=0.01, kappa_prime=0.05, detuning=0.9832443963788964)
+    m = MechanicsParams(omega_m=1.0, gamma_m=1e-6, n_th=10.0, G=1e-4)
+    gain = FlatDelay(6.048726571822376, tau, 0.0)
+    return p, m, FeedbackConfig(Port.REFLECTION, phi=0.8253462493365822, eta=0.05, gain=gain)
 
 
 @st.composite
@@ -462,13 +473,16 @@ class TestDelayCrossingCount:
             scaled = outcome(p2, m2, fb2)
         assert scaled == outcome(p, m, fb)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(loop=flat_loops(max_strength=4.0))
-    def test_decoupled_loop_is_nyquist(self, loop):
-        p, m, fb = loop
-        decoupled = replace(m, G=0.0)
+    @pytest.mark.parametrize("max_strength", [4.0, 1.5])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_decoupled_loop_is_nyquist(self, max_strength, data):
+        # the flat-gain Nyquist test and the exact G = 0 count agree on
+        # strongly driven loops and on the default draws, which cluster
+        # near threshold, not only at the benchmark's lattice points
+        p, m, fb = data.draw(flat_loops(max_strength=max_strength))
         stable = feedback.nyquist_stability(p, fb).stable
-        assert langevin.closed_loop_stability(p, decoupled, fb) is stable
+        assert langevin.closed_loop_stability(p, replace(m, G=0.0), fb) is stable
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(loop=flat_loops(min_strength=1.0))
@@ -623,6 +637,23 @@ class TestDelayCrossingCount:
         report = optimize.evaluate(p, m, fb, "langevin")
         assert report.stable is False
         assert report.n_final == math.inf
+
+    @pytest.mark.parametrize("tau", [1e-30, 1e-6, 1e-3, 0.01])
+    def test_short_delay_neutral_loop_is_unstable(self, tau):
+        # any positive delay leaves infinitely many zeros in the upper half
+        # plane (Hale & Verduyn Lunel 1993), however short it is
+        p, m, fb = short_delay_neutral_loop(tau)
+        assert direct_ratio(p, fb) > 1.0
+        assert optimize.evaluate(p, m, fb, "langevin").stable is False
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the weak evaluator's flat-gain verdict is the sampled G = 0 Nyquist "
+        "winding, which a short delay on a neutral loop does not turn; ROADMAP "
+        "item 2 replaces it by the exact G = 0 count"
+    ))
+    def test_weak_verdict_of_a_short_delay_neutral_loop(self):
+        p, m, fb = short_delay_neutral_loop(0.01)
+        assert optimize.evaluate(p, m, fb, "weak_coupling").stable is False
 
     def test_rounded_neutral_loop_is_a_boundary(self, experiment):
         # a direct ratio 6e-16 below 1: rounding leaves the retarded loop on

@@ -140,9 +140,13 @@ class TestEvaluate:
         assert solves.count((0.0, 2)) == 1
         assert all(m_g == sys.mechanics.G for m_g, _ in solves[1:])
 
-    def test_weak_evaluate_of_a_tabulated_gain_solves_rates_once(self, monkeypatch, experiment):
-        # the contour's quadrature seeds need no linewidth solve at G = 0,
-        # where Gamma_opt = G^2 (...) is 0
+    @pytest.mark.parametrize("evaluator", ["weak_coupling", "langevin"])
+    def test_evaluate_of_a_tabulated_gain_solves_rates_once(
+        self, monkeypatch, experiment, evaluator
+    ):
+        # the contour is seeded from the decoupled panels, whose linewidth
+        # guess needs no rates, so only the weak report solves them; the
+        # verdict alone solves nothing, at G = 0 or at the preset's G
         original = langevin.solve_rows
         solves = []
 
@@ -151,10 +155,15 @@ class TestEvaluate:
             return original(p, m, fb, omega, weights)
 
         monkeypatch.setattr(langevin, "solve_rows", counting)
+        p, m = experiment.cavity, experiment.mechanics
         fb = tabulated_copy(experiment.with_gain_norm(0.5))
-        report = optimize.evaluate(experiment.cavity, experiment.mechanics, fb, "weak_coupling")
+        report = optimize.evaluate(p, m, fb, evaluator)
         assert report.stable and math.isfinite(report.n_final)
         assert solves.count((0.0, 2)) == 1
+        assert all(m_g == m.G for m_g, _ in solves[1:])
+        solves.clear()
+        assert langevin.closed_loop_stability(p, m, fb) is True
+        assert solves == []
 
 
 def tabulated_copy(fb, lo_hz=1e-3, hi_hz=1e8, samples=5000):
