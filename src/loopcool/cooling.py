@@ -92,11 +92,12 @@ def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
 def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> CoolingReport:
     """Assemble rates, occupancies and loop bookkeeping for one setting.
 
-    No stability check happens here: the report comes back with stable=True
-    and optimize.evaluate decides the verdict.  For the transmission port
-    the single-pole effective-cavity numbers are attached; for reflection
-    they are reported as NaN (no transmission-style normalization exists
-    there).
+    An anti-damped mode (gamma_opt <= -gamma_m) raises
+    OptomechanicalInstabilityError in occupancy_weak_coupling; otherwise
+    the report comes back with stable=True and optimize.evaluate decides
+    the verdict.  For the transmission port the single-pole
+    effective-cavity numbers are attached; for reflection they are reported
+    as NaN (no transmission-style normalization exists there).
     """
     warnings = ()
     if m.G > WEAK_COUPLING_RATIO * m.omega_m:

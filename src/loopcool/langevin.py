@@ -446,7 +446,8 @@ def _roots(coef) -> np.ndarray:
 
 
 class _DetParts:
-    """det M(s x) = P(x) + g Q(x) at complex x = w / s, s the frequency scale.
+    """det M(s x) = P(x) + g Q(x) at complex x = w / s, s the frequency scale,
+    for a FlatDelay loop g = c e^{i tau w}.
 
     g enters M only through column 4 (M04 = u0 g, M14 = u1 g, M44 = 1 + v g)
     and det M is linear in it, so the kernel's elimination gives P with
@@ -466,6 +467,7 @@ class _DetParts:
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
         self.scale = max(abs(p.detuning), m.omega_m, p.kappa)
         self.center = center = m.omega_m / self.scale
+        self.c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
         self.kernel = kernel = _Kernel(p, m, fb)
         # at g = 1 column 4 holds u0, u1 and 1 + v (at g = 0: 0, 0 and 1)
         *at_zero, _, _, _ = kernel.at(0.0, 1.0)
@@ -490,6 +492,8 @@ class _DetParts:
         self.dp_coef, self.dq_coef = (
             [k * c for k, c in zip(range(4, 0, -1), coef)] for coef in (self.p_coef, self.q_coef)
         )
+        # neutral type: deg Q = deg P and |c Q_4| >= |P_4| (neutral_type)
+        self.neutral = abs(self.c * self.q_coef[0]) >= abs(self.p_coef[0])
 
     def values(self, x):
         """P and Q at x; for an array, one elimination with column 4 stacked."""
@@ -606,15 +610,13 @@ def _zero_count(
     (_crossing_frequencies) a pair w, -w* crosses at the delays tau_k =
     (theta + 2 pi k) / w_c, k >= 0, theta = arg(-P / (c Q)) mod 2 pi there,
     moving up for direction +1 and down for -1, so each crossing passed
-    adds 2 direction.  A loop of neutral type (deg Q = deg P and |c Q_4| >=
-    |P_4|) has infinitely many unstable zeros at tau > 0.  A zero on the
-    real axis, or a delay tau > 0 on a crossing, raises
-    InstabilityBoundaryError.
+    adds 2 direction.  A loop of neutral type (neutral_type) has infinitely
+    many unstable zeros at tau > 0.  A zero on the real axis, or a delay tau
+    > 0 on a crossing, raises InstabilityBoundaryError.
     """
     parts = _DetParts(p, m, fb)
-    c = fb.gain.amplitude * cmath.exp(1j * fb.gain.phase_offset)
-    tau, scale = fb.gain.delay, parts.scale
-    if abs(c * parts.q_coef[0]) >= abs(parts.p_coef[0]):  # neutral type
+    c, tau, scale = parts.c, fb.gain.delay, parts.scale
+    if parts.neutral:
         return (math.inf if tau > 0.0 else _undelayed_zeros(parts, c)), 0.0
     count = _undelayed_zeros(parts, c)
     # zero gain has no crossings, and at tau = 0 an unstable loop no margin
@@ -634,6 +636,14 @@ def _zero_count(
     if count < 0:  # a direct ratio within rounding of 1: the retarded/neutral boundary
         raise InstabilityBoundaryError(f"loop on the neutral boundary (crossing count {count})")
     return count, 0.0 if count else min(margins, default=math.inf)
+
+
+def neutral_type(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> bool:
+    """Whether a FlatDelay loop is of neutral type, |c Q_4| >= |P_4|, the
+    test _zero_count makes.  Every delay above 0 then leaves infinitely many
+    zeros in the upper half plane, whatever G (Hale & Verduyn Lunel,
+    Introduction to Functional Differential Equations, 1993)."""
+    return _DetParts(p, m, fb).neutral
 
 
 def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> float:

@@ -137,12 +137,14 @@ def evaluate(
     rtol: float = 2e-4,
 ) -> CoolingReport:
     """One stability-checked operating point; the one place a verdict is
-    decided.  Both evaluators build the weak-coupling report first, so its
-    anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter.  The
-    exact evaluator then hands the report's gamma_opt to phonon_occupancy,
-    which integrates to `rtol`, and takes its closed-loop verdict, the weak
-    one the G = 0 Nyquist test (a Tabulated gain's exact test at G = 0,
-    where R = D) plus the rate sign.
+    decided.  Both evaluators build the weak-coupling report first; its
+    anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter, the one
+    unstable outcome without rates.  The exact evaluator then hands the
+    report's gamma_opt to phonon_occupancy, which integrates to `rtol` and
+    takes the closed-loop verdict.  The weak verdict is the rate sign, then
+    the neutral-type rule (langevin.neutral_type: a delayed neutral loop is
+    unstable), then the G = 0 Nyquist test (a Tabulated gain's exact test at
+    G = 0, where R = D).
 
     Unstable or boundary configurations come back flagged with infinite
     occupancy instead of raising, so sweep traces stay complete.  Invalid
@@ -156,22 +158,25 @@ def evaluate(
     model.check_loop_phase(p, m, fb)
     try:
         report = cooling.cooling_report(p, m, fb)
-        if evaluator == "langevin":
-            # the exact closed-loop verdict is taken inside phonon_occupancy
-            n = langevin.phonon_occupancy(p, m, fb, rtol, gamma_opt=report.gamma_opt)
-            return replace(
-                report,
-                n_final=n,
-                temperature_final=model.occupancy_to_temperature(n, m.omega_m),
-            )
-        if isinstance(fb.gain, Tabulated):
-            stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
-        else:
-            stable = feedback.nyquist_stability(p, fb).stable
-        # NaN rates fail the damping conjunct and so count as unstable
-        stable = stable and report.gamma_opt > -m.gamma_m
     except INSTABILITIES as exc:
         return _unstable_report(f"unstable: {exc}")
+    if evaluator == "langevin":
+        try:
+            # the exact closed-loop verdict is taken inside phonon_occupancy
+            n = langevin.phonon_occupancy(p, m, fb, rtol, gamma_opt=report.gamma_opt)
+        except INSTABILITIES as exc:
+            report = replace(report, warnings=(*report.warnings, f"unstable: {exc}"))
+            stable = False
+        else:
+            temperature = model.occupancy_to_temperature(n, m.omega_m)
+            return replace(report, n_final=n, temperature_final=temperature)
+    elif not report.gamma_opt > -m.gamma_m:  # NaN rates count as unstable
+        stable = False
+    elif isinstance(fb.gain, Tabulated):
+        stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
+    else:
+        neutral = fb.gain.delay > 0.0 and langevin.neutral_type(p, m, fb)
+        stable = not neutral and feedback.nyquist_stability(p, fb).stable
     if not stable:
         return replace(report, stable=False, n_final=math.inf, temperature_final=math.inf)
     return report

@@ -52,18 +52,22 @@ def anti_damped_point():
 
 
 class TestEvaluate:
-    def test_weak_nyquist_unstable_keeps_rates(self, fig1_optical):
-        # the empty loop winds once while the rates still damp the mode
+    @pytest.mark.parametrize("evaluator", optimize.EVALUATORS)
+    def test_weak_nyquist_unstable_keeps_rates(self, fig1_optical, evaluator):
+        # the empty loop winds once while the rates still damp the mode; both
+        # evaluators report the rates they solved
         sys = fig1_optical
         p, m = sys.cavity, sys.mechanics
         fb = replace(sys.loop, phi=math.pi, gain=replace(sys.loop.gain, amplitude=0.55))
         assert not feedback.nyquist_stability(p, fb).stable
         rates = cooling.scattering_rates(p, m, fb)
         assert rates.gamma_opt > -m.gamma_m
-        report = optimize.evaluate(p, m, fb, "weak_coupling")
+        report = optimize.evaluate(p, m, fb, evaluator)
         assert not report.stable
         assert math.isinf(report.n_final) and math.isinf(report.temperature_final)
         assert math.isfinite(rates.gamma_opt) and report.rates == rates
+        if evaluator == "langevin":
+            assert report.warnings[-1] == "unstable: closed loop unstable; no stationary occupancy"
 
     def test_weak_anti_damped_is_unstable_report(self):
         p, m, fb = anti_damped_point()

@@ -9,6 +9,7 @@ test_cooling.py::TestOccupancy::test_room_temperature_to_sideband_benchmark.
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -66,8 +67,16 @@ def test_fig1_detuning_minimizes_bare_occupancy(name):
     assert occupancy(p.detuning + step) > n0
 
 
+def run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(loopcool.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_presets_build_without_scipy():
-    code = (
+    run_fresh(
         "import sys, loopcool\n"
         "from loopcool import presets\n"
         "for name in presets.SYSTEMS:\n"
@@ -75,22 +84,38 @@ def test_presets_build_without_scipy():
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, f'{len(loaded)} scipy modules, e.g. {loaded[:3]}'\n"
     )
-    src = str(Path(loopcool.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_package_exports_its_modules_only():
+    # each public name has one import path, its module; importing the
+    # package still loads every module (errors comes with them)
+    run_fresh(
+        "import sys, loopcool\n"
+        "public = {k for k in vars(loopcool) if not k.startswith('_')}\n"
+        "modules = {'cooling', 'errors', 'feedback', 'ingest', 'langevin', 'model',\n"
+        "           'optimize', 'presets', 'spectra'}\n"
+        "assert public == modules, sorted(public ^ modules)\n"
+        "assert all(f'loopcool.{k}' in sys.modules for k in modules)\n"
+        "assert isinstance(loopcool.__version__, str)\n"
+    )
+
+
+def test_readme_quick_start_runs():
+    # README's one Python block runs as printed, and its `# ~n_exact` holds
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["n_measured"] == pytest.approx(namespace["n_exact"], rel=1e-9, abs=0.0)
 
 
 def test_import_loads_no_numpy_polynomial():
     # the quadrature rule is pinned, so import runs no leggauss
-    code = (
+    run_fresh(
         "import sys, loopcool, loopcool.cli\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
     )
-    src = str(Path(loopcool.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_physical_constants_match_scipy():
