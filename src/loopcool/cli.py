@@ -30,7 +30,7 @@ from .errors import (
     OptomechanicalInstabilityError,
     ValidationError,
 )
-from .model import TWO_PI, CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
+from .model import TWO_PI, CavityParams, FeedbackConfig, MechanicsParams, Port
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,27 +97,24 @@ _GAIN_KEYS = {
 }
 
 
-def _build_gain(fbs: dict, base: FeedbackConfig, system) -> FeedbackConfig:
-    section = _get(fbs, "gain", dict, "feedback")
+def _build_gain(section: dict, p: CavityParams, fb: FeedbackConfig) -> FeedbackConfig:
+    """The resolved loop (p, fb) with the gain that `section` describes."""
     kind = _get(section, "type", str, "feedback.gain", "flat_delay")
     if kind not in _GAIN_KEYS:
         raise ValidationError(f"unknown gain type {kind!r}")
     _reject_unknown(section, _GAIN_KEYS[kind] | {"type"}, f"feedback.gain of type {kind!r}")
+    if kind == "preset_gain_norm":
+        value = _get(section, "value", float, "feedback.gain", 0.0)
+        return feedback.scaled_to_gain_norm(fb, value, feedback.unit_gain_norm(p, fb))
     if kind == "flat_delay":
-        gain = _override(FlatDelay(0.0), section, spectra.FLAT_DELAY_KEYS, "feedback.gain")
-        return replace(base, gain=gain)
-    if kind == "tabulated":
+        gain = _override(fb.gain, section, spectra.FLAT_DELAY_KEYS, "feedback.gain")
+    else:
         path = _get(section, "path", str, "feedback.gain")
         if path is None:
             raise ValidationError("tabulated gain needs a 'path'")
         trace = ingest.parse_bode(path)
-        return replace(base, gain=model.Tabulated(TWO_PI * trace.frequency_hz, trace.values()))
-    if system is None:
-        raise ValidationError("preset_gain_norm requires a 'system' entry")
-    clash = sorted(set(fbs) & {"eta", "phi_rad", "port"})
-    if clash:
-        raise ValidationError(f"preset_gain_norm rescales the preset's loop: drop {clash}")
-    return system.with_gain_norm(_get(section, "value", float, "feedback.gain", 0.0))
+        gain = model.Tabulated(TWO_PI * trace.frequency_hz, trace.values())
+    return replace(fb, gain=gain)
 
 
 def _evaluator_kind(kind: str) -> str:
@@ -131,10 +128,10 @@ def resolve_config(doc: dict):
     """Build (CavityParams, MechanicsParams, FeedbackConfig, evaluator dict,
     label) from a config document, starting from the named system when
     given; a section changes only the fields it names."""
-    sys_obj = p = m = fb = None
+    p = m = fb = None
     if "system" in doc:
-        sys_obj = presets.get_system(_get(doc, "system", str, ""))
-        p, m, fb = sys_obj.cavity, sys_obj.mechanics, sys_obj.loop
+        system = presets.get_system(_get(doc, "system", str, ""))
+        p, m, fb = system.cavity, system.mechanics, system.loop
 
     cav = _get(doc, "cavity", dict, "", {})
     _reject_unknown(cav, spectra.CAVITY_KEYS, "cavity")
@@ -161,7 +158,7 @@ def resolve_config(doc: dict):
         raise ValidationError(f"port must be 'reflection' or 'transmission', got {port!r}")
     fb = replace(fb, port=Port(port))
     if "gain" in fbs:
-        fb = _build_gain(fbs, fb, sys_obj)
+        fb = _build_gain(_get(fbs, "gain", dict, "feedback"), p, fb)
     model.check_loop_phase(p, m, fb)
 
     ev = _get(doc, "evaluator", dict, "", {})

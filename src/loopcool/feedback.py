@@ -155,6 +155,23 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
     )
 
 
+def unit_gain_norm(p: CavityParams, fb: FeedbackConfig) -> float:
+    """effective_cavity's gain_norm of a flat-gain loop at amplitude 1; NaN on
+    the reflection port, where the transmission normalization does not apply."""
+    if fb.port is not Port.TRANSMISSION:
+        return math.nan
+    probe = replace(fb, gain=replace(fb.gain, amplitude=1.0))
+    return effective_cavity(p, probe).gain_norm
+
+
+def scaled_to_gain_norm(fb: FeedbackConfig, gain_norm: float, unit: float) -> FeedbackConfig:
+    """fb at the normalized gain `gain_norm`, `unit` being its unit_gain_norm:
+    amplitude gain_norm / unit; ValidationError when `unit` is 0 or not finite."""
+    if not 0.0 < abs(unit) < math.inf:
+        raise ValidationError(f"no transmission gain normalization: unit gain_norm {unit:g}")
+    return replace(fb, gain=replace(fb.gain, amplitude=gain_norm / unit))
+
+
 def loop_contour(p: CavityParams, fb: FeedbackConfig) -> np.ndarray:
     """Sorted real-frequency contour of a Tabulated gain, from -hi to +hi.
 
@@ -296,15 +313,9 @@ def gain_model_at(omega_m: float, value: complex) -> FlatDelay:
     amp = abs(value)
     if amp == 0.0:
         return FlatDelay(0.0)
-    target = cmath.phase(value)
-    # phase at -omega_m is -delay*omega_m + offset; pick the smallest
-    # non-negative delay realizing it
-    for offset in (0.0, math.pi):
-        delay = (offset - target) % (2.0 * math.pi) / omega_m
-        candidate = FlatDelay(amplitude=amp, delay=delay, phase_offset=offset)
-        if abs(candidate(-omega_m) - value) <= 1e-9 * amp:
-            return candidate
-    raise LoopcoolError("could not realize the requested gain value")  # pragma: no cover
+    # at offset 0 the phase at -omega_m is -delay*omega_m: any phase has a delay
+    delay = (0.0 - cmath.phase(value)) % (2.0 * math.pi) / omega_m
+    return FlatDelay(amp, delay)
 
 
 def optimal_bare_detuning(

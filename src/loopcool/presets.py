@@ -27,7 +27,7 @@ tests/test_presets.py checks each pinned number against its anchor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import feedback, model
@@ -49,26 +49,13 @@ class PresetSystem:
     cavity: CavityParams
     mechanics: MechanicsParams
     loop: FeedbackConfig
-    #: normalized gain produced by unit gain amplitude (NaN when the
-    #: transmission normalization does not apply)
+    #: normalized gain per unit amplitude, feedback.unit_gain_norm (NaN on reflection)
     gain_norm_per_amplitude: float
     notes: dict
 
     def with_gain_norm(self, gain_norm: float) -> FeedbackConfig:
         """Loop configuration scaled to the requested normalized gain."""
-        if not math.isfinite(self.gain_norm_per_amplitude):
-            raise ValidationError(
-                f"{self.name} has no transmission gain normalization"
-            )
-        amp = gain_norm / self.gain_norm_per_amplitude
-        return replace(self.loop, gain=replace(self.loop.gain, amplitude=amp))
-
-
-def _unit_gain_norm(p: CavityParams, fb: FeedbackConfig) -> float:
-    if fb.port is not Port.TRANSMISSION:
-        return math.nan
-    probe = replace(fb, gain=replace(fb.gain, amplitude=1.0))
-    return feedback.effective_cavity(p, probe).gain_norm
+        return feedback.scaled_to_gain_norm(self.loop, gain_norm, self.gain_norm_per_amplitude)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +116,7 @@ def experiment() -> PresetSystem:
         cavity=p,
         mechanics=m,
         loop=fb,
-        gain_norm_per_amplitude=_unit_gain_norm(p, fb),
+        gain_norm_per_amplitude=feedback.unit_gain_norm(p, fb),
         notes={
             "n_th": n_th,
             "n_sideband": n_sc,
@@ -170,7 +157,7 @@ def experiment_empty() -> PresetSystem:
         cavity=p,
         mechanics=m,
         loop=fb,
-        gain_norm_per_amplitude=_unit_gain_norm(p, fb),
+        gain_norm_per_amplitude=feedback.unit_gain_norm(p, fb),
         notes={"loop_phase_at_optimum": _EXP_LOOP_PHASE},
     )
 
@@ -212,7 +199,7 @@ def fig1_optical() -> PresetSystem:
         cavity=p,
         mechanics=m,
         loop=fb,
-        gain_norm_per_amplitude=math.nan,
+        gain_norm_per_amplitude=feedback.unit_gain_norm(p, fb),
         notes={"realistic_eta": 0.36},
     )
 
@@ -243,7 +230,7 @@ def fig1_microwave() -> PresetSystem:
         cavity=p,
         mechanics=m,
         loop=fb,
-        gain_norm_per_amplitude=math.nan,
+        gain_norm_per_amplitude=feedback.unit_gain_norm(p, fb),
         notes={"realistic_eta": 0.42},
     )
 

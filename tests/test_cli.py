@@ -62,7 +62,7 @@ class TestCooling:
             "feedback": {
                 "port": "reflection", "phi_rad": -2.603865296693537, "eta": 0.3875837894349707,
                 "gain": {"type": "flat_delay", "amplitude": 0.9020343333059879,
-                         "delay_s": 7.406897635804175e-07},
+                         "delay_s": 7.406897635804175e-07, "phase_offset_rad": 0.0},
             },
             "evaluator": {"kind": "langevin"},
         }))
@@ -587,6 +587,12 @@ def _run_config(tmp_path, capsys, doc, command=("cooling",)):
 #: the accepted-range checker's message
 _RANGE = "must be finite and in"
 
+#: cavity and mechanics sections that stand without a 'system'
+_BARE = {
+    "cavity": {"kappa0_hz": 10e3, "kappa1_hz": 10e3, "detuning_hz": 330e3},
+    "mechanics": {"omega_m_hz": 343.13e3, "gamma_m_hz": 1.18, "n_th": 100.0},
+}
+
 
 class TestConfigReader:
     @pytest.mark.parametrize("doc, key", [
@@ -608,17 +614,41 @@ class TestConfigReader:
         assert f"error: {key} must be" in err
         assert not list(outdir.iterdir())
 
-    @pytest.mark.parametrize("extra", [
-        {"eta": 0.5}, {"phi_rad": 0.1}, {"port": "reflection"},
-        {"eta": 0.5, "phi_rad": 0.1, "port": "transmission"},
-    ], ids=lambda extra: "-".join(extra))
-    def test_preset_gain_norm_rejects_loop_keys(self, tmp_path, capsys, extra):
-        # the norm rescales the preset's own loop, which would drop these keys
-        doc = {"system": "experiment",
-               "feedback": {**extra, "gain": {"type": "preset_gain_norm", "value": 0.85}}}
-        code, _, err, outdir = _run_config(tmp_path, capsys, doc, ("effective-cavity",))
-        assert code == 2
-        assert "preset_gain_norm" in err and all(repr(key) in err for key in extra)
+    @pytest.mark.parametrize("doc", [
+        {"system": "experiment", "feedback": {"eta": 0.5}},
+        {"system": "experiment", "feedback": {"phi_rad": 0.1}},
+        {"system": "experiment", "feedback": {"port": "transmission"}},
+        {"system": "experiment", "feedback": {"eta": 0.5, "phi_rad": 0.1, "port": "transmission"}},
+        {"system": "experiment", "cavity": {"detuning_hz": 250e3}},
+        {"system": "fig1_microwave", "feedback": {"port": "transmission"}},
+        {**_BARE, "feedback": {"eta": 0.5}},
+    ], ids=["eta", "phi_rad", "port", "eta-phi_rad-port", "detuning", "microwave", "no_system"])
+    def test_preset_gain_norm_normalizes_the_configured_loop(self, tmp_path, capsys, doc):
+        # the norm scales the loop the other sections resolved, not the preset's
+        fbs = {**doc["feedback"]} if "feedback" in doc else {}
+        fbs["gain"] = {"type": "preset_gain_norm", "value": 0.85}
+        code, _, _, outdir = _run_config(
+            tmp_path, capsys, {**doc, "feedback": fbs}, ("effective-cavity",)
+        )
+        assert code == 0
+        sidecar = json.loads((outdir / "run_effective-cavity.json").read_text())
+        assert sidecar["result"]["gain_norm"] == pytest.approx(0.85, rel=1e-12)
+        for key in ("eta", "phi_rad"):
+            if key in fbs:
+                assert sidecar["config"]["feedback"][key] == fbs[key]
+
+    @pytest.mark.parametrize("doc, unit", [
+        ({"system": "experiment", "feedback": {"port": "reflection"}}, "nan"),
+        ({"system": "experiment", "feedback": {"eta": 0.0}}, "0"),
+        ({**_BARE, "cavity": {**_BARE["cavity"], "kappa1_hz": 0.0}}, "0"),
+    ], ids=["reflection", "blind", "one_sided"])
+    def test_preset_gain_norm_without_normalization_exits_two(self, tmp_path, capsys, doc, unit):
+        fbs = {**doc.get("feedback", {}), "gain": {"type": "preset_gain_norm", "value": 0.85}}
+        code, out, err, outdir = _run_config(
+            tmp_path, capsys, {**doc, "feedback": fbs}, ("effective-cavity",)
+        )
+        assert code == 2 and not out
+        assert err == f"error: no transmission gain normalization: unit gain_norm {unit}\n"
         assert not list(outdir.iterdir())
 
     @pytest.mark.parametrize("kind, stray", [
@@ -741,12 +771,18 @@ _OVERRIDABLE = {
         "n_th": ("n_th", 1.0), "g0_hz": ("g0", _HZ), "coupling_hz": ("G", _HZ),
     },
     "feedback": {"phi_rad": ("phi", 1.0), "eta": ("eta", 1.0)},
+    "feedback.gain": {
+        "amplitude": ("amplitude", 1.0), "delay_s": ("delay", 1.0),
+        "phase_offset_rad": ("phase_offset", 1.0),
+    },
 }
 _POSITIVE = st.floats(1e-3, 1e9)
 _OVERRIDE_VALUES = {
     "detuning_hz": st.floats(-1e9, 1e9), "phi_rad": st.floats(-10.0, 10.0),
     "eta": st.floats(0.0, 1.0), "g0_hz": st.floats(-1e3, 1e3) | st.none(),
     "drive_power_w": _POSITIVE | st.none(), "laser_wavelength_m": st.floats(1e-7, 1e-1),
+    "amplitude": st.floats(-1e6, 1e6), "delay_s": st.floats(0.0, 1e-6),
+    "phase_offset_rad": st.sampled_from([0.0, math.pi, -math.pi]),
 }
 
 
@@ -812,21 +848,60 @@ class TestConfigProperties:
     @given(
         system=st.sampled_from(sorted(presets.SYSTEMS)),
         cavity=_partial("cavity"), mechanics=_partial("mechanics"), feedback=_partial("feedback"),
+        gain=_partial("feedback.gain"),
     )
-    def test_partial_override_changes_only_named_fields(self, system, cavity, mechanics, feedback):
+    def test_partial_override_changes_only_named_fields(
+        self, system, cavity, mechanics, feedback, gain
+    ):
+        # a flat gain section edits the preset's gain like any other section
         sys = presets.get_system(system)
-        doc = {"system": system, "cavity": cavity, "mechanics": mechanics, "feedback": feedback}
+        doc = {"system": system, "cavity": cavity, "mechanics": mechanics,
+               "feedback": {**feedback, "gain": gain}}
         p, m, fb, _, _ = cli.resolve_config(doc)
         records = {"cavity": (sys.cavity, p), "mechanics": (sys.mechanics, m),
-                   "feedback": (sys.loop, fb)}
+                   "feedback": (sys.loop, fb), "feedback.gain": (sys.loop.gain, fb.gain)}
+        named = {**doc, "feedback.gain": gain}
         for section, (before, after) in records.items():
             for key, (field, factor) in _OVERRIDABLE[section].items():
                 expected = getattr(before, field)
-                if key in doc[section]:
-                    value = doc[section][key]
+                if key in named[section]:
+                    value = named[section][key]
                     expected = None if value is None else factor * value
                 assert _bits(getattr(after, field)) == _bits(expected), (section, key)
-        assert fb.port is sys.loop.port and fb.gain == sys.loop.gain
+        assert fb.port is sys.loop.port and type(fb.gain) is FlatDelay
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        system=st.sampled_from([None, *sorted(presets.SYSTEMS)]),
+        cavity=st.fixed_dictionaries({}, optional={
+            "kappa0_hz": st.floats(1e3, 1e7), "kappa1_hz": st.floats(1e3, 1e7),
+            "kappa_prime_hz": st.floats(0.0, 1e6), "detuning_hz": st.floats(-1e7, 1e7),
+        }),
+        loop=st.fixed_dictionaries({}, optional={
+            "phi_rad": st.floats(-math.pi, math.pi), "eta": st.floats(1e-3, 1.0),
+        }),
+        value=st.floats(-1.5, 1.5),
+    )
+    def test_preset_gain_norm_holds_on_any_transmission_loop(
+        self, tmp_path_factory, system, cavity, loop, value
+    ):
+        doc = {"system": system} if system else {**_BARE, "cavity": {**_BARE["cavity"]}}
+        doc["cavity"] = {**doc.get("cavity", {}), **cavity}
+        doc["feedback"] = {**loop, "port": "transmission",
+                           "gain": {"type": "preset_gain_norm", "value": value}}
+        tmp = tmp_path_factory.mktemp("norm")
+        config = tmp / "cfg.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(config), "--out", str(tmp), "effective-cavity"])
+        # fig1_optical's cavity has no transmission port unless kappa1 is given
+        if system == "fig1_optical" and "kappa1_hz" not in cavity:
+            assert code == 2 and "no transmission gain normalization" in err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        result = json.loads((tmp / "run_effective-cavity.json").read_text())["result"]
+        assert result["gain_norm"] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -911,11 +986,6 @@ class TestUnreadFlags:
         assert not list((tmp_path / "out").iterdir())
 
 
-#: cavity and mechanics sections that stand without a 'system'
-_BARE = {
-    "cavity": {"kappa0_hz": 10e3, "kappa1_hz": 10e3, "detuning_hz": 330e3},
-    "mechanics": {"omega_m_hz": 343.13e3, "gamma_m_hz": 1.18, "n_th": 100.0},
-}
 #: a loop past its threshold: the spectrum's stability check exits 3 on it
 _UNSTABLE = {"system": "experiment",
              "feedback": {"gain": {"type": "preset_gain_norm", "value": 1.5}}}
@@ -929,15 +999,15 @@ class TestInputChecks:
          "unknown gain type 'bode'"),
         ({"system": "experiment", "feedback": {"gain": {"type": "tabulated"}}},
          "tabulated gain needs a 'path'"),
-        ({**_BARE, "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.5}}},
-         "preset_gain_norm requires a 'system' entry"),
         ({"system": "experiment", "evaluator": {"kind": "exact"}},
          "unknown evaluator 'exact'"),
+        ({"system": "experiment", "mechanics": {"n_th": 5.0, "bath_temperature_k": 300.0}},
+         "give n_th or bath_temperature_k, not both"),
         ({"cavity": _BARE["cavity"]}, "config needs a 'system' or a 'mechanics' section"),
         ({"mechanics": _BARE["mechanics"]}, "config needs a 'system' or a 'cavity' section"),
         ({"system": "experiment", "feedback": {"port": "both"}},
          "port must be 'reflection' or 'transmission', got 'both'"),
-    ], ids=["gain_type", "tabulated_path", "gain_norm_system", "evaluator", "no_mechanics",
+    ], ids=["gain_type", "tabulated_path", "evaluator", "n_th_and_temperature", "no_mechanics",
             "no_cavity", "port"])
     def test_config_check(self, tmp_path, capsys, doc, message):
         code, out, err, outdir = _run_config(tmp_path, capsys, doc)

@@ -279,6 +279,13 @@ class TestHighTemperatureChain:
         with pytest.raises(OptomechanicalInstabilityError):
             cooling.high_temperature_report(p, m, eff, 1.0, p.kappa1)
 
+    @pytest.mark.parametrize("eta, kappa1", [(0.0, 1.0), (-0.5, 1.0), (1.0, 0.0)])
+    def test_rejects_blind_detection(self, experiment, eta, kappa1):
+        _, p, m, eff = self.chain(experiment)
+        with pytest.raises(ValidationError) as raised:
+            cooling.high_temperature_report(p, m, eff, eta, kappa1 * p.kappa1)
+        assert str(raised.value) == "eta and kappa1 must be positive"
+
 
 class TestRhoFromMeasured:
     def test_zero_excess(self):
@@ -295,6 +302,15 @@ class TestRhoFromMeasured:
         assert rho / gamma_m == pytest.approx(1.37e7, rel=0.01)
         t_equiv = model.occupancy_to_temperature(rho / gamma_m, omega_m)
         assert t_equiv == pytest.approx(225.0, rel=0.01)
+
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_rejects_non_positive_input(self, index, bad):
+        args = [1.0, 1.0, 5.0, 2.0, 2.0, 0.1]
+        args[index] = bad
+        with pytest.raises(ValidationError) as raised:
+            cooling.rho_from_measured(*args)
+        assert str(raised.value) == "all inputs must be positive"
 
     def test_inconsistent_set(self):
         with pytest.raises(ValidationError, match="inconsistent measurement"):

@@ -179,6 +179,19 @@ class TestDecomposition:
         with pytest.raises(BandError, match="sparse"):
             ingest.delay_from_phase(filt, (w[0], w[0] + 1.0))
 
+    def test_flatness_needs_three_samples(self):
+        w = TWO_PI * np.linspace(1e5, 1e6, 50)
+        filt = Tabulated(w, np.exp(1j * w * DELAY))
+        with pytest.raises(BandError) as raised:
+            ingest.phase_flatness(filt, (w[0], w[1]))
+        assert str(raised.value) == "band too sparse for a flatness estimate"
+
+    @pytest.mark.parametrize("f", [[1e3, 2e3, 2e3], [2e3, 1e3, 3e3]], ids=["repeated", "reversed"])
+    def test_composed_trace_needs_increasing_frequencies(self, f):
+        with pytest.raises(ValidationError) as raised:
+            ingest.compose_open_loop(FlatDelay(1.0), cavity(), Port.TRANSMISSION, f)
+        assert str(raised.value) == "trace frequencies must strictly increase"
+
     def test_wrong_port_detectable_by_flatness(self):
         p = cavity()
         true = FlatDelay(0.4, DELAY, math.pi)

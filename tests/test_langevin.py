@@ -535,6 +535,27 @@ class TestDelayCrossingCount:
         assert 0.0 < langevin.delay_margin(p, m, fb) < math.inf
         assert calls == {"_DetParts": 1, "_crossing_frequencies": 1}
 
+    @pytest.mark.parametrize("name", ["experiment", "fig1_optical"])
+    def test_delay_on_its_own_margin_sits_on_a_crossing(self, request, name):
+        # the loop delayed by exactly its margin has a pole pair on the real
+        # axis: the stability test raises, the margin is 0 and the exact
+        # evaluator reports the loop unstable
+        sys = request.getfixturevalue(name)
+        p, m = sys.cavity, sys.mechanics
+        if name == "experiment":
+            fb = sys.with_gain_norm(0.85)
+        else:
+            amplitude = 0.5 * abs(feedback.stokes_suppression_gain(p, sys.loop, m.omega_m))
+            fb = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=amplitude))
+        margin = langevin.delay_margin(p, m, fb)
+        assert 0.0 < margin < math.inf
+        on = replace(fb, gain=replace(fb.gain, delay=fb.gain.delay + margin))
+        with pytest.raises(InstabilityBoundaryError) as raised:
+            langevin.closed_loop_stability(p, m, on)
+        assert str(raised.value) == "loop delay sits on a closed-loop pole crossing"
+        assert langevin.delay_margin(p, m, on) == 0.0
+        assert optimize.evaluate(p, m, on, "langevin").stable is False
+
     def test_weak_coupling_mechanical_crossings(self, fig1_optical):
         # crossings within ~gamma_m of omega_m: an evaluation of the expanded
         # coefficients of |P|^2 - |c|^2 |Q|^2 counts -1 zeros here
@@ -872,6 +893,12 @@ class TestObservableSpectrum:
         for observable in ("i_fb", "x_cavity", "q_mech", "n_mech"):
             s = langevin.observable_spectrum(p, m, fb, w, observable)
             assert np.all(s > -1e-12)
+
+    def test_unknown_observable_rejected(self):
+        p, m, fb = toy_system()
+        with pytest.raises(ValidationError) as raised:
+            langevin.observable_spectrum(p, m, fb, np.array([1.0]), "x_mech")
+        assert str(raised.value) == "unknown observable 'x_mech'"
 
 
 def occupancy_outcome(p, m, fb, **kwargs):
@@ -1226,11 +1253,18 @@ class TestEquipartition:
         reduction_db = 10 * math.log10(t_cooled / t_loop)
         assert reduction_db == pytest.approx(7.5, abs=1.0)
 
-    def test_negative_variance_rejected(self):
+    @pytest.mark.parametrize("reference_omega, floor, message", [
+        (np.linspace(3.0, 4.0, 11), 0.0, "spectra share no frequency band"),
+        (np.linspace(1.995, 3.0, 11), 0.0, "too few samples in the shared band"),
+        (np.linspace(1.0, 2.0, 101), 1.0, "negative variance after noise-floor subtraction"),
+    ], ids=["disjoint", "one_shared_sample", "negative_variance"])
+    def test_unusable_pair_rejected(self, reference_omega, floor, message):
         w = np.linspace(1.0, 2.0, 101)
         s = Spectrum(w, np.full_like(w, 0.5))
-        with pytest.raises(Exception, match="variance"):
-            langevin.equipartition_temperature(s, s, 300.0, noise_floor=1.0)
+        reference = Spectrum(reference_omega, np.full_like(reference_omega, 0.5))
+        with pytest.raises(ValidationError) as raised:
+            langevin.equipartition_temperature(s, reference, 300.0, noise_floor=floor)
+        assert str(raised.value) == message
 
 
 class TestSpectrumExport:
@@ -1250,6 +1284,16 @@ class TestSpectrumExport:
         back = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
         np.testing.assert_allclose(back[:, 0] * TWO_PI, w, rtol=1e-15)
         np.testing.assert_allclose(back[:, 1], values, rtol=1e-15)
+
+    @pytest.mark.parametrize("omega, values, message", [
+        ([1.0], [1.0], "Spectrum needs at least two samples"),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "omega and values must have matching shapes"),
+        ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0], "Spectrum frequencies must strictly increase"),
+    ], ids=["one_sample", "shapes", "not_increasing"])
+    def test_bad_samples_rejected(self, omega, values, message):
+        with pytest.raises(ValidationError) as raised:
+            Spectrum(np.array(omega), np.array(values))
+        assert str(raised.value) == message
 
     def test_rows_of_unequal_columns_raise(self, tmp_path):
         from loopcool import spectra

@@ -267,13 +267,17 @@ class TestGainModels:
         expected = (1j * probe / (1j * probe + corner)) * np.exp(1j * probe * 7.5e-7)
         np.testing.assert_allclose(gain(probe), expected, rtol=3e-3)
 
-    def test_tabulated_validation(self):
-        with pytest.raises(ValidationError):
-            Tabulated(np.array([1.0, 1.0, 2.0]), np.ones(3, complex))
-        with pytest.raises(ValidationError):
-            Tabulated(np.array([1.0, 2.0]), np.array([1.0, 0.0], complex))
-        with pytest.raises(ValidationError):
-            Tabulated(np.array([-1.0, 2.0]), np.ones(2, complex))
+    @pytest.mark.parametrize("omega, values, message", [
+        ([1.0], [1.0], "Tabulated needs at least two samples"),
+        ([1.0, 2.0], [1.0, 1.0, 1.0], "omega and values must have matching shapes"),
+        ([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], "Tabulated frequencies must strictly increase"),
+        ([1.0, 2.0], [1.0, 0.0], "Tabulated sample magnitudes must lie in (0, 1e+06]"),
+        ([-1.0, 2.0], [1.0, 1.0], "Tabulated frequencies must be positive"),
+    ], ids=["one_sample", "shapes", "not_increasing", "zero_sample", "negative"])
+    def test_tabulated_validation(self, omega, values, message):
+        with pytest.raises(ValidationError) as raised:
+            Tabulated(np.array(omega), np.array(values, complex))
+        assert str(raised.value) == message
 
     def test_tabulated_compares_and_hashes_by_its_samples(self):
         # numpy's elementwise == used to make both raise

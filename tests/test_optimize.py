@@ -184,6 +184,17 @@ class TestTabulatedCopies:
     """A tabulated copy of a flat gain, sampled from 1 mHz, is the same loop:
     both evaluators give the flat gain's verdict and occupancy."""
 
+    @pytest.mark.parametrize("variable, message", [
+        ("delay", "delay sweeps need a flat-delay gain model"),
+        ("bandwidth", "unknown sweep variable 'bandwidth'"),
+    ], ids=["delay", "unknown"])
+    def test_apply_variable_rejects(self, experiment, variable, message):
+        p, m = experiment.cavity, experiment.mechanics
+        fb = tabulated_copy(experiment.with_gain_norm(0.5))
+        with pytest.raises(ValidationError) as raised:
+            optimize.apply_variable(p, m, fb, variable, 1e-7)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("gain_norm", COPY_GAIN_NORMS)
     @pytest.mark.parametrize("evaluator", ["weak_coupling", "langevin"])
     def test_copy_matches_the_flat_gain(self, experiment, evaluator, gain_norm):
@@ -448,6 +459,15 @@ class TestMinimize:
                 sys.cavity, sys.mechanics, sys.loop, free={"homodyne_phase": (0.0, 1.0)},
                 coarse_points=coarse_points,
             )
+
+    def test_unknown_free_variable(self, experiment, monkeypatch):
+        monkeypatch.setattr(optimize, "evaluate", _no_evaluation)
+        sys = experiment
+        with pytest.raises(ValidationError) as raised:
+            optimize.minimize_occupancy(
+                sys.cavity, sys.mechanics, sys.loop, free={"bandwidth": (0.0, 1.0)},
+            )
+        assert str(raised.value) == "unknown sweep variable 'bandwidth'"
 
     def test_too_many_variables(self, experiment):
         sys = experiment
