@@ -167,6 +167,7 @@ def resolve_config(doc: dict):
         "kind": _evaluator_kind(_get(ev, "kind", str, "evaluator", "weak_coupling")),
         "rtol": _get(ev, "rtol", float, "evaluator", 2e-4),
     }
+    langevin.check_rtol(evaluator["rtol"])
 
     out = _get(doc, "output", dict, "", {})
     _reject_unknown(out, {"label"}, "output")

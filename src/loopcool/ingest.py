@@ -1,5 +1,5 @@
-"""Loading measured data: open-loop Bode traces and displacement spectra,
-plus the cavity/electronics decomposition of a measured loop response.
+"""Loading measured data: open-loop Bode traces, plus the
+cavity/electronics decomposition of a measured loop response.
 
 File conventions: CSV, `#` starts a comment line, frequencies in Hz,
 magnitudes in dB (20*log10), phases in rad.  Traces are one-sided
@@ -18,12 +18,13 @@ import numpy as np
 from . import feedback, model
 from .errors import BandError, ParseError, ValidationError
 from .model import TWO_PI, CavityParams, Port, Tabulated
-from .spectra import Spectrum
 
 #: decompose_electronic_filter drops samples whose cavity response is below this
 _MIN_RESPONSE = 1e-6
 #: delay_from_phase needs at least this many samples in its band
 _MIN_DELAY_SAMPLES = 10
+#: the header row of a Bode trace file
+_BODE_HEADER = ("frequency_hz", "magnitude_db", "phase_rad")
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,11 @@ class BodeTrace:
         return int(self.frequency_hz.size)
 
 
-def _read_rows(path_or_stream, expected_header: tuple[str, ...], source: str):
+def _read_rows(path_or_stream):
     if hasattr(path_or_stream, "read"):
-        fh = path_or_stream
-        close = False
+        fh, close, source = path_or_stream, False, "<stream>"
     else:
-        fh = open(path_or_stream, "r")
-        close = True
-        source = str(path_or_stream)
+        fh, close, source = open(path_or_stream, "r"), True, str(path_or_stream)
     try:
         rows = []
         header_seen = False
@@ -72,15 +70,15 @@ def _read_rows(path_or_stream, expected_header: tuple[str, ...], source: str):
                 continue
             if not header_seen:
                 cols = tuple(c.strip() for c in line.split(","))
-                if cols != expected_header:
+                if cols != _BODE_HEADER:
                     raise ParseError(
                         f"{source}:{lineno}: expected header "
-                        f"{','.join(expected_header)!r}, got {line!r}"
+                        f"{','.join(_BODE_HEADER)!r}, got {line!r}"
                     )
                 header_seen = True
                 continue
             parts = line.split(",")
-            if len(parts) != len(expected_header) or any(
+            if len(parts) != len(_BODE_HEADER) or any(
                 not part.strip() for part in parts
             ):
                 raise ParseError(f"{source}:{lineno}: malformed row {line!r}")
@@ -101,41 +99,26 @@ def _read_rows(path_or_stream, expected_header: tuple[str, ...], source: str):
             fh.close()
 
 
-def _check_monotone(values, rows, source, column):
+def _check_monotone(values, rows, source):
     for k in range(1, len(values)):
         if values[k] <= values[k - 1]:
             lineno = rows[k][1]
             raise ParseError(
-                f"{source}:{lineno}: non-monotone {column} "
+                f"{source}:{lineno}: non-monotone frequency "
                 f"({values[k]:g} after {values[k - 1]:g})"
             )
 
 
 def parse_bode(path_or_stream) -> BodeTrace:
     """Read a network-analyzer trace: header frequency_hz,magnitude_db,phase_rad."""
-    rows, source = _read_rows(
-        path_or_stream, ("frequency_hz", "magnitude_db", "phase_rad"), "<stream>"
-    )
+    rows, source = _read_rows(path_or_stream)
     f = [r[0][0] for r in rows]
-    _check_monotone(f, rows, source, "frequency")
+    _check_monotone(f, rows, source)
     return BodeTrace(
         frequency_hz=np.array(f),
         magnitude_db=np.array([r[0][1] for r in rows]),
         phase_rad=np.array([r[0][2] for r in rows]),
         source=source,
-    )
-
-
-def parse_spectrum(path_or_stream) -> Spectrum:
-    """Read a sampled PSD: header frequency_hz,psd; values must be >= 0."""
-    rows, source = _read_rows(path_or_stream, ("frequency_hz", "psd"), "<stream>")
-    f = [r[0][0] for r in rows]
-    _check_monotone(f, rows, source, "frequency")
-    for (values, lineno) in rows:
-        if values[1] < 0:
-            raise ParseError(f"{source}:{lineno}: negative PSD value {values[1]:g}")
-    return Spectrum(
-        omega=TWO_PI * np.array(f), values=np.array([r[0][1] for r in rows])
     )
 
 
@@ -211,16 +194,3 @@ def delay_from_phase(filt: Tabulated, band: tuple[float, float]) -> float:
         )
     slope, _ = np.polyfit(filt.omega[sel], filt.unwrapped_phase[sel], 1)
     return float(slope)
-
-
-def phase_flatness(filt: Tabulated, band: tuple[float, float]) -> float:
-    """RMS of the unwrapped phase residual about its best line over the
-    band; a diagnostic for using the wrong port's cavity form (a correct
-    decomposition of a delay-line filter is flat to rounding)."""
-    sel = (filt.omega >= band[0]) & (filt.omega <= band[1])
-    if int(sel.sum()) < 3:
-        raise BandError("band too sparse for a flatness estimate")
-    w = filt.omega[sel]
-    ph = filt.unwrapped_phase[sel]
-    coeffs = np.polyfit(w, ph, 1)
-    return float(np.sqrt(np.mean((ph - np.polyval(coeffs, w)) ** 2)))

@@ -340,7 +340,7 @@ def _mechanical_linewidth_guess(
             gamma_opt = a_minus - a_plus
         except LoopcoolError:
             gamma_opt = 0.0
-    return max(m.gamma_m + abs(gamma_opt), m.gamma_m)
+    return m.gamma_m + abs(gamma_opt)
 
 
 def _occupancy_edges(
@@ -697,24 +697,18 @@ def displacement_spectrum(
     m: MechanicsParams,
     fb: FeedbackConfig,
     points: int = 2001,
-    m_eff: float | None = None,
 ) -> Spectrum:
     """Spectrum of the mechanical quadrature q = b + b^dag on a band of 30
     estimated linewidths (at least 1e-4 omega_m) either side of the
     resonance.  Like observable_spectrum it does not check stability; an
     unstable loop gives a meaningless spectrum, so check first
-    (phonon_occupancy does).
-
-    Natural (phonon) units by default; passing the effective mass converts
-    to displacement units through x_zpf^2 = hbar / (2 m_eff omega_m).
+    (phonon_occupancy does).  Natural (phonon) units, like
+    observable_spectrum.
     """
     gamma_eff = _mechanical_linewidth_guess(p, m, fb)
     half = max(30.0 * gamma_eff, 1e-4 * m.omega_m)
     omega = np.linspace(m.omega_m - half, m.omega_m + half, points)
-    values = observable_spectrum(p, m, fb, omega, "q_mech")
-    if m_eff is not None:
-        values = values * model.hbar / (2.0 * m_eff * m.omega_m)
-    return Spectrum(omega=omega, values=values)
+    return Spectrum(omega=omega, values=observable_spectrum(p, m, fb, omega, "q_mech"))
 
 
 @dataclass(frozen=True)
@@ -775,33 +769,3 @@ def lorentzian_extract(spectrum: Spectrum) -> LorentzFit:
         baseline=float(c),
         residual=float(np.linalg.norm(result.fun)),
     )
-
-
-def equipartition_temperature(
-    spectrum: Spectrum,
-    reference: Spectrum,
-    t0: float,
-    noise_floor: float = 0.0,
-    reference_floor: float | None = None,
-) -> float:
-    """Effective temperature from integrated variances after floor
-    subtraction: T = t0 * var(spectrum) / var(reference), both restricted
-    to the overlapping band."""
-    if reference_floor is None:
-        reference_floor = noise_floor
-    lo = max(spectrum.band[0], reference.band[0])
-    hi = min(spectrum.band[1], reference.band[1])
-    if hi <= lo:
-        raise ValidationError("spectra share no frequency band")
-
-    def _restricted_variance(spec: Spectrum, floor: float) -> float:
-        sel = (spec.omega >= lo) & (spec.omega <= hi)
-        if sel.sum() < 2:
-            raise ValidationError("too few samples in the shared band")
-        return float(np.trapezoid(spec.values[sel] - floor, spec.omega[sel]))
-
-    var = _restricted_variance(spectrum, noise_floor)
-    var_ref = _restricted_variance(reference, reference_floor)
-    if var <= 0 or var_ref <= 0:
-        raise ValidationError("negative variance after noise-floor subtraction")
-    return t0 * var / var_ref

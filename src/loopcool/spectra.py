@@ -106,10 +106,6 @@ class Spectrum:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
 
-    @property
-    def band(self) -> tuple[float, float]:
-        return float(self.omega[0]), float(self.omega[-1])
-
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     write_rows(path, ("omega_hz", "value"), spectrum.omega / TWO_PI, spectrum.values)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -235,12 +236,15 @@ class TestSolveAndOptimize:
         monkeypatch.setattr(langevin, "_MAX_ROUNDS", 4)
         config = tmp_path / "cfg.json"
         # gain_norm 1.05 is past the loop threshold: rtol is checked before
-        # the unstable verdict, which would exit 3
-        for feedback in ({}, {"gain": {"type": "preset_gain_norm", "value": 1.05}}):
+        # the unstable verdict, which would exit 3; the weak evaluator does
+        # not read rtol, but a config's value is checked whatever the kind
+        for kind, feedback in itertools.product(
+            ("weak", "langevin"), ({}, {"gain": {"type": "preset_gain_norm", "value": 1.05}})
+        ):
             config.write_text(json.dumps({
                 "system": "experiment",
                 "feedback": feedback,
-                "evaluator": {"kind": "langevin", "rtol": rtol},
+                "evaluator": {"kind": kind, "rtol": rtol},
             }))
             for command in (
                 ["solve"], ["cooling"],
@@ -249,7 +253,7 @@ class TestSolveAndOptimize:
                 code, _, err = run(
                     ["--config", str(config), "--out", str(tmp_path), *command], capsys
                 )
-                assert code == 2, (feedback, command)
+                assert code == 2, (kind, feedback, command)
                 assert "rtol" in err
 
     @pytest.mark.parametrize("command, printed", [

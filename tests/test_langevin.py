@@ -1167,15 +1167,6 @@ class TestDisplacementSpectrum:
         assert gammas[0] < gammas[1] < gammas[2]
         assert shifts[0] < shifts[1] < shifts[2]
 
-    def test_meters_conversion(self):
-        from scipy.constants import hbar
-
-        p, m, fb = toy_system(coupling=0.0)
-        natural = langevin.displacement_spectrum(p, m, fb, points=201)
-        meters = langevin.displacement_spectrum(p, m, fb, points=201, m_eff=1e-12)
-        x_zpf_sq = hbar / (2 * 1e-12 * m.omega_m)
-        np.testing.assert_allclose(meters.values, natural.values * x_zpf_sq)
-
 
 class TestLorentzianExtract:
     def test_recovers_exact_lorentzian(self):
@@ -1215,56 +1206,41 @@ class TestLorentzianExtract:
             langevin.lorentzian_extract(Spectrum(w, w.copy()))
 
 
-class TestEquipartition:
-    def grid(self, m, gamma_broad):
-        pieces = [
-            np.linspace(m.omega_m - 40 * m.gamma_m, m.omega_m + 40 * m.gamma_m, 1201),
-            m.omega_m + np.geomspace(40 * m.gamma_m, 120 * gamma_broad, 400),
-            m.omega_m - np.geomspace(40 * m.gamma_m, 120 * gamma_broad, 400),
-        ]
-        return np.unique(np.concatenate(pieces))
-
-    def test_identical_spectra(self):
-        w = np.linspace(1.0, 2.0, 101)
-        s = Spectrum(w, np.ones_like(w))
-        assert langevin.equipartition_temperature(s, s, 300.0) == pytest.approx(300.0)
-
-    def test_simulated_cooling_temperatures(self, experiment):
+class TestExactHeadline:
+    def test_exact_occupancy_temperatures(self, experiment):
+        # the paper's headline on the exact occupancies: anti-squashing
+        # feedback takes the sideband-cooled mode from 2 K to 0.35 K, 7.5 dB
         sys = experiment
-        p, m = sys.cavity, sys.mechanics
-        fb_off = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=0.0))
-        gamma_broad = m.gamma_m + cooling.scattering_rates(
-            p, m, sys.with_gain_norm(0.87)
-        ).gamma_opt
-        w = self.grid(m, gamma_broad)
-
-        hot = replace(m, G=0.0)  # probe only: thermal motion at 300 K
-        ref = Spectrum(w, langevin.observable_spectrum(p, hot, fb_off, w, "q_mech"))
-        cooled = Spectrum(w, langevin.observable_spectrum(p, m, fb_off, w, "q_mech"))
-        t_cooled = langevin.equipartition_temperature(cooled, ref, 300.0)
-        assert t_cooled == pytest.approx(2.0, rel=0.05)
-
-        looped = Spectrum(
-            w,
-            langevin.observable_spectrum(p, m, sys.with_gain_norm(0.87), w, "q_mech"),
+        t_cooled, t_loop = (
+            optimize.evaluate(sys.cavity, sys.mechanics, sys.with_gain_norm(g), "langevin")
+            .temperature_final
+            for g in (0.0, 0.87)
         )
-        t_loop = langevin.equipartition_temperature(looped, ref, 300.0)
-        assert t_loop == pytest.approx(0.35, rel=0.10)
-        reduction_db = 10 * math.log10(t_cooled / t_loop)
-        assert reduction_db == pytest.approx(7.5, abs=1.0)
+        assert t_cooled == pytest.approx(2.0, rel=0.01)
+        assert t_loop == pytest.approx(0.35, rel=0.01)
+        assert 10 * math.log10(t_cooled / t_loop) == pytest.approx(7.5, abs=0.25)
 
-    @pytest.mark.parametrize("reference_omega, floor, message", [
-        (np.linspace(3.0, 4.0, 11), 0.0, "spectra share no frequency band"),
-        (np.linspace(1.995, 3.0, 11), 0.0, "too few samples in the shared band"),
-        (np.linspace(1.0, 2.0, 101), 1.0, "negative variance after noise-floor subtraction"),
-    ], ids=["disjoint", "one_shared_sample", "negative_variance"])
-    def test_unusable_pair_rejected(self, reference_omega, floor, message):
-        w = np.linspace(1.0, 2.0, 101)
-        s = Spectrum(w, np.full_like(w, 0.5))
-        reference = Spectrum(reference_omega, np.full_like(reference_omega, 0.5))
-        with pytest.raises(ValidationError) as raised:
-            langevin.equipartition_temperature(s, reference, 300.0, noise_floor=floor)
-        assert str(raised.value) == message
+    @pytest.mark.xfail(strict=True, reason=(
+        "the exact evaluator takes the weak formula's anti-damping raise "
+        "(A+ > A- + gamma_m) as its verdict, so a loop with no unstable "
+        "closed-loop zero reports stable=False and n_final=inf"
+    ))
+    def test_anti_damped_weak_rates_with_a_stable_exact_loop(self):
+        p = CavityParams(
+            0.18550629887984516, 0.03146344770606672, 0.003912769137919975, 1.7793992771822393
+        )
+        m = MechanicsParams(1.0, 2.4329637617185058e-08, 10.0, G=0.41142851811077824)
+        fb = FeedbackConfig(Port.REFLECTION, -1.4746794644235939, 0.26397096041167206,
+                            FlatDelay(1.0023144696801418, 3.771215962352912, math.pi))
+        a_plus, a_minus = langevin.sideband_rates(p, m, fb)
+        assert a_plus - a_minus >= m.gamma_m
+        scale = max(abs(p.detuning), m.omega_m, p.kappa)
+        assert langevin._zero_count(p, m, fb)[0] == 0
+        assert box_zero_count(p, m, fb, 6.0 * scale, 3.0 * scale) == 0
+        n = langevin.phonon_occupancy(p, m, fb)
+        assert n == pytest.approx(1.9510, rel=1e-4)
+        report = optimize.evaluate(p, m, fb, "langevin")
+        assert report.stable and report.n_final == pytest.approx(n, rel=1e-3)
 
 
 class TestSpectrumExport:
