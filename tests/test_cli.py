@@ -256,6 +256,24 @@ class TestSolveAndOptimize:
                 assert code == 2, (kind, feedback, command)
                 assert "rtol" in err
 
+    @pytest.mark.parametrize("kind, flag", [("weak", "langevin"), ("langevin", "weak")])
+    def test_out_of_range_rtol_exits_two_under_evaluator_flag(
+        self, tmp_path, capsys, kind, flag
+    ):
+        # the flag picks the evaluator, but the config's rtol is checked either way
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "system": "experiment", "evaluator": {"kind": kind, "rtol": -1},
+        }))
+        code, out, err = run(
+            ["--config", str(config), "--out", str(tmp_path), "--evaluator", flag, "cooling"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "rtol must be finite and at least 1e-12" in err
+        assert not (tmp_path / "run_cooling.json").exists()
+
     @pytest.mark.parametrize("command, printed", [
         (["cooling"], "n_final="),
         (["--points", "2", "optimize", "--free", "homodyne_phase:2.9:3.0"], "n_min="),

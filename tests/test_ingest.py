@@ -87,6 +87,58 @@ class TestParseBode:
         trace = ingest.parse_bode(path)
         assert trace.source.endswith("trace.csv")
 
+    def test_stream_is_named_in_trace_and_errors(self):
+        trace = ingest.parse_bode(bode_csv([1.0, 2.0], [0, 0], [0, 0]))
+        assert trace.source == "<stream>"
+        with pytest.raises(ParseError) as raised:
+            ingest.parse_bode(io.StringIO("frequency_hz,magnitude_db,phase_rad\n1.0,0.0\n"))
+        assert str(raised.value) == "<stream>:2: malformed row '1.0,0.0'"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_error(self, value):
+        stream = io.StringIO(
+            f"frequency_hz,magnitude_db,phase_rad\n1.0,0.0,0.0\n2.0,{value},0.0\n"
+        )
+        with pytest.raises(ParseError, match=":3: non-finite value"):
+            ingest.parse_bode(stream)
+
+    @pytest.mark.parametrize("row", ["1.0,0.0", "1.0,0.0,0.0,0.0"], ids=["too_few", "too_many"])
+    def test_wrong_field_count_is_error(self, row):
+        stream = io.StringIO(f"frequency_hz,magnitude_db,phase_rad\n{row}\n")
+        with pytest.raises(ParseError, match=":2: malformed row"):
+            ingest.parse_bode(stream)
+
+    def test_sampled_psd_file_is_rejected(self):
+        # the one measured input is a Bode trace; a frequency_hz,psd file
+        # is not read as one
+        with pytest.raises(ParseError) as raised:
+            ingest.parse_bode(io.StringIO("frequency_hz,psd\n1.0,0.5\n2.0,0.25\n"))
+        assert str(raised.value) == (
+            "<stream>:1: expected header 'frequency_hz,magnitude_db,phase_rad', "
+            "got 'frequency_hz,psd'"
+        )
+
+
+class TestBodeTrace:
+    def test_values_from_db_and_phase(self):
+        trace = ingest.BodeTrace(
+            np.array([1.0, 2.0, 3.0]), np.array([0.0, -20.0, 6.0]), np.array([0.0, 0.5, -1.0])
+        )
+        np.testing.assert_allclose(
+            trace.values(),
+            np.array([1.0, 0.1, 10 ** 0.3]) * np.exp(1j * np.array([0.0, 0.5, -1.0])),
+            rtol=1e-15,
+        )
+
+    def test_phase_is_stored_unwrapped(self):
+        # a steady delay's phase, wrapped into (-pi, pi], comes back as the ramp
+        f = np.linspace(1e5, 2e6, 200)
+        ramp = TWO_PI * f * DELAY
+        trace = ingest.BodeTrace(f, np.zeros_like(f), np.angle(np.exp(1j * ramp)))
+        assert ramp[0] < math.pi
+        np.testing.assert_allclose(trace.phase_rad, ramp, atol=1e-12)
+        np.testing.assert_allclose(trace.values(), np.exp(1j * ramp), rtol=1e-12)
+
 
 class TestDecomposition:
     def freqs(self):

@@ -1167,6 +1167,35 @@ class TestDisplacementSpectrum:
         assert gammas[0] < gammas[1] < gammas[2]
         assert shifts[0] < shifts[1] < shifts[2]
 
+    def test_natural_units_on_thirty_linewidths(self):
+        p, m, fb = toy_system(coupling=0.04, gain=0.25)
+        spec = langevin.displacement_spectrum(p, m, fb, points=201)
+        a_plus, a_minus = langevin.sideband_rates(p, m, fb)
+        half = 30.0 * (m.gamma_m + abs(a_minus - a_plus))
+        assert half > 1e-4 * m.omega_m
+        np.testing.assert_allclose(
+            [spec.omega[0], spec.omega[-1]], [m.omega_m - half, m.omega_m + half], rtol=1e-15
+        )
+        np.testing.assert_array_equal(
+            spec.values, langevin.observable_spectrum(p, m, fb, spec.omega, "q_mech")
+        )
+
+
+class TestLinewidthGuess:
+    @pytest.mark.parametrize("gamma_opt", [0.02, -0.02], ids=["damped", "anti_damped"])
+    def test_adds_the_optical_rate_magnitude(self, gamma_opt):
+        p, m, fb = toy_system(coupling=0.04, gain=0.25)
+        guess = langevin._mechanical_linewidth_guess(p, m, fb, gamma_opt)
+        assert guess == m.gamma_m + 0.02
+
+    def test_solves_the_rates_when_not_given(self):
+        p, m, fb = toy_system(coupling=0.04, gain=0.25)
+        a_plus, a_minus = langevin.sideband_rates(p, m, fb)
+        assert langevin._mechanical_linewidth_guess(p, m, fb) == m.gamma_m + abs(a_minus - a_plus)
+        # without coupling there is no optical rate to add
+        p, m, fb = toy_system(coupling=0.0, gain=0.25)
+        assert langevin._mechanical_linewidth_guess(p, m, fb, 0.02) == m.gamma_m
+
 
 class TestLorentzianExtract:
     def test_recovers_exact_lorentzian(self):
