@@ -51,13 +51,17 @@ class CoolingReport:
     kappa_eff: float
     delta_eff: float
     gain_norm: float
-    stable: bool
     temperature_final: float
     warnings: tuple[str, ...] = ()
 
     @property
     def gamma_opt(self) -> float:
         return self.rates.gamma_opt
+
+    @property
+    def stable(self) -> bool:
+        """A point is stable exactly when it has a stationary occupancy."""
+        return bool(self.n_final < math.inf)
 
 
 def scattering_rates(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> RatePair:
@@ -72,16 +76,16 @@ def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
 
         n = (gamma_m n_th + Gamma_opt n0) / (gamma_m + Gamma_opt).
 
-    Requires Gamma_opt > -gamma_m, else the mode is anti-damped.
+    Outside the formula's domain Gamma_opt > -gamma_m (an anti-damped mode,
+    or NaN rates) there is no stationary occupancy: n and the temperature
+    are inf.
     """
     gamma_opt = rates.gamma_opt
-    if gamma_opt <= -m.gamma_m:
-        raise OptomechanicalInstabilityError(
-            "optomechanically unstable: gamma_m + gamma_opt <= 0"
-        )
     n0 = rates.a_plus / gamma_opt if gamma_opt != 0.0 else math.inf
-    # Gamma_opt * n0 == a_plus, which stays finite for gamma_opt <= 0 too
-    n_final = (m.gamma_m * m.n_th + rates.a_plus) / (m.gamma_m + gamma_opt)
+    n_final = math.inf
+    if gamma_opt > -m.gamma_m:
+        # Gamma_opt * n0 == a_plus, which stays finite for gamma_opt <= 0 too
+        n_final = (m.gamma_m * m.n_th + rates.a_plus) / (m.gamma_m + gamma_opt)
     return Occupancy(
         n_backaction=n0,
         n_final=n_final,
@@ -90,14 +94,13 @@ def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
 
 
 def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> CoolingReport:
-    """Assemble rates, occupancies and loop bookkeeping for one setting.
-
-    An anti-damped mode (gamma_opt <= -gamma_m) raises
-    OptomechanicalInstabilityError in occupancy_weak_coupling; otherwise
-    the report comes back with stable=True and optimize.evaluate decides
-    the verdict.  For the transmission port the single-pole
-    effective-cavity numbers are attached; for reflection they are reported
-    as NaN (no transmission-style normalization exists there).
+    """Assemble rates, weak-coupling occupancies and loop bookkeeping for
+    one setting.  It sets no verdict: a report is stable exactly when its
+    n_final is finite, so an anti-damped mode (gamma_opt <= -gamma_m) comes
+    back unstable, and optimize.evaluate decides every other verdict.  For
+    the transmission port the single-pole effective-cavity numbers are
+    attached; for reflection they are reported as NaN (no
+    transmission-style normalization exists there).
     """
     warnings = ()
     if m.G > WEAK_COUPLING_RATIO * m.omega_m:
@@ -118,7 +121,6 @@ def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> C
         kappa_eff=kappa_eff,
         delta_eff=delta_eff,
         gain_norm=gain_norm,
-        stable=True,
         temperature_final=occ.temperature_final,
         warnings=warnings,
     )

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cooling, feedback, langevin, model, presets, spectra
-from .cooling import CoolingReport, RatePair
+from .cooling import CoolingReport
 from .errors import INSTABILITIES, NoStablePointError, ValidationError
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated
 
@@ -114,20 +114,6 @@ def apply_variable(
     raise ValidationError(f"unknown sweep variable {variable!r}")
 
 
-def _unstable_report(reason: str) -> CoolingReport:
-    return CoolingReport(
-        rates=RatePair(a_plus=math.nan, a_minus=math.nan),
-        n_backaction=math.inf,
-        n_final=math.inf,
-        kappa_eff=math.nan,
-        delta_eff=math.nan,
-        gain_norm=math.nan,
-        stable=False,
-        temperature_final=math.inf,
-        warnings=(reason,),
-    )
-
-
 def evaluate(
     p: CavityParams,
     m: MechanicsParams,
@@ -137,49 +123,45 @@ def evaluate(
     rtol: float = 2e-4,
 ) -> CoolingReport:
     """One stability-checked operating point; the one place a verdict is
-    decided.  Both evaluators build the weak-coupling report first; its
-    anti-damping raise (gamma_opt <= -gamma_m) is a cheap pre-filter, the one
-    unstable outcome without rates.  The exact evaluator then hands the
-    report's gamma_opt to phonon_occupancy, which integrates to `rtol` and
-    takes the closed-loop verdict.  The weak verdict is the rate sign, then
-    the neutral-type rule (langevin.neutral_type: a delayed neutral loop is
-    unstable), then the G = 0 Nyquist test (a Tabulated gain's exact test at
-    G = 0, where R = D).
+    decided.  A report is stable exactly when its n_final is finite, and
+    every report keeps the rates it solved.  Both evaluators build the
+    weak-coupling report first (cooling.cooling_report).  The exact
+    evaluator then always hands its gamma_opt to phonon_occupancy, which
+    integrates to `rtol`; the closed-loop zero count inside it is the exact
+    evaluator's only verdict.  The weak verdict is the rate sign (an
+    anti-damped report comes back as it is), then the neutral-type rule
+    (langevin.neutral_type: a delayed neutral loop is unstable), then the
+    G = 0 Nyquist test (a Tabulated gain's exact test at G = 0, where R = D).
 
-    Unstable or boundary configurations come back flagged with infinite
-    occupancy instead of raising, so sweep traces stay complete.  Invalid
-    input raises ValidationError before any work: evaluator, rtol, loop phase;
-    a band, curve-domain or convergence failure raises as it is.
+    Unstable or boundary loops come back with infinite occupancy instead of
+    raising, so sweep traces stay complete.  Invalid input raises
+    ValidationError before any work: evaluator, rtol, loop phase; a band,
+    curve-domain, convergence or singular rate-solve failure raises as it is.
     """
     if evaluator not in EVALUATORS:
         raise ValidationError(f"unknown evaluator {evaluator!r}")
     if evaluator == "langevin":
         langevin.check_rtol(rtol)
     model.check_loop_phase(p, m, fb)
-    try:
-        report = cooling.cooling_report(p, m, fb)
-    except INSTABILITIES as exc:
-        return _unstable_report(f"unstable: {exc}")
+    report = cooling.cooling_report(p, m, fb)
     if evaluator == "langevin":
         try:
-            # the exact closed-loop verdict is taken inside phonon_occupancy
             n = langevin.phonon_occupancy(p, m, fb, rtol, gamma_opt=report.gamma_opt)
         except INSTABILITIES as exc:
-            report = replace(report, warnings=(*report.warnings, f"unstable: {exc}"))
-            stable = False
-        else:
-            temperature = model.occupancy_to_temperature(n, m.omega_m)
-            return replace(report, n_final=n, temperature_final=temperature)
-    elif not report.gamma_opt > -m.gamma_m:  # NaN rates count as unstable
-        stable = False
-    elif isinstance(fb.gain, Tabulated):
+            return replace(report, n_final=math.inf, temperature_final=math.inf,
+                           warnings=(*report.warnings, f"unstable: {exc}"))
+        temperature = model.occupancy_to_temperature(n, m.omega_m)
+        return replace(report, n_final=n, temperature_final=temperature)
+    if not report.stable:  # anti-damped: the weak formula has no occupancy
+        return report
+    if isinstance(fb.gain, Tabulated):
         stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
     else:
         neutral = fb.gain.delay > 0.0 and langevin.neutral_type(p, m, fb)
         stable = not neutral and feedback.nyquist_stability(p, fb).stable
-    if not stable:
-        return replace(report, stable=False, n_final=math.inf, temperature_final=math.inf)
-    return report
+    if stable:
+        return report
+    return replace(report, n_final=math.inf, temperature_final=math.inf)
 
 
 def sweep(
@@ -212,9 +194,10 @@ def minimize_occupancy(
     one coarse spacing of it, down to a fixed 1e-4 relative parameter
     tolerance.  A coordinate's first search opens at a golden probe; each
     later one opens one step away, the step being its previous search's
-    accepted move (0 if it did not move), at least that tolerance.  Every
-    evaluation is stability-checked; the returned optimum is always a stable
-    point, and its delay_margin (s) is langevin.delay_margin at the full G.
+    accepted move (0 if it did not move), at least that tolerance.  The
+    objective is evaluate's n_final, which is inf at every unstable point;
+    the returned optimum is always a stable point, and its delay_margin (s)
+    is langevin.delay_margin at the full G.
     `rtol` is the exact evaluator's quadrature tolerance (evaluate).  Each
     free variable needs finite bounds with lo < hi, and coarse_points is an
     integer of at least 2; otherwise ValidationError, before any evaluation."""
@@ -233,8 +216,7 @@ def minimize_occupancy(
         p2, m2, fb2 = p, m, fb
         for name, value in zip(names, values):
             p2, m2, fb2 = apply_variable(p2, m2, fb2, name, value)
-        report = evaluate(p2, m2, fb2, evaluator, rtol=rtol)
-        n = report.n_final if report.stable else math.inf
+        n = evaluate(p2, m2, fb2, evaluator, rtol=rtol).n_final
         trace.append((dict(zip(names, values)), n))
         return n
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loopcool import cli, ingest, langevin, optimize, presets
+from loopcool import cli, cooling, ingest, langevin, optimize, presets
 from loopcool.model import FlatDelay, MembraneGeometry, Port, membrane_modes
 
 TWO_PI = 2 * math.pi
@@ -70,6 +70,51 @@ class TestCooling:
         for command in ("cooling", "solve"):
             code, _, _ = run(["--config", str(config), "--out", str(tmp_path), command], capsys)
             assert code == 3, command
+
+    def test_anti_damped_weak_rates_with_a_stable_exact_loop_exits_zero(self, tmp_path, capsys):
+        # the weak rates anti-damp this strongly coupled loop, but det M has
+        # no unstable zero: the exact evaluator finds its occupancy
+        w = 1.0 / TWO_PI  # rates in units of omega_m = 1 rad/s, written in Hz
+        doc = {
+            "cavity": {"kappa0_hz": 0.18550629887984516 * w, "kappa1_hz": 0.03146344770606672 * w,
+                       "kappa_prime_hz": 0.003912769137919975 * w,
+                       "detuning_hz": 1.7793992771822393 * w},
+            "mechanics": {"omega_m_hz": w, "gamma_m_hz": 2.4329637617185058e-08 * w,
+                          "n_th": 10.0, "coupling_hz": 0.41142851811077824 * w},
+            "feedback": {"port": "reflection", "phi_rad": -1.4746794644235939,
+                         "eta": 0.26397096041167206,
+                         "gain": {"type": "flat_delay", "amplitude": 1.0023144696801418,
+                                  "delay_s": 3.771215962352912, "phase_offset_rad": math.pi}},
+        }
+        code, out, _, outdir = _run_config(
+            tmp_path, capsys, doc, ("--evaluator", "langevin", "cooling")
+        )
+        assert code == 0 and "stable=True" in out
+        result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+        assert result["stable"] is True
+        assert result["n_final"] == pytest.approx(1.9510, rel=1e-4)
+        assert result["a_plus"] - result["a_minus"] > 0.0
+
+    def test_weak_anti_damped_sidecar_keeps_its_rates(self, tmp_path, capsys):
+        # test_optimize's blue-detuned anti_damped_point: gamma_opt = -5e-3
+        # against gamma_m = 1e-3, in units of rad/s written in Hz
+        w = 1.0 / TWO_PI
+        doc = {
+            "cavity": {"kappa0_hz": w, "kappa1_hz": 0.0, "kappa_prime_hz": 0.0,
+                       "detuning_hz": -5.0 * w},
+            "mechanics": {"omega_m_hz": 5.0 * w, "gamma_m_hz": 1e-3 * w, "n_th": 7.0,
+                          "coupling_hz": 0.05 * w},
+            "feedback": {"gain": {"type": "flat_delay", "amplitude": 0.0}},
+        }
+        code, out, _, outdir = _run_config(
+            tmp_path, capsys, doc, ("--evaluator", "weak", "cooling")
+        )
+        assert code == 3 and "stable=False" in out
+        result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+        rates = cooling.scattering_rates(*cli.resolve_config(doc)[:3])
+        assert (result["a_plus"], result["a_minus"]) == (rates.a_plus, rates.a_minus)
+        assert result["stable"] is False and math.isinf(result["n_final"])
+        assert result["warnings"] == ["optical anti-damping: a_plus exceeds a_minus"]
 
     def test_gain_norm_on_reflection_system_exits_two(self, tmp_path, capsys):
         # the normalized gain is defined for the transmission loop only

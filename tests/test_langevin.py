@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import closed_form
@@ -1235,6 +1235,19 @@ class TestLorentzianExtract:
             langevin.lorentzian_extract(Spectrum(w, w.copy()))
 
 
+def anti_damped_stable_loop():
+    """A strongly coupled reflection loop, in units of omega_m, whose weak
+    rates anti-damp the mode (A+ 0.15025, A- 0.14884) while det M has no
+    zero in the upper half plane: the exact occupancy is 1.9510."""
+    p = CavityParams(
+        0.18550629887984516, 0.03146344770606672, 0.003912769137919975, 1.7793992771822393
+    )
+    m = MechanicsParams(1.0, 2.4329637617185058e-08, 10.0, G=0.41142851811077824)
+    fb = FeedbackConfig(Port.REFLECTION, -1.4746794644235939, 0.26397096041167206,
+                        FlatDelay(1.0023144696801418, 3.771215962352912, math.pi))
+    return p, m, fb
+
+
 class TestExactHeadline:
     def test_exact_occupancy_temperatures(self, experiment):
         # the paper's headline on the exact occupancies: anti-squashing
@@ -1249,18 +1262,11 @@ class TestExactHeadline:
         assert t_loop == pytest.approx(0.35, rel=0.01)
         assert 10 * math.log10(t_cooled / t_loop) == pytest.approx(7.5, abs=0.25)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the exact evaluator takes the weak formula's anti-damping raise "
-        "(A+ > A- + gamma_m) as its verdict, so a loop with no unstable "
-        "closed-loop zero reports stable=False and n_final=inf"
-    ))
     def test_anti_damped_weak_rates_with_a_stable_exact_loop(self):
-        p = CavityParams(
-            0.18550629887984516, 0.03146344770606672, 0.003912769137919975, 1.7793992771822393
-        )
-        m = MechanicsParams(1.0, 2.4329637617185058e-08, 10.0, G=0.41142851811077824)
-        fb = FeedbackConfig(Port.REFLECTION, -1.4746794644235939, 0.26397096041167206,
-                            FlatDelay(1.0023144696801418, 3.771215962352912, math.pi))
+        # the weak formula has no occupancy here (A+ > A- + gamma_m), but the
+        # exact loop has no unstable zero, and the zero count is the exact
+        # evaluator's only verdict
+        p, m, fb = anti_damped_stable_loop()
         a_plus, a_minus = langevin.sideband_rates(p, m, fb)
         assert a_plus - a_minus >= m.gamma_m
         scale = max(abs(p.detuning), m.omega_m, p.kappa)
@@ -1270,6 +1276,24 @@ class TestExactHeadline:
         assert n == pytest.approx(1.9510, rel=1e-4)
         report = optimize.evaluate(p, m, fb, "langevin")
         assert report.stable and report.n_final == pytest.approx(n, rel=1e-3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @example(loop=anti_damped_stable_loop())
+    @given(loop=flat_loops())
+    def test_a_report_is_stable_when_it_has_an_occupancy(self, loop):
+        # every report keeps the rates it solved, whatever its verdict; the
+        # exact verdict is the full-G zero count, a pole on the real axis
+        # counting as unstable
+        p, m, fb = loop
+        try:
+            exact = langevin.closed_loop_stability(p, m, fb)
+        except InstabilityBoundaryError:
+            exact = False
+        reports = {ev: optimize.evaluate(p, m, fb, ev) for ev in optimize.EVALUATORS}
+        for report in reports.values():
+            assert math.isfinite(report.rates.a_plus) and math.isfinite(report.rates.a_minus)
+            assert report.stable is math.isfinite(report.n_final)
+        assert reports["langevin"].stable is exact
 
 
 class TestSpectrumExport:

@@ -69,16 +69,21 @@ class TestEvaluate:
         if evaluator == "langevin":
             assert report.warnings[-1] == "unstable: closed loop unstable; no stationary occupancy"
 
-    def test_weak_anti_damped_is_unstable_report(self):
+    def test_weak_anti_damped_keeps_its_rates(self):
+        # the weak formula has no occupancy for an anti-damped mode; the
+        # report is unstable and keeps the rates and warnings it solved
         p, m, fb = anti_damped_point()
-        assert cooling.scattering_rates(p, m, fb).gamma_opt <= -m.gamma_m
+        rates = cooling.scattering_rates(p, m, fb)
+        assert rates.gamma_opt <= -m.gamma_m
         report = optimize.evaluate(p, m, fb, "weak_coupling")
-        assert not report.stable and math.isinf(report.n_final)
-        assert math.isnan(report.rates.a_plus) and math.isnan(report.rates.a_minus)
-        assert report.warnings[0].startswith("unstable:")
+        assert report.stable is False
+        assert math.isinf(report.n_final) and math.isinf(report.temperature_final)
+        assert report.rates == rates
+        assert report.warnings == ("optical anti-damping: a_plus exceeds a_minus",)
 
-    def test_exact_anti_damped_skips_closed_loop_check(self, monkeypatch):
-        # the weak report's anti-damping raise is the exact path's pre-filter
+    def test_exact_anti_damped_takes_the_zero_count(self, monkeypatch):
+        # the exact path decides an anti-damped point by the closed-loop
+        # zero count alone, and keeps the weak rates
         original = langevin.closed_loop_stability
         calls = []
 
@@ -89,12 +94,11 @@ class TestEvaluate:
         monkeypatch.setattr(langevin, "closed_loop_stability", counting)
         p, m, fb = anti_damped_point()
         report = optimize.evaluate(p, m, fb, "langevin")
-        assert not report.stable and math.isinf(report.n_final)
-        assert report.warnings[0].startswith("unstable:")
-        assert calls == []
-        # the counter is live: a damped point goes through the exact check
-        assert optimize.evaluate(replace(p, detuning=5.0), m, fb, "langevin").stable
-        assert len(calls) == 1
+        assert calls == [(p, m, fb)]
+        assert report.stable is False
+        assert math.isinf(report.n_final) and math.isinf(report.temperature_final)
+        assert report.rates == cooling.scattering_rates(p, m, fb)
+        assert report.warnings[-1] == "unstable: closed loop unstable; no stationary occupancy"
 
     @pytest.mark.parametrize("evaluator", ["langevn", "weak", ""])
     def test_unknown_evaluator_raises_before_any_work(self, monkeypatch, fig1_optical, evaluator):
