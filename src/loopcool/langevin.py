@@ -281,38 +281,39 @@ def adaptive_integral(fvec, edges: np.ndarray, rtol: float = 2e-4) -> float:
     budget.  A split panel's halves take its place, so open panels stay
     sorted by position, which fixes the node order of every call.  Sums are
     math.fsum, correctly rounded, so they do not depend on the order in
-    which panels were retired.
+    which panels were retired.  The bookkeeping is Python floats; numpy runs
+    only in _gl_batch, whose batch (fresh seed panels, then every left half,
+    then every right half) is part of the result's bits: y @ _GL_WEIGHTS can
+    round differently when its row count changes.
     """
     check_rtol(rtol)
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    coarse = np.empty(0)
+    points = np.asarray(edges, dtype=float).tolist()
+    a, b, coarse = points[:-1], points[1:], []
     done: list[float] = []
 
     for _ in range(_MAX_ROUNDS):
-        mid = 0.5 * (a + b)
-        # the panels from coarse.size on have no estimate yet
-        fresh = slice(coarse.size, None)
-        nodes = (3 * a.size - coarse.size) * _GL_NODES.size
+        mid = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
+        # the panels from len(coarse) on have no estimate yet
+        n, fresh = len(a), len(coarse)
+        nodes = (3 * n - fresh) * _GL_NODES.size
         if nodes > _MAX_QUADRATURE_NODES:
             raise ConvergenceError(f"quadrature round would evaluate {nodes} nodes, past the cap")
-        values = _gl_batch(
-            fvec, np.concatenate([a[fresh], a, mid]), np.concatenate([b[fresh], mid, b])
-        )
-        values, n = np.concatenate([coarse, values]), a.size
+        values = coarse + _gl_batch(
+            fvec, np.array(a[fresh:] + a + mid), np.array(b[fresh:] + mid + b)
+        ).tolist()
         coarse, left, right = values[:n], values[n : 2 * n], values[2 * n :]
-        refined = left + right
-        err = np.abs(coarse - refined)
-        total = math.fsum(done) + math.fsum(refined.tolist())
-        budget = rtol * abs(total)
-        if math.fsum(err.tolist()) <= budget:
-            return math.fsum(done + refined.tolist())
+        refined = [x + y for x, y in zip(left, right)]
+        err = [abs(x - y) for x, y in zip(coarse, refined)]
+        budget = rtol * abs(math.fsum(done) + math.fsum(refined))
+        if math.fsum(err) <= budget:
+            return math.fsum(done + refined)
         # a NaN error fails the test, so its panel is split
-        split = ~(err <= budget / (4.0 * max(err.size, 1)))
-        done += refined[~split].tolist()
-        a = np.stack([a[split], mid[split]], axis=1).ravel()
-        b = np.stack([mid[split], b[split]], axis=1).ravel()
-        coarse = np.stack([left[split], right[split]], axis=1).ravel()
+        limit = budget / (4.0 * max(n, 1))
+        split = [not e <= limit for e in err]
+        done += [x for x, s in zip(refined, split) if not s]
+        a = [x for lo, m, s in zip(a, mid, split) if s for x in (lo, m)]
+        b = [x for m, hi, s in zip(mid, b, split) if s for x in (m, hi)]
+        coarse = [x for lo, hi, s in zip(left, right, split) if s for x in (lo, hi)]
     raise ConvergenceError("quadrature did not converge within the refinement cap")
 
 
@@ -421,6 +422,9 @@ _MECHANICAL_PROBES = tuple(10.0**k for k in range(-3, 5))
 #: either stops once a step is at rounding level, within _ROUNDING of |x|
 _POLISH_STEPS = 2
 _NEWTON_STEPS = 100
+#: a tau = 0 root is polished up to |Im x| = _POLISH_BAND max(1, |x|), and
+#: beyond |x| = _POLISH_RADIUS, where only a leading coefficient at rounding puts it
+_POLISH_BAND, _POLISH_RADIUS = 1e-6, 1e3
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -577,12 +581,17 @@ def _crossing_frequencies(
 
 def _undelayed_zeros(parts: _DetParts, c: complex) -> int:
     """Zeros of the polynomial P + c Q (the loop at tau = 0) in the upper
-    half plane, each polished by Newton steps that stop at rounding level.
-    A zero on the real axis raises InstabilityBoundaryError."""
+    half plane.  A zero within _POLISH_BAND of the real axis, or past
+    _POLISH_RADIUS (P_4 + c Q_4 cancelled to rounding), is polished by Newton
+    steps that stop at rounding level.  Any other keeps its companion
+    eigenvalue: a step, about its error (rounding times its condition), could
+    move neither its sign nor the _AXIS_TOL test.  A zero on the real axis
+    raises InstabilityBoundaryError."""
     count = 0
     coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
     for x in (_roots(coef) + parts.center).tolist():
-        for _ in range(_POLISH_STEPS):
+        polish = abs(x.imag) <= _POLISH_BAND * max(1.0, abs(x)) or abs(x) > _POLISH_RADIUS
+        for _ in range(_POLISH_STEPS if polish else 0):
             p_val, q_val, dp, dq = parts(x)
             slope = dp + c * dq
             step = (p_val + c * q_val) / slope if slope else 0.0

@@ -60,14 +60,19 @@ RANGES = {
 }
 
 
+def _ranged(cls):
+    """Over @dataclass: cls._ranges, the (name, nullable, lo, hi) rows of _check_ranges."""
+    cls._ranges = tuple((f.name, f.default is None, *RANGES[f.name])
+                        for f in fields(cls) if f.name in RANGES)
+    return cls
+
+
 def _check_ranges(record) -> None:
     """ValidationError unless each field of `record` that RANGES names is in range."""
-    for f in fields(record):
-        v = getattr(record, f.name)
-        if f.name in RANGES and not (v is None and f.default is None):
-            lo, hi = RANGES[f.name]
-            if not (math.isfinite(v) and lo <= v <= hi):
-                raise ValidationError(f"{f.name} must be finite and in [{lo:g}, {hi:g}], got {v}")
+    for name, nullable, lo, hi in record._ranges:
+        v = getattr(record, name)
+        if not (v is None and nullable or math.isfinite(v) and lo <= v <= hi):
+            raise ValidationError(f"{name} must be finite and in [{lo:g}, {hi:g}], got {v}")
 
 
 class Port(Enum):
@@ -77,6 +82,7 @@ class Port(Enum):
     TRANSMISSION = "transmission"
 
 
+@_ranged
 @dataclass(frozen=True)
 class CavityParams:
     """Driven two-mirror cavity with internal loss.
@@ -104,6 +110,7 @@ class CavityParams:
         return self.kappa0 + self.kappa1 + self.kappa_prime
 
 
+@_ranged
 @dataclass(frozen=True)
 class MechanicsParams:
     """Single mechanical mode coupled to the cavity field."""
@@ -118,6 +125,7 @@ class MechanicsParams:
         _check_ranges(self)
 
 
+@_ranged
 @dataclass(frozen=True)
 class FlatDelay:
     """Electronic gain that is flat in magnitude with a linear phase.
@@ -223,6 +231,7 @@ class Tabulated:
 GainModel = Union[FlatDelay, Tabulated]
 
 
+@_ranged
 @dataclass(frozen=True)
 class FeedbackConfig:
     """Homodyne-detected output port feeding an amplitude modulator.
@@ -343,6 +352,7 @@ def photon_number_and_coupling(
     return n_c, m.g0 * math.sqrt(2.0 * n_c)
 
 
+@_ranged
 @dataclass(frozen=True)
 class MembraneGeometry:
     """Circular taut membrane.  Sound speed is given directly or derived

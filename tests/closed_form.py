@@ -1,7 +1,10 @@
 """Test oracles outside the package: the closed-form empty-cavity rate
 spectrum, kept as an oracle for the exact solve that the package uses
-(langevin.observable_spectrum at G = 0), and the entries of the closed-loop
-system M(w) x = N n that the dense-solve and determinant oracles assemble."""
+(langevin.observable_spectrum at G = 0), the entries of the closed-loop
+system M(w) x = N n that the dense-solve and determinant oracles assemble,
+and the numpy-array forms of the adaptive quadrature and of the tau = 0
+zero count that the package's list and polish-near-the-axis forms must
+match bit for bit."""
 
 import cmath
 import math
@@ -60,3 +63,61 @@ def system_entries(p, m, fb, omega):
         (4, 0): kernel.m40, (4, 1): kernel.m41, (4, 4): m44,
     }
     return mat, kernel.noise(), g
+
+
+def adaptive_integral(fvec, edges, rtol=2e-4):
+    """langevin.adaptive_integral with its panel bookkeeping in numpy arrays:
+    it makes the same _gl_batch calls on the same batches as the package's
+    list form, so the two must agree bit for bit."""
+    langevin.check_rtol(rtol)
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    coarse = np.empty(0)
+    done = []
+
+    for _ in range(langevin._MAX_ROUNDS):
+        mid = 0.5 * (a + b)
+        # the panels from coarse.size on have no estimate yet
+        fresh = slice(coarse.size, None)
+        nodes = (3 * a.size - coarse.size) * langevin._GL_NODES.size
+        if nodes > langevin._MAX_QUADRATURE_NODES:
+            raise langevin.ConvergenceError(
+                f"quadrature round would evaluate {nodes} nodes, past the cap"
+            )
+        values = langevin._gl_batch(
+            fvec, np.concatenate([a[fresh], a, mid]), np.concatenate([b[fresh], mid, b])
+        )
+        values, n = np.concatenate([coarse, values]), a.size
+        coarse, left, right = values[:n], values[n : 2 * n], values[2 * n :]
+        refined = left + right
+        err = np.abs(coarse - refined)
+        total = math.fsum(done) + math.fsum(refined.tolist())
+        budget = rtol * abs(total)
+        if math.fsum(err.tolist()) <= budget:
+            return math.fsum(done + refined.tolist())
+        # a NaN error fails the test, so its panel is split
+        split = ~(err <= budget / (4.0 * max(err.size, 1)))
+        done += refined[~split].tolist()
+        a = np.stack([a[split], mid[split]], axis=1).ravel()
+        b = np.stack([mid[split], b[split]], axis=1).ravel()
+        coarse = np.stack([left[split], right[split]], axis=1).ravel()
+    raise langevin.ConvergenceError("quadrature did not converge within the refinement cap")
+
+
+def undelayed_zeros_polishing_all(parts, c):
+    """langevin._undelayed_zeros with every root polished, however far from
+    the real axis: the form the package's polish band must agree with."""
+    count = 0
+    coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
+    for x in (langevin._roots(coef) + parts.center).tolist():
+        for _ in range(langevin._POLISH_STEPS):
+            p_val, q_val, dp, dq = parts(x)
+            slope = dp + c * dq
+            step = (p_val + c * q_val) / slope if slope else 0.0
+            x -= step
+            if abs(step) <= langevin._ROUNDING * abs(x):
+                break
+        if abs(x.imag) < langevin._AXIS_TOL:
+            raise langevin.InstabilityBoundaryError("closed-loop pole on the real frequency axis")
+        count += int(x.imag > 0.0)
+    return count

@@ -3,6 +3,7 @@ import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from loopcool.errors import (
     ConvergenceError,
     FitError,
     InstabilityBoundaryError,
+    LoopcoolError,
     OptomechanicalInstabilityError,
     ValidationError,
 )
@@ -815,6 +817,111 @@ class TestDelayCrossingCount:
         assert crossings > 0
         assert calls <= 1.5 * crossings
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops())
+    def test_polish_band_keeps_every_outcome_on_flat_loops(self, loop):
+        # a tau = 0 root off the polish band keeps its eigenvalue value; the
+        # count, the margin and every raise equal those of polishing all
+        assert zero_count_outcome(*loop) == zero_count_outcome(*loop, polish_all=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(loop=mechanical_crossing_loops())
+    def test_polish_band_keeps_every_outcome_near_omega_m(self, loop):
+        assert zero_count_outcome(*loop) == zero_count_outcome(*loop, polish_all=True)
+
+    @pytest.mark.parametrize("port", list(Port))
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("delay", [0.0, 0.8])
+    def test_polish_band_keeps_the_outcome_at_normal_mode_degeneracy(self, port, amplitude, delay):
+        # detuning = omega_m: cavity and mechanics hybridize into normal modes
+        # split by G = 0.2 omega_m, every tau = 0 root far off the real axis
+        p = CavityParams(kappa0=0.05, kappa1=0.04, kappa_prime=0.01, detuning=1.0)
+        m = MechanicsParams(omega_m=1.0, gamma_m=1e-4, n_th=10.0, G=0.2)
+        fb = FeedbackConfig(port, phi=0.4, eta=0.8, gain=FlatDelay(amplitude, delay))
+        assert zero_count_outcome(p, m, fb) == zero_count_outcome(p, m, fb, polish_all=True)
+
+    def test_polish_band_keeps_every_outcome_at_the_undelayed_boundary(self, rng):
+        # at the amplitude where a tau = 0 root crosses the real axis, or where
+        # the leading coefficient cancels and a root runs off to i infinity
+        # (the neutral boundary), the outcome hangs on polishing: the band and
+        # the radius must polish every root whose polishing matters
+        hanging = 0
+        for p, m, fb in undelayed_boundary_loops(rng, 40):
+            outcome = zero_count_outcome(p, m, fb)
+            assert outcome == zero_count_outcome(p, m, fb, polish_all=True), (p, m, fb)
+            with mock.patch.object(langevin, "_POLISH_STEPS", 0):
+                hanging += zero_count_outcome(p, m, fb) != outcome
+        assert hanging >= 5
+
+    def test_polish_radius_keeps_every_outcome_at_the_neutral_boundary(self, rng):
+        # on the reflection port P_4 + c Q_4 = P_4 (1 + c v) cancels to
+        # rounding where c v = -1, and one root runs off towards +-i infinity
+        hanging = 0
+        for p, m, fb in undelayed_boundary_loops(rng, 30, Port.REFLECTION, "neutral"):
+            outcome = zero_count_outcome(p, m, fb)
+            assert outcome == zero_count_outcome(p, m, fb, polish_all=True), (p, m, fb)
+            with mock.patch.object(langevin, "_POLISH_STEPS", 0):
+                hanging += zero_count_outcome(p, m, fb) != outcome
+        assert hanging >= 1
+
+
+def zero_count_outcome(p, m, fb, polish_all=False):
+    """_zero_count's (count, margin), or the type of the LoopcoolError it
+    raises; with polish_all, every tau = 0 root is polished
+    (closed_form.undelayed_zeros_polishing_all)."""
+    undelayed = closed_form.undelayed_zeros_polishing_all if polish_all else None
+    with mock.patch.object(langevin, "_undelayed_zeros", undelayed or langevin._undelayed_zeros):
+        try:
+            return langevin._zero_count(p, m, fb)
+        except LoopcoolError as exc:
+            return type(exc)
+
+
+def undelayed_boundary_loops(rng, draws, port=None, boundary="count"):
+    """Seeded undelayed flat loops drawn as in flat_loops, each with its
+    amplitude bisected to the last floats either side of where the tau = 0
+    zero count changes (at a loop strength below 3), or, with
+    boundary="neutral", where the loop turns neutral at negative c v (the
+    leading coefficient of P + c Q cancels); yields both sides of each."""
+    for _ in range(draws):
+        p = CavityParams(
+            kappa0=rng.uniform(0.02, 0.6), kappa1=rng.uniform(0.01, 0.5),
+            kappa_prime=rng.uniform(0.0, 0.05), detuning=rng.choice([-1, 1]) * rng.uniform(0.2, 1.8),
+        )
+        m = MechanicsParams(
+            omega_m=1.0, gamma_m=10.0 ** rng.uniform(-10, -3), n_th=10.0,
+            G=10.0 ** rng.uniform(-5, math.log10(0.6)),
+        )
+        fb = FeedbackConfig(
+            port=port or list(Port)[rng.randint(2)], phi=rng.uniform(-math.pi, math.pi),
+            eta=rng.uniform(0.05, 1.0),
+        )
+
+        def loop(amplitude):
+            return p, m, replace(fb, gain=FlatDelay(amplitude))
+
+        def count(amplitude):
+            if boundary == "neutral":
+                return langevin.neutral_type(*loop(amplitude))
+            try:
+                return langevin._zero_count(*loop(amplitude))[0]
+            except LoopcoolError:
+                return None
+
+        if boundary == "neutral":
+            lo, hi = 0.0, -2.0 / langevin._DetParts(*loop(1.0)).v.real
+        else:
+            zeta = abs(model.zeta_out(p, fb, abs(p.detuning)))
+            lo, hi = 0.0, 3.0 / (2.0 * math.sqrt(fb.eta) * zeta)
+        start = count(lo)
+        if count(hi) == start:
+            continue
+        while math.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if count(mid) == start else (lo, mid)
+        yield loop(lo)
+        yield loop(hi)
+
 
 #: (left, right) unknowns summed into K_O and K_O': the hermitian
 #: quadratures pair with themselves, n_mech = <b^dag(w) b(w')> pairs b_conj
@@ -1069,6 +1176,64 @@ class TestPhononOccupancy:
         with pytest.raises(ConvergenceError, match="nodes"):
             langevin.adaptive_integral(nan, np.linspace(-1.0, 1.0, 28))
         assert max(sizes) <= langevin._MAX_QUADRATURE_NODES < 2 * max(sizes)
+
+    @pytest.mark.parametrize("rtol", [2e-4, 1e-7])
+    @pytest.mark.parametrize(
+        "name", ["experiment", "experiment_empty", "fig1_optical", "fig1_microwave"]
+    )
+    def test_adaptive_integral_matches_array_form_on_preset_occupancies(self, name, rtol):
+        # the list bookkeeping hands _gl_batch the same batches as the array
+        # form, so every node and every bit of the integral is the same
+        sys = presets.get_system(name)
+        p, m, fb = sys.cavity, sys.mechanics, sys.loop
+        assert langevin.closed_loop_stability(p, m, fb)
+        edges = langevin._occupancy_edges(p, m, fb)
+        assert_same_quadrature(
+            lambda w: langevin.observable_spectrum(p, m, fb, w, "n_mech"), edges, rtol
+        )
+
+    def test_adaptive_integral_matches_array_form_on_narrow_lorentzians(self, rng):
+        for _ in range(6):
+            center, width = rng.uniform(-20.0, 20.0), 10.0 ** rng.uniform(-5.0, -3.0)
+            edges = np.sort(np.concatenate([[-50.0, 50.0], rng.uniform(-50.0, 50.0, 3)]))
+            rounds = assert_same_quadrature(
+                lambda x: width / ((x - center) ** 2 + width**2), edges, 1e-8
+            )
+            assert rounds >= 4
+
+    @pytest.mark.parametrize("case", ["nan integrand", "node cap", "rtol below 1e-12"])
+    def test_adaptive_integral_raises_like_array_form(self, case):
+        def integrand(x):
+            return np.full(x.shape, np.nan) if case == "nan integrand" else np.exp(-(x**2))
+
+        panels = 25_000 if case == "node cap" else 27  # 3 x 25,000 x 15 nodes > 1e6
+        rtol = 1e-13 if case == "rtol below 1e-12" else 2e-4
+        raised = []
+        for quadrature in (langevin.adaptive_integral, closed_form.adaptive_integral):
+            with pytest.raises(LoopcoolError) as info:
+                quadrature(integrand, np.linspace(-1.0, 1.0, panels + 1), rtol)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is (ValidationError if rtol < 1e-12 else ConvergenceError)
+
+
+def assert_same_quadrature(integrand, edges, rtol):
+    """adaptive_integral and its array form (closed_form.adaptive_integral)
+    call the integrand on the same nodes, bit for bit, and return the same
+    float; returns the number of rounds."""
+    nodes = ([], [])
+
+    def recording(k):
+        def fvec(x):
+            nodes[k].append(x.tobytes())
+            return integrand(x)
+
+        return fvec
+
+    value = langevin.adaptive_integral(recording(0), edges, rtol)
+    assert value == closed_form.adaptive_integral(recording(1), edges, rtol)
+    assert nodes[0] == nodes[1]
+    return len(nodes[0])
 
 
 def thermal_limit_errors(p, m0, fb, rtol=2e-4, max_decades=12):
