@@ -14,12 +14,12 @@ class CurveDomainError(LoopcoolError, ValueError):
 
 
 class InstabilityBoundaryError(LoopcoolError):
-    """Closed-loop denominator vanished: configuration sits on the
-    instability boundary and loop spectra are undefined."""
+    """The loop sits on a stability boundary (a vanished loop denominator, a real-axis
+    pole, a delay on a crossing, the neutral boundary); its spectra are undefined."""
 
 
 class OptomechanicalInstabilityError(LoopcoolError):
-    """Total mechanical damping is negative; no stationary state exists."""
+    """No stationary state: an unstable closed loop, a singular solve or kappa_eff <= 0."""
 
 
 class NoStablePointError(LoopcoolError):

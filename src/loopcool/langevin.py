@@ -422,9 +422,9 @@ _MECHANICAL_PROBES = tuple(10.0**k for k in range(-3, 5))
 #: either stops once a step is at rounding level, within _ROUNDING of |x|
 _POLISH_STEPS = 2
 _NEWTON_STEPS = 100
-#: a tau = 0 root is polished up to |Im x| = _POLISH_BAND max(1, |x|), and
-#: beyond |x| = _POLISH_RADIUS, where only a leading coefficient at rounding puts it
-_POLISH_BAND, _POLISH_RADIUS = 1e-6, 1e3
+#: a tau = 0 root is polished up to |Im x| = _POLISH_BAND max(1, |x|); a direct-path
+#: ratio |c Q_4 / P_4| within _NEUTRAL_TOL of 1 is the retarded/neutral boundary
+_POLISH_BAND, _NEUTRAL_TOL = 1e-6, 5e-4
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -496,8 +496,8 @@ class _DetParts:
         self.dp_coef, self.dq_coef = (
             [k * c for k, c in zip(range(4, 0, -1), coef)] for coef in (self.p_coef, self.q_coef)
         )
-        # neutral type: deg Q = deg P and |c Q_4| >= |P_4| (neutral_type)
-        self.neutral = abs(self.c * self.q_coef[0]) >= abs(self.p_coef[0])
+        # |c Q_4 / P_4|, the loop weight of the instantaneous reflection path
+        self.ratio = abs(self.c * self.v)
 
     def values(self, x):
         """P and Q at x; for an array, one elimination with column 4 stacked."""
@@ -537,8 +537,8 @@ def _crossing_frequencies(
     f_coef = [(pp - c2 * qq).real for pp, qq in zip(p_sq, q_sq)]
     seeds = sorted({x + center for x in _roots(f_coef).real.tolist() if x + center > 0.0})
     gaps = [hi - lo for lo, hi in zip(seeds, seeds[1:])]
-    lead = f_coef[0]  # |P_4|^2 - |c Q_4|^2, 0 only by rounding: then no Cauchy bound
-    beyond = center + 1.0 + max(abs(f / lead) for f in f_coef[1:]) if lead else math.inf
+    lead = f_coef[0]  # off 0 by the neutral band; Fujiwara, Tohoku Math. J. 10, 167 (1916)
+    beyond = center + 2.0 * max(abs(f / lead) ** (1.0 / k) for k, f in enumerate(f_coef[1:], 1))
     probes = {0.0, beyond}
     for x, below, above in zip(seeds, [math.inf, *gaps], [*gaps, math.inf]):
         width = min(_SEED_PROBE, 0.25 * min(above, below))
@@ -581,16 +581,15 @@ def _crossing_frequencies(
 
 def _undelayed_zeros(parts: _DetParts, c: complex) -> int:
     """Zeros of the polynomial P + c Q (the loop at tau = 0) in the upper
-    half plane.  A zero within _POLISH_BAND of the real axis, or past
-    _POLISH_RADIUS (P_4 + c Q_4 cancelled to rounding), is polished by Newton
-    steps that stop at rounding level.  Any other keeps its companion
+    half plane.  A zero within _POLISH_BAND of the real axis is polished by
+    Newton steps that stop at rounding level.  Any other keeps its companion
     eigenvalue: a step, about its error (rounding times its condition), could
-    move neither its sign nor the _AXIS_TOL test.  A zero on the real axis
-    raises InstabilityBoundaryError."""
+    move neither its sign nor the _AXIS_TOL test while the neutral band keeps
+    P_4 + c Q_4 off 0.  A zero on the real axis raises InstabilityBoundaryError."""
     count = 0
     coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
     for x in (_roots(coef) + parts.center).tolist():
-        polish = abs(x.imag) <= _POLISH_BAND * max(1.0, abs(x)) or abs(x) > _POLISH_RADIUS
+        polish = abs(x.imag) <= _POLISH_BAND * max(1.0, abs(x))
         for _ in range(_POLISH_STEPS if polish else 0):
             p_val, q_val, dp, dq = parts(x)
             slope = dp + c * dq
@@ -619,13 +618,15 @@ def _zero_count(
     (_crossing_frequencies) a pair w, -w* crosses at the delays tau_k =
     (theta + 2 pi k) / w_c, k >= 0, theta = arg(-P / (c Q)) mod 2 pi there,
     moving up for direction +1 and down for -1, so each crossing passed
-    adds 2 direction.  A loop of neutral type (neutral_type) has infinitely
-    many unstable zeros at tau > 0.  A zero on the real axis, or a delay tau
-    > 0 on a crossing, raises InstabilityBoundaryError.
+    adds 2 direction.  A direct-path ratio |c Q_4 / P_4| within _NEUTRAL_TOL of 1
+    (the neutral boundary, any delay), a real-axis zero or a delay tau > 0 on a
+    crossing raises InstabilityBoundaryError; above the band every tau > 0 is unstable.
     """
     parts = _DetParts(p, m, fb)
     c, tau, scale = parts.c, fb.gain.delay, parts.scale
-    if parts.neutral:
+    if abs(parts.ratio - 1.0) <= _NEUTRAL_TOL:
+        raise InstabilityBoundaryError("loop on the neutral boundary")
+    if parts.ratio > 1.0:
         return (math.inf if tau > 0.0 else _undelayed_zeros(parts, c)), 0.0
     count = _undelayed_zeros(parts, c)
     # zero gain has no crossings, and at tau = 0 an unstable loop no margin
@@ -642,17 +643,16 @@ def _zero_count(
         count += 2 * direction * passed
         if direction > 0:
             margins.append((theta + 2.0 * math.pi * passed) / (scale * x) - tau)
-    if count < 0:  # a direct ratio within rounding of 1: the retarded/neutral boundary
-        raise InstabilityBoundaryError(f"loop on the neutral boundary (crossing count {count})")
     return count, 0.0 if count else min(margins, default=math.inf)
 
 
 def neutral_type(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> bool:
-    """Whether a FlatDelay loop is of neutral type, |c Q_4| >= |P_4|, the
-    test _zero_count makes.  Every delay above 0 then leaves infinitely many
-    zeros in the upper half plane, whatever G (Hale & Verduyn Lunel,
-    Introduction to Functional Differential Equations, 1993)."""
-    return _DetParts(p, m, fb).neutral
+    """Whether a FlatDelay loop's direct-path ratio, _zero_count's number, is at least
+    1 - _NEUTRAL_TOL: of neutral type (Hale & Verduyn Lunel 1993), unstable at any
+    delay above 0 whatever G, or on its boundary.  ValidationError if Tabulated."""
+    if not isinstance(fb.gain, FlatDelay):
+        raise ValidationError("a tabulated gain's test is langevin.closed_loop_stability")
+    return _DetParts(p, m, fb).ratio >= 1.0 - _NEUTRAL_TOL
 
 
 def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> float:
@@ -665,9 +665,9 @@ def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> flo
     tau + margin and at least 2 just above.
 
     inf for a stable loop that no crossing destabilises (zero gain among
-    them); 0.0 when the loop is already unstable, on a stability boundary,
-    or of neutral type (every positive delay is unstable then); NaN for a
-    Tabulated gain, which has no delay to tune.
+    them); 0.0 when the loop is already unstable, on a stability boundary
+    (the neutral one included), or of neutral type (every positive delay is
+    unstable then); NaN for a Tabulated gain, which has no delay to tune.
     """
     if not isinstance(fb.gain, FlatDelay):
         return math.nan

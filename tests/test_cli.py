@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -70,6 +71,34 @@ class TestCooling:
         for command in ("cooling", "solve"):
             code, _, _ = run(["--config", str(config), "--out", str(tmp_path), command], capsys)
             assert code == 3, command
+
+    def test_loop_within_an_ulp_of_the_neutral_boundary_exits_three(self, tmp_path, capsys):
+        # a reflection loop whose direct ratio rounds to 1 (test_langevin's
+        # ROUNDED_NEUTRAL_LOOPS[0]), in units of omega_m = 1 rad/s written in
+        # Hz: its crossing probe read NaN, and cooling reported n = 14.63
+        w = 1.0 / TWO_PI
+        doc = {
+            "cavity": {"kappa0_hz": 0.23209227321303258 * w, "kappa1_hz": 0.20375125325013443 * w,
+                       "kappa_prime_hz": 0.011529731832936076 * w,
+                       "detuning_hz": -0.4955816620385258 * w},
+            "mechanics": {"omega_m_hz": w, "gamma_m_hz": 2.1951601552490525e-07 * w,
+                          "n_th": 10.0, "coupling_hz": 0.0005042657638311589 * w},
+            "feedback": {"port": "reflection", "phi_rad": -1.628373244092803,
+                         "eta": 0.6022058311487298,
+                         "gain": {"type": "flat_delay", "amplitude": -0.9753675453934559}},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code, out, _, outdir = _run_config(
+                tmp_path, capsys, doc, ("--evaluator", "langevin", "cooling")
+            )
+            solved, _, err, _ = _run_config(tmp_path, capsys, doc, ("solve",))
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+        assert code == 3 and "stable=False" in out
+        result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+        assert "unstable: loop on the neutral boundary" in result["warnings"]
+        assert solved == 3
+        assert err == "error: loop on the neutral boundary\n"
 
     def test_anti_damped_weak_rates_with_a_stable_exact_loop_exits_zero(self, tmp_path, capsys):
         # the weak rates anti-damp this strongly coupled loop, but det M has

@@ -380,6 +380,41 @@ def short_delay_neutral_loop(tau):
 
 
 @st.composite
+def near_neutral_loops(draw):
+    """A reflection loop drawn as in flat_loops, its direct-path ratio moved
+    to 1 -+ gap, gap from 1e-15 to 10^-1.5, at tau = 0 or at its drawn delay:
+    on the neutral boundary up to a gap of langevin._NEUTRAL_TOL, off it past."""
+    p, m, fb = draw(flat_loops(max_ratio=math.inf))
+    fb = replace(fb, port=Port.REFLECTION, gain=replace(fb.gain, amplitude=1.0))
+    gap = 10.0 ** draw(st.floats(-15.0, -1.5))
+    amplitude = (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap) / direct_ratio(p, fb)
+    assume(amplitude <= model.MAX_GAIN)
+    delay = draw(st.sampled_from([0.0, fb.gain.delay]))
+    return p, m, replace(fb, gain=replace(fb.gain, amplitude=amplitude, delay=delay))
+
+
+#: the two loops a rounding-decided neutral test counted stable: a direct
+#: ratio within an ulp of 1, where the crossing probe read NaN (first) and
+#: where the sign of a root near 5e15 i hung on polishing (second)
+ROUNDED_NEUTRAL_LOOPS = [
+    (
+        CavityParams(0.23209227321303258, 0.20375125325013443, 0.011529731832936076,
+                     -0.4955816620385258),
+        MechanicsParams(1.0, 2.1951601552490525e-07, 10.0, G=0.0005042657638311589),
+        FeedbackConfig(Port.REFLECTION, -1.628373244092803, 0.6022058311487298,
+                       FlatDelay(-0.9753675453934559)),
+    ),
+    (
+        CavityParams(0.1636030247682114, 0.3417529252226422, 0.01727877668512859,
+                     -0.3039019017505128),
+        MechanicsParams(1.0, 2.258705444784412e-05, 10.0, G=0.0010074635769662678),
+        FeedbackConfig(Port.REFLECTION, 1.5618187227695497, 0.8903668320157402,
+                       FlatDelay(1.1405368588284863)),
+    ),
+]
+
+
+@st.composite
 def mechanical_crossing_loops(draw):
     """Random flat loop whose delay crossings tend to lie within a few gamma_m
     of omega_m: high Q (gamma_m from 1e-9 to 1e-5 omega_m) and G^2 / kappa
@@ -450,20 +485,25 @@ class TestDelayCrossingCount:
         count = langevin._zero_count(p, m, fb)[0]
         assert count == box_zero_count(p, m, fb, 6.0 * scale, 3.0 * scale)
 
+    @pytest.mark.parametrize(
+        "loops", [flat_loops(), near_neutral_loops()], ids=["flat", "near_neutral"]
+    )
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(loop=flat_loops(), top=st.floats(0.0, 29.99))
-    def test_count_is_free_of_the_rate_scale(self, loop, top):
+    @given(data=st.data(), top=st.floats(0.0, 29.99))
+    def test_count_is_free_of_the_rate_scale(self, loops, data, top):
         # every rate times s and the delay over s move each zero of det M
         # from w to s w, so the count stays, whether the largest rate is 1
         # rad/s or MAX_RATE, and no product of the crossing test overflows;
-        # a pole on the real axis is an outcome too
+        # a pole on the real axis or the neutral boundary is an outcome too,
+        # which a direct-path ratio within 1e-5 of 1 made scale-dependent
+        # when rounding decided it
         def outcome(p, m, fb):
             try:
                 return langevin._zero_count(p, m, fb)[0]
             except InstabilityBoundaryError:
                 return "boundary"
 
-        p, m, fb = loop
+        p, m, fb = data.draw(loops)
         cavity = {k: getattr(p, k) for k in ("kappa0", "kappa1", "kappa_prime", "detuning")}
         mechanics = {k: getattr(m, k) for k in ("omega_m", "gamma_m", "G")}
         s = 10.0**top / max(abs(v) for v in (*cavity.values(), *mechanics.values()))
@@ -472,8 +512,8 @@ class TestDelayCrossingCount:
         fb2 = replace(fb, gain=replace(fb.gain, delay=fb.gain.delay / s))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            scaled = outcome(p2, m2, fb2)
-        assert scaled == outcome(p, m, fb)
+            scaled, unscaled = outcome(p2, m2, fb2), outcome(p, m, fb)
+        assert scaled == unscaled
 
     @pytest.mark.parametrize("max_strength", [4.0, 1.5])
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -697,8 +737,8 @@ class TestDelayCrossingCount:
         assert optimize.evaluate(p, m, fb, "weak_coupling").stable is False
 
     def test_rounded_neutral_loop_is_a_boundary(self, experiment):
-        # a direct ratio 6e-16 below 1: rounding leaves the retarded loop on
-        # the neutral boundary and its crossing count negative (-2)
+        # a direct ratio 6e-16 below 1, inside the neutral band, where
+        # rounding left the crossing count negative (-2)
         p, m = experiment.cavity, experiment.mechanics
         fb = replace(
             experiment.loop, port=Port.REFLECTION, eta=0.3875837894349707,
@@ -710,6 +750,49 @@ class TestDelayCrossingCount:
         report = optimize.evaluate(p, m, fb, "langevin")
         assert report.stable is False
         assert report.n_final == math.inf
+
+    @pytest.mark.parametrize("loop", ROUNDED_NEUTRAL_LOOPS, ids=["nan_probe", "polish_sign"])
+    def test_loop_within_an_ulp_of_the_neutral_boundary_is_unstable(self, loop):
+        with pytest.raises(InstabilityBoundaryError) as raised:
+            langevin._zero_count(*loop)
+        assert str(raised.value) == "loop on the neutral boundary"
+        assert langevin.delay_margin(*loop) == 0.0
+        for evaluator in optimize.EVALUATORS:
+            assert optimize.evaluate(*loop, evaluator).stable is False, evaluator
+
+    @pytest.mark.parametrize("evaluator", optimize.EVALUATORS)
+    def test_delayed_loop_inside_the_neutral_band_is_unstable(self, evaluator):
+        # a direct ratio 3e-4 below 1: both evaluators called this retarded
+        # loop stable (n = 10.15) while rounding, not the ratio, decided the
+        # boundary; the band makes it a boundary loop
+        p = CavityParams(0.4670953705413302, 0.24761622674434441, 0.0014555781836358861,
+                         -0.6975678695613599)
+        m = MechanicsParams(1.0, 2.0903354382567845e-07, 10.0, G=1.9826964704114433e-05)
+        fb = FeedbackConfig(Port.REFLECTION, -1.4115546916420258, 0.26468896736075864,
+                            FlatDelay(1.0198022489570535, 4.715267664420678))
+        assert direct_ratio(p, fb) == pytest.approx(1.0 - 3e-4, rel=1e-12)
+        assert langevin.neutral_type(p, m, fb)
+        report = optimize.evaluate(p, m, fb, evaluator)
+        assert report.stable is False
+        assert report.n_final == math.inf
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops(max_ratio=3.0))
+    def test_ratio_is_the_direct_path_weight(self, loop):
+        # the one number of the neutral rule, on both ports: the transmission
+        # port has no direct path
+        p, m, fb = loop
+        ratio = langevin._DetParts(p, m, fb).ratio
+        assert ratio == pytest.approx(direct_ratio(p, fb), rel=1e-12, abs=0.0)
+        if fb.port is Port.TRANSMISSION:
+            assert ratio == 0.0
+
+    def test_neutral_type_of_a_tabulated_gain_is_rejected(self, experiment):
+        loop, omega = experiment.with_gain_norm(0.5), np.geomspace(1e3, 1e9, 50)
+        fb = replace(loop, gain=Tabulated(omega, loop.gain(omega)))
+        with pytest.raises(ValidationError) as raised:
+            langevin.neutral_type(experiment.cavity, experiment.mechanics, fb)
+        assert str(raised.value) == "a tabulated gain's test is langevin.closed_loop_stability"
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -841,10 +924,9 @@ class TestDelayCrossingCount:
         assert zero_count_outcome(p, m, fb) == zero_count_outcome(p, m, fb, polish_all=True)
 
     def test_polish_band_keeps_every_outcome_at_the_undelayed_boundary(self, rng):
-        # at the amplitude where a tau = 0 root crosses the real axis, or where
-        # the leading coefficient cancels and a root runs off to i infinity
-        # (the neutral boundary), the outcome hangs on polishing: the band and
-        # the radius must polish every root whose polishing matters
+        # at the amplitude where a tau = 0 root crosses the real axis the
+        # outcome hangs on polishing: the band must polish every root whose
+        # polishing matters
         hanging = 0
         for p, m, fb in undelayed_boundary_loops(rng, 40):
             outcome = zero_count_outcome(p, m, fb)
@@ -853,16 +935,18 @@ class TestDelayCrossingCount:
                 hanging += zero_count_outcome(p, m, fb) != outcome
         assert hanging >= 5
 
-    def test_polish_radius_keeps_every_outcome_at_the_neutral_boundary(self, rng):
+    def test_undelayed_neutral_boundary_raises(self, rng):
         # on the reflection port P_4 + c Q_4 = P_4 (1 + c v) cancels to
-        # rounding where c v = -1, and one root runs off towards +-i infinity
-        hanging = 0
-        for p, m, fb in undelayed_boundary_loops(rng, 30, Port.REFLECTION, "neutral"):
-            outcome = zero_count_outcome(p, m, fb)
-            assert outcome == zero_count_outcome(p, m, fb, polish_all=True), (p, m, fb)
-            with mock.patch.object(langevin, "_POLISH_STEPS", 0):
-                hanging += zero_count_outcome(p, m, fb) != outcome
-        assert hanging >= 1
+        # rounding where c v = -1, and one root runs off towards +-i infinity,
+        # its sign hanging on polishing: the last floats either side of c v =
+        # -1 are on the neutral boundary, whether every root is polished or not
+        loops = list(undelayed_boundary_loops(rng, 30, Port.REFLECTION, "neutral"))
+        assert len(loops) == 60
+        for p, m, fb in loops:
+            for polish_all in (False, True):
+                assert zero_count_outcome(p, m, fb, polish_all) is InstabilityBoundaryError, (
+                    p, m, fb, polish_all,
+                )
 
 
 def zero_count_outcome(p, m, fb, polish_all=False):
@@ -881,8 +965,9 @@ def undelayed_boundary_loops(rng, draws, port=None, boundary="count"):
     """Seeded undelayed flat loops drawn as in flat_loops, each with its
     amplitude bisected to the last floats either side of where the tau = 0
     zero count changes (at a loop strength below 3), or, with
-    boundary="neutral", where the loop turns neutral at negative c v (the
-    leading coefficient of P + c Q cancels); yields both sides of each."""
+    boundary="neutral", where the direct-path ratio |c v| reaches 1 at
+    negative c v (the leading coefficient of P + c Q cancels); yields both
+    sides of each."""
     for _ in range(draws):
         p = CavityParams(
             kappa0=rng.uniform(0.02, 0.6), kappa1=rng.uniform(0.01, 0.5),
@@ -902,7 +987,7 @@ def undelayed_boundary_loops(rng, draws, port=None, boundary="count"):
 
         def count(amplitude):
             if boundary == "neutral":
-                return langevin.neutral_type(*loop(amplitude))
+                return langevin._DetParts(*loop(amplitude)).ratio >= 1.0
             try:
                 return langevin._zero_count(*loop(amplitude))[0]
             except LoopcoolError:
