@@ -216,6 +216,9 @@ def _cmd_cooling(args, artifact, p, m, fb, evaluator):
         f"cooling: n_final={report.n_final:.6g} "
         f"T={report.temperature_final:.6g} K stable={report.stable}"
     )
+    if not report.stable:  # the exact verdict's reason is solve's; the weak one leaves none
+        reasons = [w.split(": ", 1)[1] for w in report.warnings if w.startswith("unstable: ")]
+        print("error:", (reasons or ["no stationary weak-coupling occupancy"])[0], file=sys.stderr)
     return "cooling", {"result": result}, message, EXIT_OK if report.stable else EXIT_UNSTABLE
 
 
@@ -238,7 +241,7 @@ def _cmd_effective_cavity(args, artifact, p, m, fb, evaluator):
 
 def _cmd_spectrum(args, artifact, p, m, fb, evaluator):
     observable, points = args.observable, args.points or 801
-    # squash is the photocurrent with the membrane decoupled (G = 0)
+    # squash is i_fb with the membrane decoupled (G = 0): verdict and spectrum
     decoupled = replace(m, G=0.0) if observable == "squash" else m
     if observable in ("q_mech", "n_mech"):
         width = 60.0 * m.gamma_m + 4.0 * abs(m.G)
@@ -249,10 +252,8 @@ def _cmd_spectrum(args, artifact, p, m, fb, evaluator):
     if not langevin.closed_loop_stability(p, decoupled, fb):
         raise OptomechanicalInstabilityError("closed loop unstable; no stationary spectrum")
     omega = np.linspace(lo, hi, points)
-    if observable == "squash":
-        values = feedback.squash_spectrum(p, fb, omega)
-    else:
-        values = langevin.observable_spectrum(p, m, fb, omega, observable)
+    row = "i_fb" if observable == "squash" else observable
+    values = langevin.observable_spectrum(p, decoupled, fb, omega, row)
     csv_path = artifact(f"spectrum_{observable}.csv")
     spectra.write_spectrum_csv(csv_path, spectra.Spectrum(omega, values))
     payload = {

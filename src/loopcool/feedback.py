@@ -1,6 +1,6 @@
 """Closed-loop properties of the in-loop light with the membrane decoupled:
-open-loop transfer, squashing spectra, effective cavity parameters, Nyquist
-stability, and the gain that cancels Stokes scattering.
+open-loop transfer, loop denominator, effective cavity, Nyquist stability,
+the gain that cancels Stokes scattering; spectra, squashing too, are langevin's.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def loop_denominator(p: CavityParams, fb: FeedbackConfig, omega):
 
 def checked_loop_denominator(p: CavityParams, fb: FeedbackConfig, omega) -> np.ndarray:
     """D(w) as an array, raising InstabilityBoundaryError where it vanishes
-    (loop spectra divide by it and are undefined there)."""
+    (effective_susceptibility divides by it and is undefined there)."""
     d = np.asarray(loop_denominator(p, fb, omega))
     if np.any(np.abs(d) < _BOUNDARY_EPS):
         raise InstabilityBoundaryError(
@@ -107,15 +107,6 @@ def open_loop_transfer(p: CavityParams, fb: FeedbackConfig, omega):
         * model.cavity_susceptibility(p, omega)
         * cmath.exp(-1j * theta)
     )
-
-
-def squash_spectrum(p: CavityParams, fb: FeedbackConfig, omega):
-    """In-loop photocurrent spectrum S_i(w) = |D(w)|^-2, shot noise = 1.
-
-    Values below 1 are squashing, above 1 anti-squashing.
-    """
-    out = 1.0 / np.abs(checked_loop_denominator(p, fb, omega)) ** 2
-    return out if out.ndim else float(out)
 
 
 def effective_susceptibility(p: CavityParams, fb: FeedbackConfig, omega):

@@ -408,12 +408,13 @@ def _preset_fig4_detuning(points: int | None) -> tuple:
 
 
 def _preset_fig2_squash(points: int | None) -> tuple:
-    sys = presets.experiment_empty()
+    sys = presets.experiment_empty()  # G = 0: the i_fb spectrum is the squash spectrum
     p = sys.cavity
     omega = np.linspace(p.detuning - 10 * p.kappa, p.detuning + 10 * p.kappa, points or 1200)
     entries = []
     for label, sign in (("positive", +1.0), ("negative", -1.0)):
-        s_i = feedback.squash_spectrum(p, sys.with_gain_norm(sign * 0.6), omega)
+        fb = sys.with_gain_norm(sign * 0.6)
+        s_i = langevin.observable_spectrum(p, sys.mechanics, fb, omega, "i_fb")
         entries.append((f"fig2_squash_{label}.csv",
                         f"in-loop photocurrent spectrum, {label} feedback",
                         spectra.write_spectrum_csv, (spectra.Spectrum(omega, s_i),)))

@@ -1,10 +1,10 @@
 """Test oracles outside the package: the closed-form empty-cavity rate
-spectrum, kept as an oracle for the exact solve that the package uses
-(langevin.observable_spectrum at G = 0), the entries of the closed-loop
-system M(w) x = N n that the dense-solve and determinant oracles assemble,
-and the numpy-array forms of the adaptive quadrature and of the tau = 0
-zero count that the package's list and polish-near-the-axis forms must
-match bit for bit."""
+spectrum and in-loop photocurrent (squash) spectrum, kept as oracles for
+the exact solve that the package uses (langevin.observable_spectrum at
+G = 0), the entries of the closed-loop system M(w) x = N n that the
+dense-solve and determinant oracles assemble, and the numpy-array forms of
+the adaptive quadrature and of the tau = 0 zero count that the package's
+list and polish-near-the-axis forms must match bit for bit."""
 
 import cmath
 import math
@@ -23,6 +23,13 @@ def feedback_lambda(p, fb, omega):
     )
     out = num / d
     return out if out.ndim else complex(out)
+
+
+def squash_spectrum(p, fb, omega):
+    """In-loop photocurrent spectrum S_i(w) = 1/|D(w)|^2, shot noise = 1:
+    below 1 is squashing, above 1 anti-squashing."""
+    out = 1.0 / np.abs(feedback.checked_loop_denominator(p, fb, omega)) ** 2
+    return out if out.ndim else float(out)
 
 
 def cavity_quadrature_spectrum(p, fb, omega):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import closed_form
 from loopcool import cli, cooling, ingest, langevin, optimize, presets
 from loopcool.model import FlatDelay, MembraneGeometry, Port, membrane_modes
 
@@ -36,8 +37,8 @@ def write_bode_copy(path, gain, f):
 
 class TestCooling:
     def test_experiment_no_feedback_reports_two_kelvin(self, tmp_path, capsys, experiment):
-        code, out, _ = run(["--out", str(tmp_path), "cooling"], capsys)
-        assert code == 0
+        code, out, err = run(["--out", str(tmp_path), "cooling"], capsys)
+        assert code == 0 and err == ""
         assert "T=2" in out and "stable=True" in out
         sidecar = json.loads((tmp_path / "run_cooling.json").read_text())
         assert sidecar["result"]["temperature_final_k"] == pytest.approx(2.0, rel=1e-3)
@@ -89,7 +90,7 @@ class TestCooling:
         }
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            code, out, _, outdir = _run_config(
+            code, out, cooled_err, outdir = _run_config(
                 tmp_path, capsys, doc, ("--evaluator", "langevin", "cooling")
             )
             solved, _, err, _ = _run_config(tmp_path, capsys, doc, ("solve",))
@@ -99,6 +100,26 @@ class TestCooling:
         assert "unstable: loop on the neutral boundary" in result["warnings"]
         assert solved == 3
         assert err == "error: loop on the neutral boundary\n"
+        assert cooled_err == err
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("weak", "no stationary weak-coupling occupancy"),
+        ("langevin", "closed loop unstable; no stationary occupancy"),
+    ])
+    def test_unstable_cooling_names_its_reason_on_stderr(self, tmp_path, capsys, kind, reason):
+        # past the loop threshold: one stderr line, solve's own under the
+        # exact evaluator; stdout and the sidecar stay as they were
+        doc = {"system": "experiment",
+               "feedback": {"gain": {"type": "preset_gain_norm", "value": 1.05}}}
+        code, out, err, outdir = _run_config(
+            tmp_path, capsys, doc, ("--evaluator", kind, "cooling")
+        )
+        assert code == 3 and out == "cooling: n_final=inf T=inf K stable=False\n"
+        assert err == f"error: {reason}\n"
+        assert json.loads((outdir / "run_cooling.json").read_text())["result"]["stable"] is False
+        if kind == "langevin":
+            solved, _, solve_err, _ = _run_config(tmp_path, capsys, doc, ("solve",))
+            assert solved == 3 and solve_err == err
 
     def test_anti_damped_weak_rates_with_a_stable_exact_loop_exits_zero(self, tmp_path, capsys):
         # the weak rates anti-damp this strongly coupled loop, but det M has
@@ -238,6 +259,40 @@ class TestSpectrumCommand:
         rows = np.loadtxt(tmp_path / "run_spectrum_squash.csv", delimiter=",", skiprows=1)
         assert rows.shape == (101, 2)
         np.testing.assert_allclose(rows[:, 1], 1.0)  # preset default gain is off
+
+    @pytest.mark.parametrize("gain", ["reflection", "tabulated"])
+    def test_squash_matches_the_closed_form(self, tmp_path, capsys, experiment, gain):
+        # the exact solve of i_fb at G = 0 against 1/|D|^2: a stable
+        # reflection loop on fig1_optical, and a traced copy of the
+        # experiment's gain at gain_norm 0.5
+        if gain == "reflection":
+            doc = {"system": "fig1_optical", "feedback": {"gain": {"amplitude": 0.3}}}
+        else:
+            f = np.geomspace(1e-3, 1e9, 60000)
+            path = write_bode_copy(tmp_path / "copy.csv", experiment.with_gain_norm(0.5).gain, f)
+            doc = {"system": "experiment",
+                   "feedback": {"gain": {"type": "tabulated", "path": str(path)}}}
+        code, _, _, outdir = _run_config(tmp_path, capsys, doc, ("--points", "201", "spectrum"))
+        assert code == 0
+        rows = np.loadtxt(outdir / "run_spectrum_squash.csv", delimiter=",", skiprows=1)
+        p, _, fb = cli.resolve_config(doc)[:3]
+        expected = closed_form.squash_spectrum(p, fb, TWO_PI * rows[:, 0])
+        assert np.ptp(expected) > 0.1
+        np.testing.assert_allclose(rows[:, 1], expected, rtol=1e-10)
+
+    def test_squash_ignores_the_coupling(self, tmp_path, capsys):
+        # squash is the decoupled loop's spectrum: the membrane's coupling
+        # changes no byte of it
+        csvs = []
+        for coupling in (0.0, 1600.0, 20e3):
+            doc = {"system": "experiment", "mechanics": {"coupling_hz": coupling},
+                   "feedback": {"gain": {"type": "preset_gain_norm", "value": 0.6}}}
+            code, _, _, outdir = _run_config(tmp_path, capsys, doc,
+                                             ("--points", "101", "spectrum", "squash"))
+            assert code == 0
+            csvs.append((outdir / "run_spectrum_squash.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert csvs[0].count(b"\n") == 102
 
     @pytest.mark.parametrize("observable", ["q_mech", "n_mech", "squash"])
     def test_unstable_loop_exits_three(self, tmp_path, capsys, observable):

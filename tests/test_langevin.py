@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -119,12 +120,18 @@ class TestSolveRows:
         np.testing.assert_allclose(row[:, 0], predicted, rtol=1e-8)
 
     def test_empty_cavity_photocurrent_matches_squash(self, rng):
-        for port in Port:
-            p, m, fb = toy_system(coupling=0.0, gain=0.35, port=port)
+        # the flat gain and a traced copy of it (the draws stay inside the
+        # trace), at unit and lower detection efficiency
+        f = np.geomspace(1e-3, 20.0, 4000)
+        for port, eta in itertools.product(Port, (1.0, 0.8, 0.3)):
+            p, m, fb = toy_system(coupling=0.0, gain=0.35, eta=eta, port=port)
+            tabulated = replace(fb, gain=Tabulated(f, fb.gain(f)))
             w = rng.uniform(-12, 12, size=80)
-            s_exact = langevin.observable_spectrum(p, m, fb, w, "i_fb")
-            s_closed = feedback.squash_spectrum(p, fb, w)
-            np.testing.assert_allclose(s_exact, s_closed, rtol=1e-10)
+            w = w[np.abs(w) > 1e-3]
+            for loop in (fb, tabulated):
+                s_exact = langevin.observable_spectrum(p, m, loop, w, "i_fb")
+                s_closed = closed_form.squash_spectrum(p, loop, w)
+                np.testing.assert_allclose(s_exact, s_closed, rtol=1e-10)
 
     def test_empty_cavity_quadrature_matches_rate_spectrum(self, rng):
         for port in Port:

@@ -91,12 +91,14 @@ class TestZetaOut:
             np.testing.assert_allclose(np.conjugate(z_pos), z_neg, rtol=0, atol=1e-14)
 
     def test_zero_gain_gives_shot_noise(self):
-        from loopcool import feedback
+        from loopcool import langevin
 
         p = make_cavity()
+        m = MechanicsParams(omega_m=TWO_PI * 343e3, gamma_m=1.0, n_th=100.0, G=TWO_PI * 5e3)
         fb = FeedbackConfig(gain=FlatDelay(0.0))
         w = np.linspace(-3e6, 3e6, 101)
-        np.testing.assert_allclose(feedback.squash_spectrum(p, fb, w), 1.0)
+        s = langevin.observable_spectrum(p, replace(m, G=0.0), fb, w, "i_fb")
+        np.testing.assert_allclose(s, 1.0)
 
     def test_transmission_peak_magnitude(self):
         # Delta >> kappa, omega = Delta: dominated by the resonant term
