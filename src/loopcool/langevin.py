@@ -16,11 +16,9 @@ input-noise sum S(w) = sum_j c_j |K_j(w)|^2.  Valid at any coupling where
 the linearized model applies (the photocurrent is carried as an explicit
 unknown so both ports and finite detection efficiency stay uniform).
 
-The loop is stable iff det M(w) has no zeros in the upper half plane.  For
-a flat-delay gain they are counted exactly, without sampling, by following
-them across the real axis as the delay grows from 0 (delay crossings); for
-a tabulated gain the count is the winding of det M along a sampled real
-frequency contour.
+The loop is stable iff det M(w) has no zeros in the upper half plane: for a
+flat-delay gain quasipoly counts them exactly from det M = P + c e^{i tau w} Q,
+for a tabulated gain by the winding of det M along a real frequency contour.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import feedback, model
+from . import feedback, model, quasipoly
 from .errors import (
     ConvergenceError,
     FitError,
@@ -41,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
+from .quasipoly import convolve
 from .spectra import Spectrum
 
 #: weights c over the unknowns x = (a, a_conj, b, b_conj, i_fb) of each
@@ -408,50 +407,13 @@ def closed_loop_determinant(
     return loop / (d_a * d_ac) + s * cof_s / (d_a * d_ac * d_b * d_bc)
 
 
-#: |Im| of a root, in units of the frequency scale, below which it counts as
-#: on the real axis
-_AXIS_TOL = 1e-12
-#: loop phase (rad) within which the delay counts as a crossing delay
-_CROSSING_PHASE_TOL = 1e-9
-#: largest half-width, in units of the frequency scale, of the probes either
-#: side of each crossing seed ...
-_SEED_PROBE = 1e-9
-#: ... and the offsets from omega_m, in units of gamma_m, probed as well
+#: offsets from omega_m, in units of gamma_m, probed for delay crossings too
 _MECHANICAL_PROBES = tuple(10.0**k for k in range(-3, 5))
-#: most Newton steps polishing a tau = 0 root, and the cap on bracketed ones;
-#: either stops once a step is at rounding level, within _ROUNDING of |x|
-_POLISH_STEPS = 2
-_NEWTON_STEPS = 100
-#: a tau = 0 root is polished up to |Im x| = _POLISH_BAND max(1, |x|); a direct-path
-#: ratio |c Q_4 / P_4| within _NEUTRAL_TOL of 1 is the retarded/neutral boundary
-_POLISH_BAND, _NEUTRAL_TOL = 1e-6, 5e-4
-_ROUNDING = 4.0 * float(np.finfo(float).eps)
-
-
-def _convolve(a: list, b: list) -> list:
-    """Coefficients (highest first) of the product of two polynomials."""
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, a_i in enumerate(a):
-        for j, b_j in enumerate(b):
-            out[i + j] += a_i * b_j
-    return out
-
-
-def _roots(coef) -> np.ndarray:
-    """np.roots of float or complex coefficients without its wrapper: the
-    eigenvalues of the same companion matrix.  Zero end coefficients go to
-    np.roots, which strips them (a trailing zero is an exact zero root)."""
-    coef = np.asarray(coef)
-    if not (coef[0] and coef[-1]):
-        return np.roots(coef)
-    companion = np.eye(coef.size - 1, k=-1, dtype=coef.dtype)
-    companion[0] = -coef[1:] / coef[0]
-    return np.linalg.eigvals(companion)
 
 
 class _DetParts:
-    """det M(s x) = P(x) + g Q(x) at complex x = w / s, s the frequency scale,
-    for a FlatDelay loop g = c e^{i tau w}.
+    """The parts quasipoly.zero_count reads: det M(s x) = P(x) + g Q(x) at
+    complex x = w / s, s the frequency scale, for a FlatDelay loop g = c e^{i tau w}.
 
     g enters M only through column 4 (M04 = u0 g, M14 = u1 g, M44 = 1 + v g)
     and det M is linear in it, so the kernel's elimination gives P with
@@ -481,7 +443,7 @@ class _DetParts:
         self.diag = [(complex(d0), complex(d1 - d0)) for d0, d1 in zip(at_zero, at_scale)]
 
         a, ac, b, bc = ([slope, const + slope * center] for const, slope in self.diag)
-        prod_a, prod_b = _convolve(a, ac), _convolve(b, bc)
+        prod_a, prod_b = convolve(a, ac), convolve(b, bc)
         split_a = [x - y for x, y in zip(a, ac)]
         split_b = [kernel.g2 * (x - y) for x, y in zip(b, bc)]
         feed = [self.u1 * kernel.m41 * x + self.u0 * kernel.m40 * y for x, y in zip(a, ac)]
@@ -490,14 +452,13 @@ class _DetParts:
         direct[1] -= (kernel.m40 - kernel.m41) * (self.u0 + self.u1)
         # the self-energy terms are of degree 2, the products of degree 4
         self.p_coef, self.q_coef = (
-            [x + y for x, y in zip(_convolve(prod_b, head), [0.0, 0.0, *_convolve(split_b, tail)])]
+            [x + y for x, y in zip(convolve(prod_b, head), [0.0, 0.0, *convolve(split_b, tail)])]
             for head, tail in ((prod_a, split_a), (loop, direct))
         )
         self.dp_coef, self.dq_coef = (
-            [k * c for k, c in zip(range(4, 0, -1), coef)] for coef in (self.p_coef, self.q_coef)
+            [k * c for k, c in zip(range(len(coef) - 1, 0, -1), coef)]
+            for coef in (self.p_coef, self.q_coef)
         )
-        # |c Q_4 / P_4|, the loop weight of the instantaneous reflection path
-        self.ratio = abs(self.c * self.v)
 
     def values(self, x):
         """P and Q at x; for an array, one elimination with column 4 stacked."""
@@ -517,157 +478,26 @@ class _DetParts:
         return p_val, q_val, dp, dq
 
 
-def _crossing_frequencies(
-    parts: _DetParts, c: complex, gamma: float
-) -> list[tuple[float, int]]:
-    """Positive real roots x of F = |P|^2 - |c|^2 |Q|^2, each with the sign
-    of F' there.  The roots of the expanded F seed probes either side of
-    their real parts, probes geometric in gamma (= gamma_m / s) either side
-    of omega_m / s catch what the seeds miss, and every sign change of the
-    factored F between sorted probes is polished by safeguarded Newton,
-    which stops once a step is within _ROUNDING of x, even on the bracket's
-    edge; only a longer step out of the bracket is bisected.  The probes
-    read only P and Q, from one elimination; the derivatives enter the
-    Newton steps.  A probe sits at most a quarter of the way to the next
-    seed: for a high-Q oscillator a pair of crossings near omega_m can lie
-    closer together than _SEED_PROBE."""
-    c2, center, p_coef, q_coef = abs(c) ** 2, parts.center, parts.p_coef, parts.q_coef
-    p_sq = _convolve(p_coef, [z.conjugate() for z in p_coef])
-    q_sq = _convolve(q_coef, [z.conjugate() for z in q_coef])
-    f_coef = [(pp - c2 * qq).real for pp, qq in zip(p_sq, q_sq)]
-    seeds = sorted({x + center for x in _roots(f_coef).real.tolist() if x + center > 0.0})
-    gaps = [hi - lo for lo, hi in zip(seeds, seeds[1:])]
-    lead = f_coef[0]  # off 0 by the neutral band; Fujiwara, Tohoku Math. J. 10, 167 (1916)
-    beyond = center + 2.0 * max(abs(f / lead) ** (1.0 / k) for k, f in enumerate(f_coef[1:], 1))
-    probes = {0.0, beyond}
-    for x, below, above in zip(seeds, [math.inf, *gaps], [*gaps, math.inf]):
-        width = min(_SEED_PROBE, 0.25 * min(above, below))
-        probes.update((x - width, x + width))
-    for offset in _MECHANICAL_PROBES:
-        probes.update((center - gamma * offset, center + gamma * offset))
-    probes = sorted(x for x in probes if x >= 0.0)
-
-    def residual(p_val, q_val):
-        return (p_val * p_val.conjugate()).real - c2 * (q_val * q_val.conjugate()).real
-
-    f_probe = residual(*parts.values(np.array(probes)))
-    found = []
-    # signs, not a product: F grows like the rates^8, so F * F overflows
-    for k in np.flatnonzero(np.sign(f_probe[:-1]) * np.sign(f_probe[1:]) < 0.0).tolist():
-        lo, hi = probes[k], probes[k + 1]
-        rising = bool(f_probe[k] < 0.0)
-        x = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_STEPS):
-            p_val, q_val, dp, dq = parts(x)
-            f = residual(p_val, q_val)
-            if f == 0.0:
-                break
-            if (f < 0.0) == rising:
-                lo = x
-            else:
-                hi = x
-            df = 2.0 * ((p_val.conjugate() * dp).real - c2 * (q_val.conjugate() * dq).real)
-            step = x - f / df if df else 0.5 * (lo + hi)
-            # a converged step stands on an edge: bisecting walks ~20 steps back
-            if abs(step - x) > _ROUNDING * x and not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            if abs(step - x) <= _ROUNDING * x:
-                x = step
-                break
-            x = step
-        found.append((x, 1 if rising else -1))
-    return found
-
-
-def _undelayed_zeros(parts: _DetParts, c: complex) -> int:
-    """Zeros of the polynomial P + c Q (the loop at tau = 0) in the upper
-    half plane.  A zero within _POLISH_BAND of the real axis is polished by
-    Newton steps that stop at rounding level.  Any other keeps its companion
-    eigenvalue: a step, about its error (rounding times its condition), could
-    move neither its sign nor the _AXIS_TOL test while the neutral band keeps
-    P_4 + c Q_4 off 0.  A zero on the real axis raises InstabilityBoundaryError."""
-    count = 0
-    coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
-    for x in (_roots(coef) + parts.center).tolist():
-        polish = abs(x.imag) <= _POLISH_BAND * max(1.0, abs(x))
-        for _ in range(_POLISH_STEPS if polish else 0):
-            p_val, q_val, dp, dq = parts(x)
-            slope = dp + c * dq
-            step = (p_val + c * q_val) / slope if slope else 0.0
-            x -= step
-            if abs(step) <= _ROUNDING * abs(x):
-                break
-        if abs(x.imag) < _AXIS_TOL:
-            raise InstabilityBoundaryError("closed-loop pole on the real frequency axis")
-        count += int(x.imag > 0.0)
-    return count
-
-
-def _zero_count(
-    p: CavityParams, m: MechanicsParams, fb: FeedbackConfig
-) -> tuple[float, float]:
-    """(count, margin) of a FlatDelay loop c e^{i tau w}: the number of zeros
-    of det M(w) = P(w) + c e^{i tau w} Q(w) in the upper half plane and its
-    delay_margin, from one set of parts and one walk over the delay
-    crossings (Walton & Marshall, IEE Proc. D 134, 101 (1987); Olgac &
-    Sipahi, IEEE TAC 47, 793 (2002)).
-
-    The zeros of the polynomial P + c Q are counted at tau = 0
-    (_undelayed_zeros).  As the delay grows to tau, zeros cross the real
-    axis only at the delay crossings: at each crossing frequency w_c = s x
-    (_crossing_frequencies) a pair w, -w* crosses at the delays tau_k =
-    (theta + 2 pi k) / w_c, k >= 0, theta = arg(-P / (c Q)) mod 2 pi there,
-    moving up for direction +1 and down for -1, so each crossing passed
-    adds 2 direction.  A direct-path ratio |c Q_4 / P_4| within _NEUTRAL_TOL of 1
-    (the neutral boundary, any delay), a real-axis zero or a delay tau > 0 on a
-    crossing raises InstabilityBoundaryError; above the band every tau > 0 is unstable.
-    """
+def _zero_count(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> tuple[float, float]:
+    """(count, margin) of a FlatDelay loop: quasipoly.zero_count of det M = P + c
+    e^{i tau w} Q in the upper half plane and its delay_margin, on one set of
+    parts, model.direct_ratio and probes geometric in gamma_m about omega_m."""
     parts = _DetParts(p, m, fb)
-    c, tau, scale = parts.c, fb.gain.delay, parts.scale
-    if abs(parts.ratio - 1.0) <= _NEUTRAL_TOL:
-        raise InstabilityBoundaryError("loop on the neutral boundary")
-    if parts.ratio > 1.0:
-        return (math.inf if tau > 0.0 else _undelayed_zeros(parts, c)), 0.0
-    count = _undelayed_zeros(parts, c)
-    # zero gain has no crossings, and at tau = 0 an unstable loop no margin
-    if c == 0.0 or (count and tau == 0.0):
-        return count, 0.0 if count else math.inf
-    margins = []
-    for x, direction in _crossing_frequencies(parts, c, m.gamma_m / scale):
-        p_val, q_val = parts.values(x)
-        theta = cmath.phase(-p_val / (c * q_val)) % (2.0 * math.pi)
-        lag = tau * scale * x - theta
-        if tau > 0.0 and abs(math.remainder(lag, 2.0 * math.pi)) < _CROSSING_PHASE_TOL:
-            raise InstabilityBoundaryError("loop delay sits on a closed-loop pole crossing")
-        passed = math.floor(lag / (2.0 * math.pi)) + 1 if lag > 0.0 else 0
-        count += 2 * direction * passed
-        if direction > 0:
-            margins.append((theta + 2.0 * math.pi * passed) / (scale * x) - tau)
-    return count, 0.0 if count else min(margins, default=math.inf)
-
-
-def neutral_type(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> bool:
-    """Whether a FlatDelay loop's direct-path ratio, _zero_count's number, is at least
-    1 - _NEUTRAL_TOL: of neutral type (Hale & Verduyn Lunel 1993), unstable at any
-    delay above 0 whatever G, or on its boundary.  ValidationError if Tabulated."""
-    if not isinstance(fb.gain, FlatDelay):
-        raise ValidationError("a tabulated gain's test is langevin.closed_loop_stability")
-    return _DetParts(p, m, fb).ratio >= 1.0 - _NEUTRAL_TOL
+    gamma = m.gamma_m / parts.scale
+    probes = [x for k in _MECHANICAL_PROBES
+              for x in (parts.center - gamma * k, parts.center + gamma * k)]
+    tau, ratio = fb.gain.delay, model.direct_ratio(p, fb)
+    return quasipoly.zero_count(parts, parts.c, tau, parts.scale, ratio, probes)
 
 
 def delay_margin(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> float:
     """Delay margin (s) of a FlatDelay loop: how much longer the loop delay
     can grow before a pair of closed-loop poles crosses into the upper half
     plane (Michiels & Niculescu, Stability and Stabilization of Time-Delay
-    Systems, SIAM 2007).  It is the smallest tau_k - tau > 0 over the
-    destabilising (direction +1) delay crossings, read in the same pass as
-    the zero count (_zero_count), so it is exact: the count is 0 just below
-    tau + margin and at least 2 just above.
-
+    Systems, SIAM 2007), read exactly in the zero count's pass (_zero_count):
     inf for a stable loop that no crossing destabilises (zero gain among
     them); 0.0 when the loop is already unstable, on a stability boundary
-    (the neutral one included), or of neutral type (every positive delay is
-    unstable then); NaN for a Tabulated gain, which has no delay to tune.
+    or of neutral type; NaN for a Tabulated gain, which has no delay to tune.
     """
     if not isinstance(fb.gain, FlatDelay):
         return math.nan

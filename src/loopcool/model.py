@@ -291,6 +291,15 @@ def port_constants(p: CavityParams, fb: FeedbackConfig) -> tuple[float, float, i
     return p.kappa1, theta, 1
 
 
+def direct_ratio(p: CavityParams, fb: FeedbackConfig) -> float:
+    """|c Q_4 / P_4| of a flat gain's det M = P + c e^{i tau w} Q, 1 on the neutral
+    boundary: 2 sqrt(eta) |A cos(phi - theta_bar)| on reflection, 0 on transmission."""
+    if fb.port is Port.TRANSMISSION:
+        return 0.0
+    psi = fb.phi - input_phase_shifts(p)[1]
+    return 2.0 * math.sqrt(fb.eta) * abs(fb.gain.amplitude * math.cos(psi))
+
+
 def detected_phase(p: CavityParams, fb: FeedbackConfig) -> float:
     """Quadrature rotation between the in-loop modulation and the cavity
     amplitude quadrature: phi + theta - theta_bar for reflection, phi for

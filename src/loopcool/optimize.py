@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cooling, feedback, langevin, model, presets, spectra
+from . import cooling, feedback, langevin, model, presets, quasipoly, spectra
 from .cooling import CoolingReport
 from .errors import INSTABILITIES, NoStablePointError, ValidationError
 from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated
@@ -129,9 +129,10 @@ def evaluate(
     evaluator then always hands its gamma_opt to phonon_occupancy, which
     integrates to `rtol`; the closed-loop zero count inside it is the exact
     evaluator's only verdict.  The weak verdict is the rate sign (an
-    anti-damped report comes back as it is), then the neutral-type rule
-    (langevin.neutral_type: a delayed neutral loop is unstable), then the
-    G = 0 Nyquist test (a Tabulated gain's exact test at G = 0, where R = D).
+    anti-damped report comes back as it is), then the neutral-type rule (a
+    delayed flat loop with model.direct_ratio >= 1 - quasipoly.NEUTRAL_TOL is
+    unstable), then the G = 0 Nyquist test (a Tabulated gain's exact test at
+    G = 0, where R = D); its `unstable: ` warning names the rule that decided.
 
     Unstable or boundary loops come back with infinite occupancy instead of
     raising, so sweep traces stay complete.  Invalid input raises
@@ -148,20 +149,24 @@ def evaluate(
         try:
             n = langevin.phonon_occupancy(p, m, fb, rtol, gamma_opt=report.gamma_opt)
         except INSTABILITIES as exc:
-            return replace(report, n_final=math.inf, temperature_final=math.inf,
-                           warnings=(*report.warnings, f"unstable: {exc}"))
+            return _unstable(report, exc)
         temperature = model.occupancy_to_temperature(n, m.omega_m)
         return replace(report, n_final=n, temperature_final=temperature)
     if not report.stable:  # anti-damped: the weak formula has no occupancy
         return report
     if isinstance(fb.gain, Tabulated):
         stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
+    elif fb.gain.delay > 0.0 and model.direct_ratio(p, fb) >= 1.0 - quasipoly.NEUTRAL_TOL:
+        return _unstable(report, "delayed loop on or past the neutral boundary")
     else:
-        neutral = fb.gain.delay > 0.0 and langevin.neutral_type(p, m, fb)
-        stable = not neutral and feedback.nyquist_stability(p, fb).stable
-    if stable:
-        return report
-    return replace(report, n_final=math.inf, temperature_final=math.inf)
+        stable = feedback.nyquist_stability(p, fb).stable
+    return report if stable else _unstable(report, "decoupled loop fails the G = 0 Nyquist test")
+
+
+def _unstable(report: CoolingReport, reason) -> CoolingReport:
+    """`report` without an occupancy, `reason` its last warning."""
+    return replace(report, n_final=math.inf, temperature_final=math.inf,
+                   warnings=(*report.warnings, f"unstable: {reason}"))
 
 
 def sweep(
@@ -419,7 +424,7 @@ def _preset_fig2_squash(points: int | None) -> tuple:
                         f"in-loop photocurrent spectrum, {label} feedback",
                         spectra.write_spectrum_csv, (spectra.Spectrum(omega, s_i),)))
     fb = sys.with_gain_norm(0.6)
-    t = np.array([feedback.open_loop_transfer(p, fb, w) for w in omega])
+    t = feedback.open_loop_transfer(p, fb, omega)
     return {**_describe_system(sys), "gain_norm": 0.6}, [
         *entries,
         ("fig2_open_loop_magnitude.csv", "open-loop transfer magnitude",

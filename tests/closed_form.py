@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from loopcool import feedback, langevin, model
+from loopcool import feedback, langevin, model, quasipoly
 
 
 def feedback_lambda(p, fb, omega):
@@ -112,19 +112,19 @@ def adaptive_integral(fvec, edges, rtol=2e-4):
 
 
 def undelayed_zeros_polishing_all(parts, c):
-    """langevin._undelayed_zeros with every root polished, however far from
+    """quasipoly._undelayed_zeros with every root polished, however far from
     the real axis: the form the package's polish band must agree with."""
     count = 0
     coef = [p_k + c * q_k for p_k, q_k in zip(parts.p_coef, parts.q_coef)]
-    for x in (langevin._roots(coef) + parts.center).tolist():
-        for _ in range(langevin._POLISH_STEPS):
+    for x in (quasipoly._roots(coef) + parts.center).tolist():
+        for _ in range(quasipoly._POLISH_STEPS):
             p_val, q_val, dp, dq = parts(x)
             slope = dp + c * dq
             step = (p_val + c * q_val) / slope if slope else 0.0
             x -= step
-            if abs(step) <= langevin._ROUNDING * abs(x):
+            if abs(step) <= quasipoly._ROUNDING * abs(x):
                 break
-        if abs(x.imag) < langevin._AXIS_TOL:
-            raise langevin.InstabilityBoundaryError("closed-loop pole on the real frequency axis")
+        if abs(x.imag) < quasipoly._AXIS_TOL:
+            raise quasipoly.InstabilityBoundaryError("closed-loop pole on the real frequency axis")
         count += int(x.imag > 0.0)
     return count

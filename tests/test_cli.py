@@ -121,6 +121,34 @@ class TestCooling:
             solved, _, solve_err, _ = _run_config(tmp_path, capsys, doc, ("solve",))
             assert solved == 3 and solve_err == err
 
+    @pytest.mark.parametrize("doc, reason", [
+        # fig1_optical's preset delay kept: the rates damp, the G = 0 loop winds twice
+        ({"system": "fig1_optical",
+          "feedback": {"phi_rad": 0.07427745862364432,
+                       "gain": {"amplitude": 1.351391088977806}}},
+         "decoupled loop fails the G = 0 Nyquist test"),
+        # a reflection loop of neutral type (direct ratio 1.91) delayed by 0.01 / omega_m
+        ({"cavity": {"kappa0_hz": 0.02 / TWO_PI, "kappa1_hz": 0.01 / TWO_PI,
+                     "kappa_prime_hz": 0.05 / TWO_PI, "detuning_hz": 0.9832443963788964 / TWO_PI},
+          "mechanics": {"omega_m_hz": 1.0 / TWO_PI, "gamma_m_hz": 1e-6 / TWO_PI, "n_th": 10.0,
+                        "coupling_hz": 1e-4 / TWO_PI},
+          "feedback": {"port": "reflection", "phi_rad": 0.8253462493365822, "eta": 0.05,
+                       "gain": {"type": "flat_delay", "amplitude": 6.048726571822376,
+                                "delay_s": 0.01}}},
+         "delayed loop on or past the neutral boundary"),
+    ], ids=["nyquist", "neutral"])
+    def test_weak_unstable_cooling_names_its_rule(self, tmp_path, capsys, doc, reason):
+        # the weak verdict's rule, not the anti-damped fallback, in the
+        # sidecar's warnings and on stderr
+        code, out, err, outdir = _run_config(
+            tmp_path, capsys, doc, ("--evaluator", "weak", "cooling")
+        )
+        assert code == 3 and out == "cooling: n_final=inf T=inf K stable=False\n"
+        assert err == f"error: {reason}\n"
+        result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+        assert result["gamma_opt"] > 0.0
+        assert result["warnings"] == [f"unstable: {reason}"]
+
     def test_anti_damped_weak_rates_with_a_stable_exact_loop_exits_zero(self, tmp_path, capsys):
         # the weak rates anti-damp this strongly coupled loop, but det M has
         # no unstable zero: the exact evaluator finds its occupancy

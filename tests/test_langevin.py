@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import closed_form
-from loopcool import cooling, feedback, langevin, model, optimize, presets
+from loopcool import cooling, feedback, langevin, model, optimize, presets, quasipoly
 from loopcool.errors import (
     ConvergenceError,
     FitError,
@@ -336,13 +336,6 @@ class TestClosedLoopStability:
         assert langevin.closed_loop_stability(p, m, sys.with_gain_norm(1.05)) is False
 
 
-def direct_ratio(p, fb):
-    """|c Q_4 / P_4| = 2 sqrt(eta) |A cos psi| of a flat loop: the weight of
-    the instantaneous reflection path, >= 1 for a loop of neutral type."""
-    _kappa_fb, theta_fb, z = model.port_constants(p, fb)
-    return (1 - z) * 2.0 * math.sqrt(fb.eta) * abs(fb.gain.amplitude * math.cos(fb.phi - theta_fb))
-
-
 @st.composite
 def flat_loops(draw, max_strength=1.5, max_ratio=0.9, min_strength=0.0):
     """Random closed loop in units of omega_m: either port, G from 1e-5 to
@@ -373,7 +366,7 @@ def flat_loops(draw, max_strength=1.5, max_ratio=0.9, min_strength=0.0):
         amplitude, draw(st.floats(0.0, 5.0)), draw(st.sampled_from([0.0, math.pi]))
     )
     fb = replace(fb, gain=gain)
-    assume(direct_ratio(p, fb) <= max_ratio)
+    assume(model.direct_ratio(p, fb) <= max_ratio)
     return p, m, fb
 
 
@@ -390,11 +383,11 @@ def short_delay_neutral_loop(tau):
 def near_neutral_loops(draw):
     """A reflection loop drawn as in flat_loops, its direct-path ratio moved
     to 1 -+ gap, gap from 1e-15 to 10^-1.5, at tau = 0 or at its drawn delay:
-    on the neutral boundary up to a gap of langevin._NEUTRAL_TOL, off it past."""
+    on the neutral boundary up to a gap of quasipoly.NEUTRAL_TOL, off it past."""
     p, m, fb = draw(flat_loops(max_ratio=math.inf))
     fb = replace(fb, port=Port.REFLECTION, gain=replace(fb.gain, amplitude=1.0))
     gap = 10.0 ** draw(st.floats(-15.0, -1.5))
-    amplitude = (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap) / direct_ratio(p, fb)
+    amplitude = (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap) / model.direct_ratio(p, fb)
     assume(amplitude <= model.MAX_GAIN)
     delay = draw(st.sampled_from([0.0, fb.gain.delay]))
     return p, m, replace(fb, gain=replace(fb.gain, amplitude=amplitude, delay=delay))
@@ -570,8 +563,8 @@ class TestDelayCrossingCount:
         fb = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=amplitude))
         calls = {}
 
-        def counted(name):
-            original = getattr(langevin, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] = calls.get(name, 0) + 1
@@ -579,8 +572,8 @@ class TestDelayCrossingCount:
 
             return wrapper
 
-        for name in ("_DetParts", "_crossing_frequencies"):
-            monkeypatch.setattr(langevin, name, counted(name))
+        for module, name in ((langevin, "_DetParts"), (quasipoly, "_crossing_frequencies")):
+            monkeypatch.setattr(module, name, counted(module, name))
         assert 0.0 < langevin.delay_margin(p, m, fb) < math.inf
         assert calls == {"_DetParts": 1, "_crossing_frequencies": 1}
 
@@ -701,7 +694,7 @@ class TestDelayCrossingCount:
         fb = replace(
             fig1_optical.loop, phi=theta_fb, eta=1.0, gain=FlatDelay(-0.6, 1e-8)
         )
-        assert direct_ratio(p, fb) == pytest.approx(1.2)
+        assert model.direct_ratio(p, fb) == pytest.approx(1.2)
         assert langevin._zero_count(p, m, fb)[0] == math.inf
         assert langevin.closed_loop_stability(p, m, fb) is False
         report = optimize.evaluate(p, m, fb, "langevin")
@@ -716,16 +709,18 @@ class TestDelayCrossingCount:
         # evaluator's sampled G = 0 winding misses them, its neutral-type
         # rule does not
         p, m, fb = short_delay_neutral_loop(tau)
-        assert direct_ratio(p, fb) > 1.0
+        assert model.direct_ratio(p, fb) > 1.0
         report = optimize.evaluate(p, m, fb, evaluator)
         assert report.stable is False
         assert report.rates == cooling.scattering_rates(p, m, fb)
+        if evaluator == "weak_coupling":
+            assert report.warnings == ("unstable: delayed loop on or past the neutral boundary",)
 
     @pytest.mark.parametrize("evaluator", optimize.EVALUATORS)
     def test_undelayed_neutral_loop_is_stable(self, evaluator):
         # at tau = 0 the loop is the polynomial P + c Q, whose zeros decide
         p, m, fb = short_delay_neutral_loop(0.0)
-        assert langevin.neutral_type(p, m, fb)
+        assert model.direct_ratio(p, fb) >= 1.0 - quasipoly.NEUTRAL_TOL
         assert optimize.evaluate(p, m, fb, evaluator).stable is True
 
     @settings(
@@ -739,8 +734,9 @@ class TestDelayCrossingCount:
         # to 0.01 that the sampled G = 0 winding alone called stable); about
         # one draw in 25 is such a loop, hence the filter
         p, m, fb = loop
-        assume(fb.port is Port.REFLECTION and direct_ratio(p, fb) >= 1.0 and fb.gain.delay > 0.0)
-        assert langevin.neutral_type(p, m, fb)
+        ratio = model.direct_ratio(p, fb)
+        assume(fb.port is Port.REFLECTION and ratio >= 1.0 and fb.gain.delay > 0.0)
+        assert ratio >= 1.0 - quasipoly.NEUTRAL_TOL
         assert optimize.evaluate(p, m, fb, "weak_coupling").stable is False
 
     def test_rounded_neutral_loop_is_a_boundary(self, experiment):
@@ -751,7 +747,7 @@ class TestDelayCrossingCount:
             experiment.loop, port=Port.REFLECTION, eta=0.3875837894349707,
             phi=-2.603865296693537, gain=FlatDelay(0.9020343333059879, 7.406897635804175e-07),
         )
-        assert 1.0 - 1e-15 < direct_ratio(p, fb) < 1.0
+        assert 1.0 - 1e-15 < model.direct_ratio(p, fb) < 1.0
         with pytest.raises(InstabilityBoundaryError, match="neutral boundary"):
             langevin.closed_loop_stability(p, m, fb)
         report = optimize.evaluate(p, m, fb, "langevin")
@@ -777,8 +773,8 @@ class TestDelayCrossingCount:
         m = MechanicsParams(1.0, 2.0903354382567845e-07, 10.0, G=1.9826964704114433e-05)
         fb = FeedbackConfig(Port.REFLECTION, -1.4115546916420258, 0.26468896736075864,
                             FlatDelay(1.0198022489570535, 4.715267664420678))
-        assert direct_ratio(p, fb) == pytest.approx(1.0 - 3e-4, rel=1e-12)
-        assert langevin.neutral_type(p, m, fb)
+        assert model.direct_ratio(p, fb) == pytest.approx(1.0 - 3e-4, rel=1e-12)
+        assert model.direct_ratio(p, fb) >= 1.0 - quasipoly.NEUTRAL_TOL
         report = optimize.evaluate(p, m, fb, evaluator)
         assert report.stable is False
         assert report.n_final == math.inf
@@ -787,19 +783,14 @@ class TestDelayCrossingCount:
     @given(loop=flat_loops(max_ratio=3.0))
     def test_ratio_is_the_direct_path_weight(self, loop):
         # the one number of the neutral rule, on both ports: the transmission
-        # port has no direct path
+        # port has no direct path; the closed form is the kernel's |c v|, to
+        # rounding on the subnormal grid where a drawn amplitude is subnormal
         p, m, fb = loop
-        ratio = langevin._DetParts(p, m, fb).ratio
-        assert ratio == pytest.approx(direct_ratio(p, fb), rel=1e-12, abs=0.0)
+        parts = langevin._DetParts(p, m, fb)
+        ratio = model.direct_ratio(p, fb)
+        assert ratio == pytest.approx(abs(parts.c * parts.v), rel=1e-12, abs=1e-300)
         if fb.port is Port.TRANSMISSION:
             assert ratio == 0.0
-
-    def test_neutral_type_of_a_tabulated_gain_is_rejected(self, experiment):
-        loop, omega = experiment.with_gain_norm(0.5), np.geomspace(1e3, 1e9, 50)
-        fb = replace(loop, gain=Tabulated(omega, loop.gain(omega)))
-        with pytest.raises(ValidationError) as raised:
-            langevin.neutral_type(experiment.cavity, experiment.mechanics, fb)
-        assert str(raised.value) == "a tabulated gain's test is langevin.closed_loop_stability"
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -821,7 +812,7 @@ class TestDelayCrossingCount:
             return found.dtype, found.tobytes()
 
         for coef in (real, cplx, [0.0, *real[1:]], [*cplx[:-1], 0j], [0.0, 1.0, -3.0, 2.0, 0.0]):
-            assert outcome(langevin._roots, coef) == outcome(np.roots, coef)
+            assert outcome(quasipoly._roots, coef) == outcome(np.roots, coef)
 
     def test_exact_zero_root_is_on_the_axis(self, monkeypatch, fig1_optical):
         # a zero constant coefficient of P + c Q, in t = x - center, is an
@@ -845,13 +836,13 @@ class TestDelayCrossingCount:
         with pytest.raises(InstabilityBoundaryError, match="real frequency axis"):
             langevin._zero_count(sys.cavity, sys.mechanics, sys.loop)[0]
 
-    def test_root_at_bracket_midpoint_stops_at_once(self, monkeypatch):
+    def test_root_at_bracket_midpoint_stops_at_once(self):
         # F = |P|^2 - |Q|^2 with P = e^{64 (x - 1)} + i h, Q = 1 and c = 1
         # rises through its root at the bracket's midpoint x = 1 to rounding:
         # F(1) = h^2 rounds to 2^-52, whose Newton correction 2^-59 is below
         # half an ulp, so the step lands on x, now the bracket's upper edge.
         # The converged step must stand, not be bisected and walked back.
-        class RootAtMidpoint(langevin._DetParts):
+        class RootAtMidpoint:
             calls = 0
 
             def __init__(self):
@@ -866,9 +857,8 @@ class TestDelayCrossingCount:
                 RootAtMidpoint.calls += 1
                 return (*self.values(x), 64.0 * np.exp(64.0 * (x - 1.0)), 0.0)
 
-        monkeypatch.setattr(langevin, "_MECHANICAL_PROBES", (0.25,))
         parts = RootAtMidpoint()
-        assert langevin._crossing_frequencies(parts, 1.0, 1.0) == [(1.0, 1)]
+        assert quasipoly._crossing_frequencies(parts, 1.0, [0.75, 1.25]) == [(1.0, 1)]
         assert RootAtMidpoint.calls <= 2
 
     @pytest.mark.parametrize("port", list(Port), ids=lambda port: port.value)
@@ -900,8 +890,10 @@ class TestDelayCrossingCount:
                     fb = replace(fb, gain=replace(fb.gain, amplitude=amplitude))
                     parts = Counting(p, m, fb)
                     Counting.calls = 0
-                    c = complex(fb.gain(0.0))
-                    found = langevin._crossing_frequencies(parts, c, m.gamma_m / parts.scale)
+                    c, gamma = complex(fb.gain(0.0)), m.gamma_m / parts.scale
+                    probes = [x for k in langevin._MECHANICAL_PROBES
+                              for x in (parts.center - gamma * k, parts.center + gamma * k)]
+                    found = quasipoly._crossing_frequencies(parts, c, probes)
                     assert Counting.calls <= 3 * len(found), (name, phi, strength)
                     crossings, calls = crossings + len(found), calls + Counting.calls
         assert crossings > 0
@@ -938,7 +930,7 @@ class TestDelayCrossingCount:
         for p, m, fb in undelayed_boundary_loops(rng, 40):
             outcome = zero_count_outcome(p, m, fb)
             assert outcome == zero_count_outcome(p, m, fb, polish_all=True), (p, m, fb)
-            with mock.patch.object(langevin, "_POLISH_STEPS", 0):
+            with mock.patch.object(quasipoly, "_POLISH_STEPS", 0):
                 hanging += zero_count_outcome(p, m, fb) != outcome
         assert hanging >= 5
 
@@ -961,7 +953,7 @@ def zero_count_outcome(p, m, fb, polish_all=False):
     raises; with polish_all, every tau = 0 root is polished
     (closed_form.undelayed_zeros_polishing_all)."""
     undelayed = closed_form.undelayed_zeros_polishing_all if polish_all else None
-    with mock.patch.object(langevin, "_undelayed_zeros", undelayed or langevin._undelayed_zeros):
+    with mock.patch.object(quasipoly, "_undelayed_zeros", undelayed or quasipoly._undelayed_zeros):
         try:
             return langevin._zero_count(p, m, fb)
         except LoopcoolError as exc:
@@ -994,7 +986,7 @@ def undelayed_boundary_loops(rng, draws, port=None, boundary="count"):
 
         def count(amplitude):
             if boundary == "neutral":
-                return langevin._DetParts(*loop(amplitude)).ratio >= 1.0
+                return model.direct_ratio(p, loop(amplitude)[2]) >= 1.0
             try:
                 return langevin._zero_count(*loop(amplitude))[0]
             except LoopcoolError:

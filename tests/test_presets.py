@@ -93,7 +93,7 @@ def test_package_exports_its_modules_only():
         "import sys, loopcool\n"
         "public = {k for k in vars(loopcool) if not k.startswith('_')}\n"
         "modules = {'cooling', 'errors', 'feedback', 'ingest', 'langevin', 'model',\n"
-        "           'optimize', 'presets', 'spectra'}\n"
+        "           'optimize', 'presets', 'quasipoly', 'spectra'}\n"
         "assert public == modules, sorted(public ^ modules)\n"
         "assert all(f'loopcool.{k}' in sys.modules for k in modules)\n"
         "assert isinstance(loopcool.__version__, str)\n"
