@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
            for name, (_, _, text) in _COMMANDS.items()}
     cmd["spectrum"].add_argument(
         "observable",
-        choices=["i_fb", "x_cavity", "q_mech", "n_mech", "squash"],
+        choices=[*langevin.OBSERVABLES, "squash"],
         nargs="?",
         default="squash",
     )

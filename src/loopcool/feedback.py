@@ -99,14 +99,10 @@ def open_loop_transfer(p: CavityParams, fb: FeedbackConfig, omega):
             "open_loop_transfer is the transmission-loop normalization; "
             "use loop_factor for the reflection port"
         )
-    theta, _ = model.input_phase_shifts(p)
-    pref = math.sqrt(fb.eta * p.kappa0 * p.kappa1) / p.kappa
-    return (
-        pref
-        * fb.gain(omega)
-        * model.cavity_susceptibility(p, omega)
-        * cmath.exp(-1j * theta)
-    )
+    port = model.detected_port(p, fb)
+    pref = math.sqrt(fb.eta * p.kappa0 * port.kappa) / p.kappa
+    return (pref * fb.gain(omega) * model.cavity_susceptibility(p, omega)
+            * cmath.exp(-1j * port.theta))
 
 
 def effective_susceptibility(p: CavityParams, fb: FeedbackConfig, omega):
@@ -254,10 +250,10 @@ def _flat_band_edge(p: CavityParams, fb: FeedbackConfig) -> float:
     """Band edge hi for a flat gain: the first of |Delta| + 64 kappa and its
     23 doublings at which the cavity-mediated loop, the loop factor without the
     direct (instantaneous) reflection path, is under the edge guard at +-hi."""
-    _kappa_fb, theta_fb, z = model.port_constants(p, fb)
+    port = model.detected_port(p, fb)
     hi = (abs(p.detuning) + 64.0 * p.kappa) * 2.0 ** np.arange(24)
     probe = np.concatenate([-hi, hi])
-    zeta_cav = model.zeta_out(p, fb, probe) + (1 - z) * math.cos(fb.phi - theta_fb)
+    zeta_cav = model.zeta_out(p, fb, probe) + (1 - port.z) * math.cos(fb.phi - port.theta)
     small = np.abs(2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(probe)) < _EDGE_LOOP_GUARD
     fits = np.flatnonzero(small[:24] & small[24:])
     if not fits.size:
@@ -277,18 +273,16 @@ def stokes_suppression_gain(
         2 g = chi(-wm)* / [chi(-wm)* zeta_out(-wm)
                            - sqrt(kappa_fb/kappa0) zeta_c(-wm) e^{i phi_q}]
 
-    with phi_q the detected-quadrature rotation for the configured port.
+    with (kappa_fb, phi_q) the model.detected_port's (kappa, cavity_angle).
     At eta < 1 (or with undetected ports) the same gain leaves a strictly
     positive Stokes rate.
     """
-    kappa_fb, _theta_fb, _z = model.port_constants(p, fb)
-    phi_q = model.detected_phase(p, fb)
+    port = model.detected_port(p, fb)
     chi_conj = np.conjugate(model.cavity_susceptibility(p, -omega_m))
     zeta = model.zeta_out(p, fb, -omega_m)
     zeta_c = model.zeta_cavity(p, 0.0, -omega_m)
-    denom = chi_conj * zeta - math.sqrt(kappa_fb / p.kappa0) * zeta_c * cmath.exp(
-        1j * phi_q
-    )
+    rotation = cmath.exp(1j * port.cavity_angle)
+    denom = chi_conj * zeta - math.sqrt(port.kappa / p.kappa0) * zeta_c * rotation
     if abs(denom) < _BOUNDARY_EPS:
         raise LoopcoolError(
             "no suppressing gain at this phase: output and cavity responses coincide"

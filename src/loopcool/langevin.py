@@ -38,7 +38,7 @@ from .errors import (
     OptomechanicalInstabilityError,
     ValidationError,
 )
-from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Port
+from .model import CavityParams, FeedbackConfig, FlatDelay, MechanicsParams
 from .quasipoly import convolve
 from .spectra import Spectrum
 
@@ -67,12 +67,12 @@ class _Kernel:
     x_vac).  The frequency enters M only through the diagonal of rows 0-3
     and through g = g_fb(w) in column 4 (`at`); row 4 reads m40, m41 in
     columns 0, 1, the mechanical couplings are -+iG, and N is `noise()`.
+    Row 4 and its noise take the port's rate and angles from model.detected_port.
     Scalars are Python complex, cheap in per-point arithmetic."""
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
-        theta, theta_bar = model.input_phase_shifts(p)
         s0, s1, sp = (math.sqrt(2.0 * k) for k in (p.kappa0, p.kappa1, p.kappa_prime))
-        e_th = cmath.exp(-1j * theta)
+        e_th = cmath.exp(-1j * model.input_phase_shifts(p)[0])
         half_gamma, self.g2 = m.gamma_m / 2.0, m.G**2
         # d_a, d_ac, d_b, d_bc at w = 0; each falls by i w
         self.diag0 = (complex(p.kappa, p.detuning), complex(p.kappa, -p.detuning),
@@ -80,21 +80,16 @@ class _Kernel:
         self.u0, self.u1 = -s0 * e_th, -s0 * e_th.conjugate()
         self.noise_inputs = s0, e_th, s1, sp, m.gamma_m, fb.eta
 
-        # photocurrent, with the detected-port input-output relation inlined
+        # photocurrent, with the detected port's input-output relation inlined: it
+        # reads the cavity field at cavity_angle and the port's input at input_angle
+        port = model.detected_port(p, fb)
         self.sqrt_eta = sqrt_eta = math.sqrt(fb.eta)
-        if fb.port is Port.TRANSMISSION:
-            e_phi, e_phi_c = cmath.exp(1j * fb.phi), cmath.exp(-1j * fb.phi)
-            self.m40, self.m41 = -sqrt_eta * s1 * e_phi, -sqrt_eta * s1 * e_phi_c
-            self.direct = None
-            self.detected = 2, -sqrt_eta * e_phi, -sqrt_eta * e_phi_c
-        else:
-            e_out = cmath.exp(1j * (fb.phi + theta - theta_bar))
-            e_dir = cmath.exp(1j * (fb.phi - theta_bar))
-            self.m40 = -sqrt_eta * s0 * e_out
-            self.m41 = -sqrt_eta * s0 * e_out.conjugate()
-            # the detected direct term: M44 = 1 + sqrt(eta) g (e_dir + e_dir*)
-            self.direct = e_dir + e_dir.conjugate()
-            self.detected = 0, -sqrt_eta * e_dir, -sqrt_eta * e_dir.conjugate()
+        pref = -sqrt_eta * math.sqrt(2.0 * port.kappa)
+        e_out, e_dir = cmath.exp(1j * port.cavity_angle), cmath.exp(1j * port.input_angle)
+        self.m40, self.m41 = pref * e_out, pref * e_out.conjugate()
+        # the reflected direct term: M44 = 1 + sqrt(eta) g (e_dir + e_dir*)
+        self.direct = None if port.z else e_dir + e_dir.conjugate()
+        self.detected = 2 * port.z, -sqrt_eta * e_dir, -sqrt_eta * e_dir.conjugate()
 
     def noise(self) -> np.ndarray:
         """N, built on demand: of the kernel's readers only solve_rows needs it."""

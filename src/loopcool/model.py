@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -280,34 +280,33 @@ def input_phase_shifts(p: CavityParams) -> tuple[float, float]:
     return theta, theta_bar
 
 
-def port_constants(p: CavityParams, fb: FeedbackConfig) -> tuple[float, float, int]:
-    """(kappa_fb, theta_fb, z) for the detected port.
+class DetectedPort(NamedTuple):
+    """The detected mirror's rate, the phase that makes its output's mean field real, z = 1
+    on transmission (0 on reflection), and the homodyne angles to the cavity field and to
+    the mirror's input, which on reflection carries the modulation straight to the detector."""
 
-    Reflection: (kappa0, theta_bar, 0); transmission: (kappa1, theta, 1).
-    """
+    kappa: float
+    theta: float
+    z: int
+    cavity_angle: float
+    input_angle: float
+
+
+def detected_port(p: CavityParams, fb: FeedbackConfig) -> DetectedPort:
+    """The one port branch.  Reflection: (kappa0, theta_bar, 0, phi + theta - theta_bar,
+    phi - theta_bar); transmission: (kappa1, theta, 1, phi, phi)."""
     theta, theta_bar = input_phase_shifts(p)
     if fb.port is Port.REFLECTION:
-        return p.kappa0, theta_bar, 0
-    return p.kappa1, theta, 1
+        return DetectedPort(p.kappa0, theta_bar, 0, fb.phi + theta - theta_bar, fb.phi - theta_bar)
+    return DetectedPort(p.kappa1, theta, 1, fb.phi, fb.phi)
 
 
 def direct_ratio(p: CavityParams, fb: FeedbackConfig) -> float:
     """|c Q_4 / P_4| of a flat gain's det M = P + c e^{i tau w} Q, 1 on the neutral
-    boundary: 2 sqrt(eta) |A cos(phi - theta_bar)| on reflection, 0 on transmission."""
-    if fb.port is Port.TRANSMISSION:
-        return 0.0
-    psi = fb.phi - input_phase_shifts(p)[1]
-    return 2.0 * math.sqrt(fb.eta) * abs(fb.gain.amplitude * math.cos(psi))
-
-
-def detected_phase(p: CavityParams, fb: FeedbackConfig) -> float:
-    """Quadrature rotation between the in-loop modulation and the cavity
-    amplitude quadrature: phi + theta - theta_bar for reflection, phi for
-    transmission."""
-    theta, theta_bar = input_phase_shifts(p)
-    if fb.port is Port.REFLECTION:
-        return fb.phi + theta - theta_bar
-    return fb.phi
+    boundary: 2 sqrt(eta) |A cos(input_angle)| (detected_port) on reflection, 0 on transmission."""
+    port = detected_port(p, fb)
+    return 0.0 if port.z else 2.0 * math.sqrt(fb.eta) * abs(
+        fb.gain.amplitude * math.cos(port.input_angle))
 
 
 def _quadrature_response(p: CavityParams, pref: float, psi: float, omega):
@@ -324,12 +323,12 @@ def zeta_out(p: CavityParams, fb: FeedbackConfig, omega):
 
     zeta(w) = sqrt(kappa0*kappa_fb)/(2*kappa) *
               [chi(w) e^{i(phi-theta_fb)} + chi(-w)* e^{-i(phi-theta_fb)}]
-              - (1-z) cos(phi - theta_fb)
+              - (1-z) cos(phi - theta_fb),   (kappa_fb, theta_fb, z) from detected_port
     """
-    kappa_fb, theta_fb, z = port_constants(p, fb)
-    psi = fb.phi - theta_fb
-    out = _quadrature_response(p, math.sqrt(p.kappa0 * kappa_fb) / (2.0 * p.kappa), psi, omega)
-    return out - math.cos(psi) if z == 0 else out
+    port = detected_port(p, fb)
+    psi = fb.phi - port.theta
+    out = _quadrature_response(p, math.sqrt(p.kappa0 * port.kappa) / (2.0 * p.kappa), psi, omega)
+    return out - math.cos(psi) if port.z == 0 else out
 
 
 def zeta_cavity(p: CavityParams, varphi: float, omega):

@@ -12,11 +12,12 @@ with infinitely many zeros in the upper half plane at any tau > 0 (Hale & Verduy
 1993).
 
 A parts object holds center and p_coef, q_coef: P and Q in t = x - center, highest power
-first, of one length.  parts.values(x) gives the precise P and Q at a real x or an array
-of them, parts(x) P, Q, P' and Q'.
+first; zero_count right-aligns a shorter q_coef with leading zeros.  parts.values(x) gives
+the precise P and Q at a real x or an array of them, parts(x) P, Q, P' and Q'.
 """
 
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -143,7 +144,14 @@ def zero_count(parts, c: complex, tau: float, scale: float, ratio: float, probes
     """(count, margin): h's zeros in the upper half plane, and the smallest tau_k - tau
     > 0 over the +1 crossings (inf if none, 0.0 if the count is not 0).  A `ratio`
     within NEUTRAL_TOL of 1, a real-axis zero or tau > 0 on a crossing raises
-    InstabilityBoundaryError; `probes` are real x probed besides the seeds."""
+    InstabilityBoundaryError; `probes` are real x probed besides the seeds.  A q_coef
+    longer than p_coef (deg Q > deg P) raises ValueError."""
+    pad = len(parts.p_coef) - len(parts.q_coef)
+    if pad < 0:
+        raise ValueError("deg Q > deg P: q_coef is longer than p_coef")
+    if pad:
+        parts = copy.copy(parts)
+        parts.q_coef = [0j] * pad + list(parts.q_coef)
     if abs(ratio - 1.0) <= NEUTRAL_TOL:
         raise InstabilityBoundaryError("loop on the neutral boundary")
     if ratio > 1.0:

@@ -39,10 +39,15 @@ def cavity_quadrature_spectrum(p, fb, omega):
                               Lambda(w)* e^{-i phi_fb}|^2
                              + (kappa - eta kappa_fb)/kappa0 * |Lambda(w)|^2 }
 
-    with (kappa_fb, phi_fb) fixed by the detected port.
+    with (kappa_fb, phi_fb) fixed by the detected port: (kappa0, phi + theta -
+    theta_bar) on reflection, (kappa1, phi) on transmission, taken from the
+    phase shifts here, apart from model.detected_port.
     """
-    kappa_fb, _theta_fb, _z = model.port_constants(p, fb)
-    phi_fb = model.detected_phase(p, fb)
+    theta, theta_bar = model.input_phase_shifts(p)
+    if fb.port is model.Port.REFLECTION:
+        kappa_fb, phi_fb = p.kappa0, fb.phi + theta - theta_bar
+    else:
+        kappa_fb, phi_fb = p.kappa1, fb.phi
     lam = np.asarray(feedback_lambda(p, fb, omega))
     chi = np.asarray(model.cavity_susceptibility(p, omega))
     coherent = chi + math.sqrt(fb.eta * kappa_fb / p.kappa0) * np.conjugate(

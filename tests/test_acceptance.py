@@ -144,7 +144,7 @@ def test_criterion_4_coherent_sum_reduction():
         if np.min(np.abs(d)) < 0.05:
             continue
         rates = cooling.scattering_rates(p, m, fb)
-        phi_q = model.detected_phase(p, fb)
+        phi_q = model.detected_port(p, fb).cavity_angle
         direct = []
         for w in (-m.omega_m, m.omega_m):
             chi = complex(model.cavity_susceptibility(p, w))

@@ -23,7 +23,7 @@ def direct_interference_rates(p, m, fb):
     efficiency on a single detected port, evaluated from the primitive
     response functions (not through the spectrum assembly).  The detected
     quadrature carries the port's static phase reference."""
-    phi_q = model.detected_phase(p, fb)
+    phi_q = model.detected_port(p, fb).cavity_angle
     out = []
     for w in (-m.omega_m, m.omega_m):
         chi = complex(model.cavity_susceptibility(p, w))

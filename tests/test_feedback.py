@@ -280,11 +280,11 @@ def triple(verdict):
 def doubling_band_edge(p, fb):
     """Reference band edge: |Delta| + 64 kappa doubled until the cavity-mediated
     loop is under the edge guard at +-hi, one pair of probes at a time."""
-    _, theta_fb, z = model.port_constants(p, fb)
+    port = model.detected_port(p, fb)
     hi = abs(p.detuning) + 64.0 * p.kappa
     for _ in range(24):
         probe = np.array([-hi, hi])
-        zeta_cav = model.zeta_out(p, fb, probe) + (1 - z) * math.cos(fb.phi - theta_fb)
+        zeta_cav = model.zeta_out(p, fb, probe) + (1 - port.z) * math.cos(fb.phi - port.theta)
         if np.all(np.abs(2.0 * math.sqrt(fb.eta) * zeta_cav * fb.gain(probe)) < 1e-3):
             return hi
         hi *= 2.0

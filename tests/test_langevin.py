@@ -690,7 +690,7 @@ class TestDelayCrossingCount:
 
     def test_neutral_loop_is_unstable(self, fig1_optical):
         p, m = fig1_optical.cavity, fig1_optical.mechanics
-        _kappa_fb, theta_fb, _z = model.port_constants(p, fig1_optical.loop)
+        theta_fb = model.detected_port(p, fig1_optical.loop).theta
         fb = replace(
             fig1_optical.loop, phi=theta_fb, eta=1.0, gain=FlatDelay(-0.6, 1e-8)
         )

@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.constants import hbar, k as k_B
 
@@ -78,6 +80,38 @@ class TestInputPhaseShifts:
         )
         assert theta_bar == pytest.approx(expected)
         assert np.isfinite(theta_bar)
+
+
+_RATES = st.floats(0.0, 1e6)
+
+
+class TestDetectedPort:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kappa0=_RATES, kappa1=_RATES, kappa_prime=st.floats(1e-3, 1e6),
+           detuning=st.floats(-1e6, 1e6), phi=st.floats(-10.0, 10.0))
+    def test_fields_follow_the_input_phase_shifts(self, kappa0, kappa1, kappa_prime,
+                                                  detuning, phi):
+        # reflection detects mirror 0 behind theta_bar, transmission mirror 1
+        # behind theta; equal as floats, one expression each
+        p = CavityParams(kappa0, kappa1, kappa_prime, detuning)
+        theta, theta_bar = model.input_phase_shifts(p)
+        reflection = model.detected_port(p, FeedbackConfig(Port.REFLECTION, phi))
+        transmission = model.detected_port(p, FeedbackConfig(Port.TRANSMISSION, phi))
+        assert reflection == (p.kappa0, theta_bar, 0, phi + theta - theta_bar, phi - theta_bar)
+        assert transmission == (p.kappa1, theta, 1, phi, phi)
+        assert reflection._fields == ("kappa", "theta", "z", "cavity_angle", "input_angle")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(amplitude=st.floats(-model.MAX_GAIN, model.MAX_GAIN),
+           delay=st.floats(0.0, 1e-3), phi=st.floats(-10.0, 10.0),
+           eta=st.floats(0.0, 1.0))
+    def test_transmission_has_no_direct_path(self, amplitude, delay, phi, eta):
+        p = make_cavity()
+        fb = FeedbackConfig(Port.TRANSMISSION, phi, eta, FlatDelay(amplitude, delay))
+        ratio = model.direct_ratio(p, fb)
+        assert ratio == 0.0 and math.copysign(1.0, ratio) == 1.0
+        tabulated = Tabulated(np.array([1.0, 2.0]), np.array([amplitude or 1.0, 1j]))
+        assert model.direct_ratio(p, replace(fb, gain=tabulated)) == 0.0
 
 
 class TestZetaOut:

@@ -1,10 +1,11 @@
 """The delay-crossing zero count on quasi-polynomials of known roots, apart
-from any physics: h(x) = P(x) + c e^{i tau s x} Q(x) with P and Q of degree 2
-to 10, checked against the argument principle."""
+from any physics: h(x) = P(x) + c e^{i tau s x} Q(x) with P of degree 2 to 10
+and Q of degree 0 to P's, checked against the argument principle."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +17,16 @@ class KnownParts:
     """The parts quasipoly reads, for P and Q given by their leading
     coefficients and roots: precise values from the product form, the
     coefficients in t = x - center expanded from it, Q's padded with
-    leading zeros to P's length."""
+    leading zeros to P's length unless `pad` is false."""
 
-    def __init__(self, p_lead, p_roots, q_lead, q_roots, center):
+    def __init__(self, p_lead, p_roots, q_lead, q_roots, center, pad=True):
         self.center = center
         self.factors = [(p_lead, np.array(p_roots)), (q_lead, np.array(q_roots))]
         self.p_coef, q_coef = (
             (lead * np.atleast_1d(np.poly(roots - center))).tolist()
             for lead, roots in self.factors
         )
-        self.q_coef = [0j] * (len(self.p_coef) - len(q_coef)) + q_coef
+        self.q_coef = [0j] * (len(self.p_coef) - len(q_coef)) * pad + q_coef
         self.derivatives = [np.polyder(self.p_coef), np.polyder(self.q_coef)]
 
     def values(self, x):
@@ -128,6 +129,34 @@ class TestZeroCount:
         elif math.isfinite(margin):
             for factor, pair in ((1.0 - 1e-3, 0), (1.0 + 1e-3, 2)):
                 assert box_zero_count(parts, c, (tau + factor * margin) * scale) == pair
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(loop=quasi_polynomials())
+    def test_a_shorter_q_is_right_aligned(self, loop):
+        # Q's coefficients without P's leading zeros count as the padded ones
+        parts, c, tau, scale, ratio = loop
+        (p_lead, p_roots), (q_lead, q_roots) = parts.factors
+        short = KnownParts(p_lead, p_roots, q_lead, q_roots, parts.center, pad=False)
+        outcome = quasipoly.zero_count(short, c, tau, scale, ratio, [])
+        assert outcome == quasipoly.zero_count(parts, c, tau, scale, ratio, [])
+        assert outcome[0] == box_zero_count(short, c, tau * scale)
+
+    @pytest.mark.parametrize("q_lead, q_roots", [
+        (0.3, [0.5 + 0.2j, -0.5 + 0.2j, -0.4j, 0.8j]),  # degree 4 beside 7
+        (2.0, []),  # degree 0
+    ])
+    @pytest.mark.parametrize("tau", [0.0, 0.7, 3.0])
+    def test_unpadded_lower_degree_q(self, q_lead, q_roots, tau):
+        p_roots = [1.0 - 0.5j, -1.0 - 0.5j, 2.0 - 1.0j, -2.0 - 1.0j, -0.3j, -0.7j, -1.5j]
+        parts = KnownParts(1j**7, p_roots, q_lead, q_roots, 0.5, pad=False)
+        assert len(parts.q_coef) < len(parts.p_coef)
+        count, _margin = quasipoly.zero_count(parts, 0.5, tau, 1.0, 0.0, [])
+        assert count == box_zero_count(parts, 0.5, tau)
+
+    def test_a_longer_q_is_rejected(self):
+        parts = KnownParts(-1.0, [-1j, -2j], 1j, [-0.5j, 0.3j, -0.1j], 0.0)
+        with pytest.raises(ValueError, match="deg Q > deg P"):
+            quasipoly.zero_count(parts, 0.5, 1.0, 1.0, 0.0, [])
 
 
 def test_module_imports_only_errors_from_the_package():
