@@ -198,6 +198,7 @@ def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, 
 
 
 def _cmd_cooling(args, artifact, p, m, fb, evaluator):
+    eff = feedback.effective_cavity(p, fb)
     report = optimize.evaluate(p, m, fb, evaluator["kind"], rtol=evaluator["rtol"])
     result = {
         "a_plus": report.rates.a_plus,
@@ -206,9 +207,9 @@ def _cmd_cooling(args, artifact, p, m, fb, evaluator):
         "n_backaction": report.n_backaction,
         "n_final": report.n_final,
         "temperature_final_k": report.temperature_final,
-        "kappa_eff_hz": report.kappa_eff / TWO_PI,
-        "delta_eff_hz": report.delta_eff / TWO_PI,
-        "gain_norm": report.gain_norm,
+        "kappa_eff_hz": eff.kappa_eff / TWO_PI,
+        "delta_eff_hz": eff.delta_eff / TWO_PI,
+        "gain_norm": eff.gain_norm,
         "stable": report.stable,
         "warnings": list(report.warnings),
     }

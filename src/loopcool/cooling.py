@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import feedback, langevin, model
+from . import langevin, model
 from .errors import OptomechanicalInstabilityError, ValidationError
 from .feedback import EffectiveCavity
 from .model import CavityParams, FeedbackConfig, MechanicsParams
@@ -48,9 +48,6 @@ class CoolingReport:
     rates: RatePair
     n_backaction: float
     n_final: float
-    kappa_eff: float
-    delta_eff: float
-    gain_norm: float
     temperature_final: float
     warnings: tuple[str, ...] = ()
 
@@ -94,13 +91,11 @@ def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
 
 
 def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> CoolingReport:
-    """Assemble rates, weak-coupling occupancies and loop bookkeeping for
-    one setting.  It sets no verdict: a report is stable exactly when its
-    n_final is finite, so an anti-damped mode (gamma_opt <= -gamma_m) comes
-    back unstable, and optimize.evaluate decides every other verdict.  For
-    the transmission port the single-pole effective-cavity numbers are
-    attached; for reflection they are reported as NaN (no
-    transmission-style normalization exists there).
+    """Assemble rates and weak-coupling occupancies for one setting.  It
+    sets no verdict: a report is stable exactly when its n_final is finite,
+    so an anti-damped mode (gamma_opt <= -gamma_m) comes back unstable, and
+    optimize.evaluate decides every other verdict (the single-pole cavity
+    is feedback.effective_cavity's).
     """
     warnings = ()
     if m.G > WEAK_COUPLING_RATIO * m.omega_m:
@@ -109,18 +104,10 @@ def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> C
     if rates.gamma_opt < 0:
         warnings = warnings + ("optical anti-damping: a_plus exceeds a_minus",)
     occ = occupancy_weak_coupling(m, rates)
-    if fb.port is model.Port.TRANSMISSION:
-        eff = feedback.effective_cavity(p, fb)
-        kappa_eff, delta_eff, gain_norm = eff.kappa_eff, eff.delta_eff, eff.gain_norm
-    else:
-        kappa_eff = delta_eff = gain_norm = math.nan
     return CoolingReport(
         rates=rates,
         n_backaction=occ.n_backaction,
         n_final=occ.n_final,
-        kappa_eff=kappa_eff,
-        delta_eff=delta_eff,
-        gain_norm=gain_norm,
         temperature_final=occ.temperature_final,
         warnings=warnings,
     )

@@ -42,7 +42,8 @@ _DETUNING_MAX_ITER = 200
 class EffectiveCavity:
     """Single-pole closed-loop cavity: kappa_eff = kappa*(1 - gain_norm),
     delta_eff = Delta - kappa*Im[T(Delta) e^{i phi}].  `valid` flags whether
-    the single-pole regime conditions hold; values are returned either way.
+    the single-pole regime conditions hold; values are returned either way
+    (NaN on the reflection port, see effective_cavity).
     """
 
     kappa_eff: float
@@ -126,8 +127,11 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
     """Single-pole effective cavity seen by a probe near resonance.
 
     gain_norm = Re[T(Delta) e^{i phi}] equals 1 at the stability threshold
-    (kappa_eff = 0).
+    (kappa_eff = 0).  This is the one place that decides they exist only on
+    transmission: on reflection, which has no T, all are NaN and not valid.
     """
+    if fb.port is not Port.TRANSMISSION:
+        return EffectiveCavity(math.nan, math.nan, math.nan, valid=False)
     t_at_delta = open_loop_transfer(p, fb, p.detuning) * cmath.exp(1j * fb.phi)
     gain_norm = float(t_at_delta.real)
     kappa_eff = p.kappa * (1.0 - gain_norm)
@@ -143,10 +147,8 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
 
 
 def unit_gain_norm(p: CavityParams, fb: FeedbackConfig) -> float:
-    """effective_cavity's gain_norm of a flat-gain loop at amplitude 1; NaN on
-    the reflection port, where the transmission normalization does not apply."""
-    if fb.port is not Port.TRANSMISSION:
-        return math.nan
+    """effective_cavity's gain_norm of a flat-gain loop at amplitude 1 (NaN
+    on the reflection port, as effective_cavity's is)."""
     probe = replace(fb, gain=replace(fb.gain, amplitude=1.0))
     return effective_cavity(p, probe).gain_norm
 

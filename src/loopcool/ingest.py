@@ -88,7 +88,12 @@ def _read_rows(path_or_stream):
                 raise ParseError(f"{source}:{lineno}: malformed row {line!r}") from None
             if not all(map(math.isfinite, values)):
                 raise ParseError(f"{source}:{lineno}: non-finite value in row {line!r}")
-            rows.append((values, lineno))
+            if rows and values[0] <= rows[-1][0]:
+                raise ParseError(
+                    f"{source}:{lineno}: non-monotone frequency "
+                    f"({values[0]:g} after {rows[-1][0]:g})"
+                )
+            rows.append(values)
         if not header_seen:
             raise ParseError(f"{source}: empty file")
         if not rows:
@@ -99,27 +104,11 @@ def _read_rows(path_or_stream):
             fh.close()
 
 
-def _check_monotone(values, rows, source):
-    for k in range(1, len(values)):
-        if values[k] <= values[k - 1]:
-            lineno = rows[k][1]
-            raise ParseError(
-                f"{source}:{lineno}: non-monotone frequency "
-                f"({values[k]:g} after {values[k - 1]:g})"
-            )
-
-
 def parse_bode(path_or_stream) -> BodeTrace:
     """Read a network-analyzer trace: header frequency_hz,magnitude_db,phase_rad."""
     rows, source = _read_rows(path_or_stream)
-    f = [r[0][0] for r in rows]
-    _check_monotone(f, rows, source)
-    return BodeTrace(
-        frequency_hz=np.array(f),
-        magnitude_db=np.array([r[0][1] for r in rows]),
-        phase_rad=np.array([r[0][2] for r in rows]),
-        source=source,
-    )
+    f, magnitude_db, phase_rad = np.array(rows).T
+    return BodeTrace(f, magnitude_db, phase_rad, source=source)
 
 
 def cavity_response(p: CavityParams, port: Port, omega) -> np.ndarray:

@@ -128,11 +128,13 @@ def evaluate(
     weak-coupling report first (cooling.cooling_report).  The exact
     evaluator then always hands its gamma_opt to phonon_occupancy, which
     integrates to `rtol`; the closed-loop zero count inside it is the exact
-    evaluator's only verdict.  The weak verdict is the rate sign (an
+    evaluator's only verdict.  The weak verdict is the exact count's neutral
+    band (a flat loop with model.direct_ratio within quasipoly.NEUTRAL_TOL of
+    1 is on the neutral boundary, at any delay), then the rate sign (an
     anti-damped report comes back as it is), then the neutral-type rule (a
-    delayed flat loop with model.direct_ratio >= 1 - quasipoly.NEUTRAL_TOL is
-    unstable), then the G = 0 Nyquist test (a Tabulated gain's exact test at
-    G = 0, where R = D); its `unstable: ` warning names the rule that decided.
+    delayed flat loop past the band is unstable), then the G = 0 Nyquist test
+    (a Tabulated gain's exact test at G = 0, where R = D); its `unstable: `
+    warning names the rule that decided.
 
     Unstable or boundary loops come back with infinite occupancy instead of
     raising, so sweep traces stay complete.  Invalid input raises
@@ -152,11 +154,14 @@ def evaluate(
             return _unstable(report, exc)
         temperature = model.occupancy_to_temperature(n, m.omega_m)
         return replace(report, n_final=n, temperature_final=temperature)
+    ratio = model.direct_ratio(p, fb) if isinstance(fb.gain, FlatDelay) else math.nan
+    if abs(ratio - 1.0) <= quasipoly.NEUTRAL_TOL:
+        return _unstable(report, "loop on the neutral boundary")
     if not report.stable:  # anti-damped: the weak formula has no occupancy
         return report
     if isinstance(fb.gain, Tabulated):
         stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
-    elif fb.gain.delay > 0.0 and model.direct_ratio(p, fb) >= 1.0 - quasipoly.NEUTRAL_TOL:
+    elif fb.gain.delay > 0.0 and ratio > 1.0:
         return _unstable(report, "delayed loop on or past the neutral boundary")
     else:
         stable = feedback.nyquist_stability(p, fb).stable

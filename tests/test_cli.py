@@ -207,6 +207,35 @@ class TestCooling:
         assert code == 2
         assert "no transmission gain normalization" in err
 
+    @pytest.mark.parametrize("kind", ["weak", "langevin"])
+    @pytest.mark.parametrize("system", ["fig1_optical", "fig1_microwave"])
+    def test_reflection_sidecar_has_no_single_pole_cavity(self, tmp_path, capsys, system, kind):
+        # the sidecar's single-pole keys are effective_cavity's, NaN off the
+        # transmission port, written as JSON's NaN token
+        code, _, _, outdir = _run_config(
+            tmp_path, capsys, {"system": system}, ("--evaluator", kind, "cooling")
+        )
+        assert code == 0
+        text = (outdir / "run_cooling.json").read_text()
+        for key in ("delta_eff_hz", "gain_norm", "kappa_eff_hz"):
+            assert f'    "{key}": NaN,\n' in text
+
+    def test_loop_inside_the_neutral_band_exits_three(self, tmp_path, capsys):
+        # fig1_optical's loop without its delay, its direct ratio 3.9e-5 above
+        # 1: the weak evaluator called it stable (n = 0.2508) where the exact
+        # count finds it on the neutral boundary
+        doc = {"system": "fig1_optical",
+               "feedback": {"phi_rad": 1.9901137207329835,
+                            "gain": {"amplitude": 0.6026078407424668, "delay_s": 0.0}}}
+        for kind in ("weak", "langevin"):
+            code, out, err, outdir = _run_config(
+                tmp_path, capsys, doc, ("--evaluator", kind, "cooling")
+            )
+            assert code == 3 and out == "cooling: n_final=inf T=inf K stable=False\n", kind
+            assert err == "error: loop on the neutral boundary\n", kind
+            result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+            assert result["warnings"][-1] == "unstable: loop on the neutral boundary", kind
+
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"system": "experiment", "bogus": 1}))

@@ -57,6 +57,16 @@ class TestOpenLoopTransfer:
         with pytest.raises(ValidationError, match="loop_factor"):
             feedback.open_loop_transfer(p, fb, p.detuning)
 
+    def test_reflection_has_no_single_pole_cavity(self):
+        # effective_cavity decides that the single-pole numbers exist only on
+        # transmission: on reflection they are NaN, and unit_gain_norm's too
+        p = resolved_cavity()
+        fb = FeedbackConfig(port=Port.REFLECTION, gain=FlatDelay(0.1, 1e-7))
+        eff = feedback.effective_cavity(p, fb)
+        assert [math.isnan(x) for x in (eff.kappa_eff, eff.delta_eff, eff.gain_norm)] == [True] * 3
+        assert eff.valid is False
+        assert math.isnan(feedback.unit_gain_norm(p, fb))
+
 
 def squash_spectrum(p, fb, omega):
     """The in-loop photocurrent spectrum with the membrane decoupled, as

@@ -57,6 +57,18 @@ class TestParseBode:
         with pytest.raises(ParseError, match=":5.*non-monotone"):
             ingest.parse_bode(bode_csv([1.0, 2.0, 2.0], [0, 0, 0], [0, 0, 0]))
 
+    @pytest.mark.parametrize("later", ["5.0,nan,0.0", "5.0,0.0", "5.0,x,0.0"],
+                             ids=["non_finite", "too_few", "non_numeric"])
+    def test_first_of_two_defects_is_named(self, later):
+        # one pass over the rows: the non-monotone line 4 is named, not a
+        # later defect on line 5
+        stream = io.StringIO(
+            f"frequency_hz,magnitude_db,phase_rad\n1.0,0,0\n3.0,0,0\n2.0,0,0\n{later}\n"
+        )
+        with pytest.raises(ParseError) as raised:
+            ingest.parse_bode(stream)
+        assert str(raised.value) == "<stream>:4: non-monotone frequency (2 after 3)"
+
     def test_empty_field_is_error(self):
         stream = io.StringIO(
             "frequency_hz,magnitude_db,phase_rad\n1.0,,0.0\n"

@@ -380,13 +380,13 @@ def short_delay_neutral_loop(tau):
 
 
 @st.composite
-def near_neutral_loops(draw):
+def near_neutral_loops(draw, max_log_gap=-1.5):
     """A reflection loop drawn as in flat_loops, its direct-path ratio moved
-    to 1 -+ gap, gap from 1e-15 to 10^-1.5, at tau = 0 or at its drawn delay:
-    on the neutral boundary up to a gap of quasipoly.NEUTRAL_TOL, off it past."""
+    to 1 -+ gap, gap from 1e-15 to 10^max_log_gap, at tau = 0 or at its drawn
+    delay: on the neutral boundary up to a gap of quasipoly.NEUTRAL_TOL, off it past."""
     p, m, fb = draw(flat_loops(max_ratio=math.inf))
     fb = replace(fb, port=Port.REFLECTION, gain=replace(fb.gain, amplitude=1.0))
-    gap = 10.0 ** draw(st.floats(-15.0, -1.5))
+    gap = 10.0 ** draw(st.floats(-15.0, max_log_gap))
     amplitude = (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap) / model.direct_ratio(p, fb)
     assume(amplitude <= model.MAX_GAIN)
     delay = draw(st.sampled_from([0.0, fb.gain.delay]))
@@ -778,6 +778,22 @@ class TestDelayCrossingCount:
         report = optimize.evaluate(p, m, fb, evaluator)
         assert report.stable is False
         assert report.n_final == math.inf
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(loop=near_neutral_loops(max_log_gap=math.log10(0.99 * quasipoly.NEUTRAL_TOL)))
+    def test_loop_inside_the_neutral_band_is_unstable_at_any_delay(self, loop):
+        # the weak evaluator applies the exact count's band at tau = 0 too,
+        # where the G = 0 Nyquist test called such loops stable
+        p, m, fb = loop
+        assert abs(model.direct_ratio(p, fb) - 1.0) <= quasipoly.NEUTRAL_TOL
+        for delay in (0.0, fb.gain.delay):
+            loop = p, m, replace(fb, gain=replace(fb.gain, delay=delay))
+            with pytest.raises(InstabilityBoundaryError, match="neutral boundary"):
+                langevin._zero_count(*loop)
+            assert optimize.evaluate(*loop, "langevin").stable is False
+            weak = optimize.evaluate(*loop, "weak_coupling")
+            assert weak.stable is False
+            assert weak.warnings[-1] == "unstable: loop on the neutral boundary"
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(loop=flat_loops(max_ratio=3.0))

@@ -215,6 +215,18 @@ class TestTabulatedCopies:
             assert math.isinf(copy.n_final)
             assert copy.warnings == flat.warnings
 
+    def test_weak_copy_needs_no_sample_at_the_detuning(self, experiment):
+        # the weak report reads the gain at -+omega_m and on the G = 0
+        # contour, not at the detuning: a trace from 336 kHz, above the
+        # 330 kHz detuning, gives the occupancy of one from 1 Hz
+        p, m = experiment.cavity, experiment.mechanics
+        fb = experiment.with_gain_norm(0.5)
+        cut = tabulated_copy(fb, lo_hz=336e3)
+        assert cut.gain.domain[0] > abs(p.detuning)
+        report = optimize.evaluate(p, m, cut, "weak_coupling")
+        assert report.stable
+        assert report == optimize.evaluate(p, m, tabulated_copy(fb, lo_hz=1.0), "weak_coupling")
+
     @pytest.mark.parametrize("gain_norm", COPY_GAIN_NORMS)
     def test_decoupled_winding_matches_nyquist(self, experiment, gain_norm):
         # the weak verdict's winding conjunct alone, without the rate sign
