@@ -25,6 +25,7 @@ import numpy as np
 from . import feedback, ingest, langevin, model, optimize, presets, spectra
 from .errors import (
     INSTABILITIES,
+    CurveDomainError,
     LoopcoolError,
     NoStablePointError,
     OptomechanicalInstabilityError,
@@ -197,8 +198,17 @@ def _parse_band(text: str | None, default: tuple[float, float]) -> tuple[float, 
 # file suffix to its labelled path under --out
 
 
+def _single_pole(eff: feedback.EffectiveCavity) -> dict:
+    """The sidecar keys of a single-pole cavity, in Hz."""
+    return {"kappa_eff_hz": eff.kappa_eff / TWO_PI, "delta_eff_hz": eff.delta_eff / TWO_PI,
+            "gain_norm": eff.gain_norm}
+
+
 def _cmd_cooling(args, artifact, p, m, fb, evaluator):
-    eff = feedback.effective_cavity(p, fb)
+    try:
+        eff = feedback.effective_cavity(p, fb)
+    except CurveDomainError:  # a trace that misses the detuning has no single pole
+        eff = feedback.NO_SINGLE_POLE
     report = optimize.evaluate(p, m, fb, evaluator["kind"], rtol=evaluator["rtol"])
     result = {
         "a_plus": report.rates.a_plus,
@@ -207,9 +217,7 @@ def _cmd_cooling(args, artifact, p, m, fb, evaluator):
         "n_backaction": report.n_backaction,
         "n_final": report.n_final,
         "temperature_final_k": report.temperature_final,
-        "kappa_eff_hz": eff.kappa_eff / TWO_PI,
-        "delta_eff_hz": eff.delta_eff / TWO_PI,
-        "gain_norm": eff.gain_norm,
+        **_single_pole(eff),
         "stable": report.stable,
         "warnings": list(report.warnings),
     }
@@ -227,12 +235,7 @@ def _cmd_effective_cavity(args, artifact, p, m, fb, evaluator):
     if fb.port is not Port.TRANSMISSION:
         raise ValidationError("effective-cavity needs a transmission-port loop (feedback.port)")
     eff = feedback.effective_cavity(p, fb)
-    result = {
-        "kappa_eff_hz": eff.kappa_eff / TWO_PI,
-        "delta_eff_hz": eff.delta_eff / TWO_PI,
-        "gain_norm": eff.gain_norm,
-        "single_pole_valid": eff.valid,
-    }
+    result = {**_single_pole(eff), "single_pole_valid": eff.valid}
     message = (
         f"effective-cavity: kappa_eff={eff.kappa_eff / TWO_PI:.6g} Hz "
         f"delta_eff={eff.delta_eff / TWO_PI:.6g} Hz gain_norm={eff.gain_norm:.6g}"

@@ -5,7 +5,8 @@ The rate spectrum is the empty-cavity amplitude-quadrature spectrum S_X(w),
 taken from the exact closed-loop solve at G = 0; Stokes and anti-Stokes
 rates follow as A+- = G^2 S_X(-+omega_m), solved in langevin.sideband_rates.
 All spectra use the <O(w)O(w')> = delta(w+w') S(w) convention with shot
-noise 1.
+noise 1.  occupancy_weak_coupling builds the CoolingReport from the rates,
+the one place a report is made; optimize.evaluate settles its verdict.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ class RatePair:
 
 
 @dataclass(frozen=True)
-class Occupancy:
-    n_backaction: float
-    n_final: float
-    temperature_final: float
-
-
-@dataclass(frozen=True)
 class CoolingReport:
     """Principal result record for one operating point."""
 
@@ -68,8 +62,11 @@ def scattering_rates(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) ->
     return RatePair(a_plus=a_plus, a_minus=a_minus)
 
 
-def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
-    """Backaction limit n0 = A+/(A- - A+) and stationary occupancy
+def occupancy_weak_coupling(
+    m: MechanicsParams, rates: RatePair, warnings: tuple[str, ...] = ()
+) -> CoolingReport:
+    """The report of `rates` and `warnings`: backaction limit n0 = A+/(A- - A+)
+    and stationary occupancy
 
         n = (gamma_m n_th + Gamma_opt n0) / (gamma_m + Gamma_opt).
 
@@ -83,11 +80,9 @@ def occupancy_weak_coupling(m: MechanicsParams, rates: RatePair) -> Occupancy:
     if gamma_opt > -m.gamma_m:
         # Gamma_opt * n0 == a_plus, which stays finite for gamma_opt <= 0 too
         n_final = (m.gamma_m * m.n_th + rates.a_plus) / (m.gamma_m + gamma_opt)
-    return Occupancy(
-        n_backaction=n0,
-        n_final=n_final,
-        temperature_final=model.occupancy_to_temperature(n_final, m.omega_m),
-    )
+    temperature = model.occupancy_to_temperature(n_final, m.omega_m)
+    return CoolingReport(rates=rates, n_backaction=n0, n_final=n_final,
+                         temperature_final=temperature, warnings=warnings)
 
 
 def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> CoolingReport:
@@ -103,14 +98,7 @@ def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> C
     rates = scattering_rates(p, m, fb)
     if rates.gamma_opt < 0:
         warnings = warnings + ("optical anti-damping: a_plus exceeds a_minus",)
-    occ = occupancy_weak_coupling(m, rates)
-    return CoolingReport(
-        rates=rates,
-        n_backaction=occ.n_backaction,
-        n_final=occ.n_final,
-        temperature_final=occ.temperature_final,
-        warnings=warnings,
-    )
+    return occupancy_weak_coupling(m, rates, warnings)
 
 
 @dataclass(frozen=True)

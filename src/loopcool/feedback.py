@@ -52,6 +52,10 @@ class EffectiveCavity:
     valid: bool
 
 
+#: the all-NaN cavity of a loop that has no single pole, as on the reflection port
+NO_SINGLE_POLE = EffectiveCavity(math.nan, math.nan, math.nan, valid=False)
+
+
 @dataclass(frozen=True)
 class StabilityVerdict:
     stable: bool
@@ -131,7 +135,7 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
     transmission: on reflection, which has no T, all are NaN and not valid.
     """
     if fb.port is not Port.TRANSMISSION:
-        return EffectiveCavity(math.nan, math.nan, math.nan, valid=False)
+        return NO_SINGLE_POLE
     t_at_delta = open_loop_transfer(p, fb, p.detuning) * cmath.exp(1j * fb.phi)
     gain_norm = float(t_at_delta.real)
     kappa_eff = p.kappa * (1.0 - gain_norm)

@@ -75,6 +75,23 @@ def _check_ranges(record) -> None:
             raise ValidationError(f"{name} must be finite and in [{lo:g}, {hi:g}], got {v}")
 
 
+def check_sampled(record, dtype) -> None:
+    """Store `record`'s omega and values as float and `dtype` arrays; ValidationError,
+    named after the record's type, unless omega is 1-D with at least two strictly
+    increasing samples and values has its shape."""
+    name = type(record).__name__
+    omega = np.asarray(record.omega, dtype=float)
+    values = np.asarray(record.values, dtype=dtype)
+    if omega.ndim != 1 or omega.size < 2:
+        raise ValidationError(f"{name} needs at least two samples")
+    if values.shape != omega.shape:
+        raise ValidationError("omega and values must have matching shapes")
+    if not np.all(np.diff(omega) > 0):
+        raise ValidationError(f"{name} frequencies must strictly increase")
+    object.__setattr__(record, "omega", omega)
+    object.__setattr__(record, "values", values)
+
+
 class Port(Enum):
     """Which cavity output feeds the loop detector."""
 
@@ -171,23 +188,14 @@ class Tabulated:
     _phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if omega.ndim != 1 or omega.size < 2:
-            raise ValidationError("Tabulated needs at least two samples")
-        if values.shape != omega.shape:
-            raise ValidationError("omega and values must have matching shapes")
-        if omega[0] <= 0:
+        check_sampled(self, complex)
+        if self.omega[0] <= 0:
             raise ValidationError("Tabulated frequencies must be positive")
-        if not np.all(np.diff(omega) > 0):
-            raise ValidationError("Tabulated frequencies must strictly increase")
-        mags = np.abs(values)
+        mags = np.abs(self.values)
         if not np.all((mags > 0) & (mags <= MAX_GAIN)):
             raise ValidationError(f"Tabulated sample magnitudes must lie in (0, {MAX_GAIN:g}]")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_log_mag", np.log(mags))
-        object.__setattr__(self, "_phase", np.unwrap(np.angle(values)))
+        object.__setattr__(self, "_phase", np.unwrap(np.angle(self.values)))
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -151,27 +151,29 @@ def evaluate(
         try:
             n = langevin.phonon_occupancy(p, m, fb, rtol, gamma_opt=report.gamma_opt)
         except INSTABILITIES as exc:
-            return _unstable(report, exc)
-        temperature = model.occupancy_to_temperature(n, m.omega_m)
-        return replace(report, n_final=n, temperature_final=temperature)
+            return _settle(report, m, reason=exc)
+        return _settle(report, m, n)
     ratio = model.direct_ratio(p, fb) if isinstance(fb.gain, FlatDelay) else math.nan
     if abs(ratio - 1.0) <= quasipoly.NEUTRAL_TOL:
-        return _unstable(report, "loop on the neutral boundary")
+        return _settle(report, m, reason="loop on the neutral boundary")
     if not report.stable:  # anti-damped: the weak formula has no occupancy
         return report
     if isinstance(fb.gain, Tabulated):
         stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
     elif fb.gain.delay > 0.0 and ratio > 1.0:
-        return _unstable(report, "delayed loop on or past the neutral boundary")
+        return _settle(report, m, reason="delayed loop on or past the neutral boundary")
     else:
         stable = feedback.nyquist_stability(p, fb).stable
-    return report if stable else _unstable(report, "decoupled loop fails the G = 0 Nyquist test")
+    return report if stable else _settle(
+        report, m, reason="decoupled loop fails the G = 0 Nyquist test")
 
 
-def _unstable(report: CoolingReport, reason) -> CoolingReport:
-    """`report` without an occupancy, `reason` its last warning."""
-    return replace(report, n_final=math.inf, temperature_final=math.inf,
-                   warnings=(*report.warnings, f"unstable: {reason}"))
+def _settle(report: CoolingReport, m: MechanicsParams, n=math.inf, reason=None) -> CoolingReport:
+    """`report` with the occupancy `n` and its temperature; a `reason` marks an
+    unstable loop (n = inf) and becomes the last warning, `unstable: <reason>`."""
+    warnings = report.warnings if reason is None else (*report.warnings, f"unstable: {reason}")
+    return replace(report, n_final=n, warnings=warnings,
+                   temperature_final=model.occupancy_to_temperature(n, m.omega_m))
 
 
 def sweep(

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import TWO_PI, CavityParams, FeedbackConfig, FlatDelay, MechanicsParams
+from .model import TWO_PI, CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, check_sampled
 
 CAVITY_KEYS = {
     "kappa0_hz": ("kappa0", TWO_PI),
@@ -95,16 +94,7 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if omega.ndim != 1 or omega.size < 2:
-            raise ValidationError("Spectrum needs at least two samples")
-        if values.shape != omega.shape:
-            raise ValidationError("omega and values must have matching shapes")
-        if not np.all(np.diff(omega) > 0):
-            raise ValidationError("Spectrum frequencies must strictly increase")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", values)
+        check_sampled(self, float)
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:

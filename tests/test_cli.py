@@ -220,6 +220,32 @@ class TestCooling:
         for key in ("delta_eff_hz", "gain_norm", "kappa_eff_hz"):
             assert f'    "{key}": NaN,\n' in text
 
+    def test_trace_that_misses_the_detuning_has_no_single_pole(
+        self, tmp_path, capsys, experiment
+    ):
+        # the experiment loop at gain_norm 0.5 traced from 336 kHz, above the
+        # 330 kHz detuning: the weak report needs the gain at -+omega_m and on
+        # the G = 0 contour only, so cooling writes its occupancy with NaN
+        # single-pole keys, while effective-cavity, which reads the gain at the
+        # detuning, exits 2
+        f = np.geomspace(336e3, 1e8, 5000)
+        path = write_bode_copy(tmp_path / "cut.csv", experiment.with_gain_norm(0.5).gain, f)
+        doc = {"system": "experiment",
+               "feedback": {"gain": {"type": "tabulated", "path": str(path)}}}
+        code, out, err, outdir = _run_config(tmp_path, capsys, doc,
+                                             ("--evaluator", "weak", "cooling"))
+        assert (code, err) == (0, "")
+        result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+        expected = optimize.evaluate(*cli.resolve_config(doc)[:3], "weak_coupling")
+        assert result["n_final"] == expected.n_final == 58336.665166252016
+        text = (outdir / "run_cooling.json").read_text()
+        for key in ("delta_eff_hz", "gain_norm", "kappa_eff_hz"):
+            assert f'    "{key}": NaN,\n' in text
+        code, _, err, outdir = _run_config(tmp_path, capsys, doc, ("effective-cavity",))
+        assert code == 2
+        assert err.startswith("error: evaluation outside tabulated band")
+        assert not (outdir / "run_effective-cavity.json").exists()
+
     def test_loop_inside_the_neutral_band_exits_three(self, tmp_path, capsys):
         # fig1_optical's loop without its delay, its direct ratio 3.9e-5 above
         # 1: the weak evaluator called it stable (n = 0.2508) where the exact

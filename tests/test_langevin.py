@@ -1139,6 +1139,30 @@ class TestPhononOccupancy:
         expected = occupancy_outcome(p, m, fb)
         assert occupancy_outcome(p, m, fb, gamma_opt=gamma_opt) == expected
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(loop=flat_loops())
+    def test_evaluators_share_one_weak_report(self, loop):
+        # cooling_report is occupancy_weak_coupling's report of the solved
+        # rates and its two warnings, and both evaluators start from it: they
+        # differ only in the occupancy and an `unstable: ` reason
+        p, m, fb = loop
+        rates = cooling.scattering_rates(p, m, fb)
+        notes = tuple(note for note, applies in [
+            ("weak-coupling advisory: G > omega_m/20, exact solver is authoritative",
+             m.G > m.omega_m / 20),
+            ("optical anti-damping: a_plus exceeds a_minus", rates.gamma_opt < 0),
+        ] if applies)
+        report = cooling.cooling_report(p, m, fb)
+        assert report == cooling.occupancy_weak_coupling(m, rates, notes)
+
+        def shared(evaluator):
+            r = optimize.evaluate(p, m, fb, evaluator)
+            kept = tuple(w for w in r.warnings if not w.startswith("unstable: "))
+            return repr((r.rates, r.n_backaction, kept))
+
+        assert shared("langevin") == shared("weak_coupling") == repr((rates, report.n_backaction,
+                                                                      notes))
+
     def test_integrand_solves_through_module_attribute(self, monkeypatch, fig1_optical):
         # the tracer wraps langevin.solve_rows: every quadrature round must
         # reach it, so solve_rows.points keeps measuring the quadrature
