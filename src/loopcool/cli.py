@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +63,10 @@ def _get(section: dict, key: str, kind: type, where: str, default=None):
 
 
 def _override(record, section: dict, table, where: str):
-    """`record` with every field `section` names read through `table`; null
-    sets a field whose default is None (drive power, g0) to None."""
-    nullable = {f.name for f in fields(record) if f.default is None}
-    changes = {
-        field: None if section[key] is None and field in nullable
-        else factor * _get(section, key, float, where)
-        for key, (field, factor) in table.items() if key in section
-    }
-    return replace(record, **changes)
+    """`record` with every field `section` names read through `table` as
+    factor * a number."""
+    return replace(record, **{field: factor * _get(section, key, float, where)
+                              for key, (field, factor) in table.items() if key in section})
 
 
 def _load_config(path: str | None) -> dict:

@@ -34,7 +34,6 @@ from .errors import (
     ConvergenceError,
     FitError,
     InstabilityBoundaryError,
-    LoopcoolError,
     OptomechanicalInstabilityError,
     ValidationError,
 )
@@ -68,9 +67,12 @@ class _Kernel:
     and through g = g_fb(w) in column 4 (`at`); row 4 reads m40, m41 in
     columns 0, 1, the mechanical couplings are -+iG, and N is `noise()`.
     Row 4 and its noise take the port's rate and angles from model.detected_port.
-    Scalars are Python complex, cheap in per-point arithmetic."""
+    Scalars are Python complex, cheap in per-point arithmetic.  Every solve,
+    determinant and zero count builds one, so each checks the loop phase
+    (model.check_loop_phase) here."""
 
     def __init__(self, p: CavityParams, m: MechanicsParams, fb: FeedbackConfig):
+        model.check_loop_phase(p, m, fb)
         s0, s1, sp = (math.sqrt(2.0 * k) for k in (p.kappa0, p.kappa1, p.kappa_prime))
         e_th = cmath.exp(-1j * model.input_phase_shifts(p)[0])
         half_gamma, self.g2 = m.gamma_m / 2.0, m.G**2
@@ -330,11 +332,8 @@ def _mechanical_linewidth_guess(
     if m.G == 0.0:
         return m.gamma_m
     if gamma_opt is None:
-        try:
-            a_plus, a_minus = sideband_rates(p, m, fb)
-            gamma_opt = a_minus - a_plus
-        except LoopcoolError:
-            gamma_opt = 0.0
+        a_plus, a_minus = sideband_rates(p, m, fb)
+        gamma_opt = a_minus - a_plus
     return m.gamma_m + abs(gamma_opt)
 
 

@@ -53,10 +53,10 @@ RANGES = {
     "amplitude": (-MAX_GAIN, MAX_GAIN),
     "delay": (0.0, MAX_DELAY),
     "eta": (0.0, 1.0),
-    **dict.fromkeys(("n_th", "drive_power"), (0.0, math.inf)),
-    **dict.fromkeys(("g0", "phi", "phase_offset"), (-math.inf, math.inf)),
-    **dict.fromkeys(("laser_wavelength", "radius", "thickness", "density", "sound_speed",
-                     "stress"), (_POSITIVE, math.inf)),
+    "n_th": (0.0, math.inf),
+    **dict.fromkeys(("phi", "phase_offset"), (-math.inf, math.inf)),
+    **dict.fromkeys(("radius", "thickness", "density", "sound_speed", "stress"),
+                    (_POSITIVE, math.inf)),
 }
 
 
@@ -114,8 +114,6 @@ class CavityParams:
     kappa1: float
     kappa_prime: float
     detuning: float
-    drive_power: float | None = None
-    laser_wavelength: float = 1064e-9
 
     def __post_init__(self):
         _check_ranges(self)
@@ -135,7 +133,6 @@ class MechanicsParams:
     omega_m: float
     gamma_m: float
     n_th: float
-    g0: float | None = None
     G: float = 0.0
 
     def __post_init__(self):
@@ -351,21 +348,22 @@ def zeta_cavity(p: CavityParams, varphi: float, omega):
 
 
 def photon_number_and_coupling(
-    p: CavityParams, m: MechanicsParams
+    p: CavityParams, drive_power: float, laser_wavelength: float, g0: float
 ) -> tuple[float, float]:
-    """Mean intracavity photon number and linearized coupling.
+    """Mean intracavity photon number and linearized coupling of a drive of
+    `drive_power` W at `laser_wavelength` m, at vacuum coupling g0 (rad/s).
 
     n_c = 2*kappa0*P / [hbar*omega_L*(kappa^2 + Delta^2)], G = g0*sqrt(2*n_c).
     """
-    if p.drive_power is None or m.g0 is None:
-        raise ValidationError(
-            "insufficient parameters: drive_power and g0 are both required"
-        )
-    omega_l = TWO_PI * 299792458.0 / p.laser_wavelength
-    n_c = 2.0 * p.kappa0 * p.drive_power / (
+    if not (0.0 <= drive_power < math.inf and 0.0 < laser_wavelength < math.inf
+            and math.isfinite(g0)):
+        raise ValidationError("need a finite drive_power >= 0, laser_wavelength > 0 and g0, "
+                              f"got {drive_power}, {laser_wavelength}, {g0}")
+    omega_l = TWO_PI * 299792458.0 / laser_wavelength
+    n_c = 2.0 * p.kappa0 * drive_power / (
         hbar * omega_l * (p.kappa**2 + p.detuning**2)
     )
-    return n_c, m.g0 * math.sqrt(2.0 * n_c)
+    return n_c, g0 * math.sqrt(2.0 * n_c)
 
 
 @_ranged

@@ -5,15 +5,17 @@ recomputed per process.  The tabletop system ("experiment") was calibrated
 once against three measured benchmarks: the mode thermalizes at 300 K,
 plain sideband cooling at the bare detuning reaches 2 K, and the
 loop-assisted optimum reaches 350 mK.  The linearized coupling G is pinned
-at the 2 K point (quoted incident power overestimates the intracavity
-photon number, see photon_number_and_coupling), the homodyne offset phi
-sets the loop phase at the optimal detuning to the measured margin (the
-electronic chain's extra phase cannot live in a flat-delay gain, whose
-real impulse response pins its offset to 0 or pi, but a quadrature
-rotation is equivalent near resonance), and the loop's noise budget is
-an effective detection efficiency pinned at the 350 mK point: the in-loop
-photocurrent there is dominated by classical electronic/laser noise, which
-enters the quantum model exactly like undetected vacuum.
+at the 2 K point: the quoted drive, 33 uW at 1064 nm with g0/2pi = 0.84 Hz,
+gives about 4x that G^2 through photon_number_and_coupling (incident power
+overestimates the intracavity photon number), so no preset carries the
+power, the wavelength or g0.  The homodyne offset phi sets the loop phase
+at the optimal detuning to the measured margin (the electronic chain's
+extra phase cannot live in a flat-delay gain, whose real impulse response
+pins its offset to 0 or pi, but a quadrature rotation is equivalent near
+resonance), and the loop's noise budget is an effective detection
+efficiency pinned at the 350 mK point: the in-loop photocurrent there is
+dominated by classical electronic/laser noise, which enters the quantum
+model exactly like undetected vacuum.
 
 The two low-noise systems ("fig1_*") are backaction-limited parameter sets
 from published sideband-cooling experiments in the optical and microwave
@@ -66,7 +68,6 @@ _EXP_KAPPA_EMPTY = TWO_PI * 20.15e3
 _EXP_DETUNING = TWO_PI * 330e3
 _EXP_OMEGA_M = TWO_PI * 343.13e3
 _EXP_GAMMA_M = TWO_PI * 1.18
-_EXP_G0 = TWO_PI * 0.84
 _EXP_DELAY = 750e-9
 _EXP_T_BATH = 300.0
 _EXP_T_SIDEBAND = 2.0
@@ -92,8 +93,6 @@ def experiment() -> PresetSystem:
         kappa1=half,
         kappa_prime=0.0,
         detuning=_EXP_DETUNING,
-        drive_power=33e-6,
-        laser_wavelength=1064e-9,
     )
     n_th = model.temperature_to_occupancy(_EXP_T_BATH, _EXP_OMEGA_M)
     n_sc = model.temperature_to_occupancy(_EXP_T_SIDEBAND, _EXP_OMEGA_M)
@@ -102,7 +101,6 @@ def experiment() -> PresetSystem:
         omega_m=_EXP_OMEGA_M,
         gamma_m=_EXP_GAMMA_M,
         n_th=n_th,
-        g0=_EXP_G0,
         G=_EXP_G,
     )
     fb = FeedbackConfig(
@@ -143,7 +141,6 @@ def experiment_empty() -> PresetSystem:
         omega_m=_EXP_OMEGA_M,
         gamma_m=_EXP_GAMMA_M,
         n_th=model.temperature_to_occupancy(_EXP_T_BATH, _EXP_OMEGA_M),
-        g0=0.0,
         G=0.0,
     )
     fb = FeedbackConfig(

@@ -22,14 +22,11 @@ CAVITY_KEYS = {
     "kappa1_hz": ("kappa1", TWO_PI),
     "kappa_prime_hz": ("kappa_prime", TWO_PI),
     "detuning_hz": ("detuning", TWO_PI),
-    "drive_power_w": ("drive_power", 1.0),
-    "laser_wavelength_m": ("laser_wavelength", 1.0),
 }
 MECHANICS_KEYS = {
     "omega_m_hz": ("omega_m", TWO_PI),
     "gamma_m_hz": ("gamma_m", TWO_PI),
     "n_th": ("n_th", 1.0),
-    "g0_hz": ("g0", TWO_PI),
     "coupling_hz": ("G", TWO_PI),
 }
 FEEDBACK_KEYS = {"phi_rad": ("phi", 1.0), "eta": ("eta", 1.0)}
@@ -45,11 +42,8 @@ def _fmt(x: float) -> str:
 
 
 def _echo(record, table) -> dict:
-    echo = {}
-    for key, (field, factor) in table.items():
-        value = getattr(record, field)
-        echo[key] = None if value is None else value / factor
-    return echo
+    """{key: field / factor} over `table`'s rows, the inverse of the config reader."""
+    return {key: getattr(record, field) / factor for key, (field, factor) in table.items()}
 
 
 def echo(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> dict:

@@ -952,13 +952,13 @@ class TestConfigReader:
          _RANGE),  # math.remainder(inf, pi) raised
         ({"feedback": {"gain": {"delay_s": math.nan}}}, _RANGE),
         ({"feedback": {"gain": {"delay_s": 1e300}}}, _RANGE),
-        ({"cavity": {"drive_power_w": math.inf}}, _RANGE),  # echoed as Infinity
-        ({"cavity": {"laser_wavelength_m": math.nan}}, _RANGE),
+        ({"mechanics": {"n_th": math.inf}}, _RANGE),  # echoed as Infinity
+        ({"feedback": {"phi_rad": math.nan}}, _RANGE),
         # in range, but delay * omega_m = 2.2e166 rad leaves the phase no resolution
         ({"feedback": {"gain": {"amplitude": 0.1, "delay_s": 1e160}}},
          "delay too long: loop phase 2.15595e+166 exceeds 1e+06 rad"),
     ], ids=["huge_detuning", "tiny_omega_m", "huge_amplitude", "infinite_phase_offset",
-            "nan_delay", "huge_delay", "infinite_drive_power", "nan_wavelength",
+            "nan_delay", "huge_delay", "infinite_n_th", "nan_phi",
             "unresolved_delay"])
     def test_out_of_range_number_exits_two(self, tmp_path, capsys, doc, message):
         code, _, err, outdir = _run_config(
@@ -966,6 +966,17 @@ class TestConfigReader:
         )
         assert code == 2
         assert message in err
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("section, key", [
+        ("cavity", "drive_power_w"), ("cavity", "laser_wavelength_m"), ("mechanics", "g0_hz"),
+    ], ids=["drive_power_w", "laser_wavelength_m", "g0_hz"])
+    def test_removed_drive_key_exits_two_and_names_it(self, tmp_path, capsys, section, key):
+        # the drive and g0 never set a result; G is the coupling every evaluator reads
+        doc = {"system": "experiment", section: {key: 1.0}}
+        code, out, err, outdir = _run_config(tmp_path, capsys, doc)
+        assert code == 2 and not out
+        assert err == f"error: unknown keys in {section}: ['{key}']\n"
         assert not list(outdir.iterdir())
 
     @pytest.mark.parametrize("command", [["solve"], ["cooling"], ["spectrum", "i_fb"]])
@@ -998,11 +1009,10 @@ _OVERRIDABLE = {
     "cavity": {
         "kappa0_hz": ("kappa0", _HZ), "kappa1_hz": ("kappa1", _HZ),
         "kappa_prime_hz": ("kappa_prime", _HZ), "detuning_hz": ("detuning", _HZ),
-        "drive_power_w": ("drive_power", 1.0), "laser_wavelength_m": ("laser_wavelength", 1.0),
     },
     "mechanics": {
         "omega_m_hz": ("omega_m", _HZ), "gamma_m_hz": ("gamma_m", _HZ),
-        "n_th": ("n_th", 1.0), "g0_hz": ("g0", _HZ), "coupling_hz": ("G", _HZ),
+        "n_th": ("n_th", 1.0), "coupling_hz": ("G", _HZ),
     },
     "feedback": {"phi_rad": ("phi", 1.0), "eta": ("eta", 1.0)},
     "feedback.gain": {
@@ -1013,9 +1023,7 @@ _OVERRIDABLE = {
 _POSITIVE = st.floats(1e-3, 1e9)
 _OVERRIDE_VALUES = {
     "detuning_hz": st.floats(-1e9, 1e9), "phi_rad": st.floats(-10.0, 10.0),
-    "eta": st.floats(0.0, 1.0), "g0_hz": st.floats(-1e3, 1e3) | st.none(),
-    "drive_power_w": _POSITIVE | st.none(), "laser_wavelength_m": st.floats(1e-7, 1e-1),
-    "amplitude": st.floats(-1e6, 1e6), "delay_s": st.floats(0.0, 1e-6),
+    "eta": st.floats(0.0, 1.0), "amplitude": st.floats(-1e6, 1e6), "delay_s": st.floats(0.0, 1e-6),
     "phase_offset_rad": st.sampled_from([0.0, math.pi, -math.pi]),
 }
 
@@ -1028,7 +1036,7 @@ def _partial(section):
 
 
 def _bits(value):
-    return None if value is None else float(value).hex()
+    return float(value).hex()
 
 
 # fuzz documents: arbitrary JSON trees, and documents built from the valid
@@ -1099,8 +1107,7 @@ class TestConfigProperties:
             for key, (field, factor) in _OVERRIDABLE[section].items():
                 expected = getattr(before, field)
                 if key in named[section]:
-                    value = named[section][key]
-                    expected = None if value is None else factor * value
+                    expected = factor * named[section][key]
                 assert _bits(getattr(after, field)) == _bits(expected), (section, key)
         assert fb.port is sys.loop.port and type(fb.gain) is FlatDelay
 

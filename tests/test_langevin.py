@@ -15,6 +15,7 @@ import closed_form
 from loopcool import cooling, feedback, langevin, model, optimize, presets, quasipoly
 from loopcool.errors import (
     ConvergenceError,
+    CurveDomainError,
     FitError,
     InstabilityBoundaryError,
     LoopcoolError,
@@ -1484,6 +1485,30 @@ class TestLinewidthGuess:
         # without coupling there is no optical rate to add
         p, m, fb = toy_system(coupling=0.0, gain=0.25)
         assert langevin._mechanical_linewidth_guess(p, m, fb, 0.02) == m.gamma_m
+
+    def test_a_failed_rates_solve_raises(self, experiment):
+        # a gain traced from 1 MHz misses +-omega_m, so the rates cannot be solved;
+        # the guess used to fall back to gamma_m
+        sys = experiment
+        w = TWO_PI * np.geomspace(1e6, 1e8, 50)
+        fb = replace(sys.loop, gain=Tabulated(w, sys.with_gain_norm(0.5).gain(w)))
+        with pytest.raises(CurveDomainError, match="outside tabulated band"):
+            langevin._mechanical_linewidth_guess(sys.cavity, sys.mechanics, fb)
+
+
+class TestLoopPhaseGate:
+    @pytest.mark.parametrize("name", [
+        "phonon_occupancy", "closed_loop_stability", "delay_margin", "observable_spectrum",
+    ])
+    def test_unresolved_loop_phase_raises(self, experiment, name):
+        # delay * omega_m = 2.2e166 rad leaves the loop phase no resolution; these
+        # used to return an occupancy of 1.219e5, a stable verdict and an inf margin
+        sys = experiment
+        fb = replace(sys.loop, gain=FlatDelay(0.1, 1e160, math.pi))
+        spectrum = name == "observable_spectrum"
+        args = (np.array([sys.mechanics.omega_m]), "n_mech") if spectrum else ()
+        with pytest.raises(ValidationError, match="delay too long"):
+            getattr(langevin, name)(sys.cavity, sys.mechanics, fb, *args)
 
 
 class TestLorentzianExtract:

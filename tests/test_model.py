@@ -201,54 +201,47 @@ class TestZetaCavity:
 
 
 class TestPhotonNumberAndCoupling:
+    # the tabletop drive: 33 uW at 1064 nm, g0/2pi = 0.84 Hz
+    POWER, WAVELENGTH, G0 = 33e-6, 1064e-9, TWO_PI * 0.84
+
     def exp_params(self):
-        p = make_cavity(
-            kappa0=TWO_PI * 10.75e3,
-            kappa1=TWO_PI * 10.75e3,
-            drive_power=33e-6,
-            laser_wavelength=1064e-9,
-        )
-        m = MechanicsParams(
-            omega_m=TWO_PI * 343.13e3,
-            gamma_m=TWO_PI * 1.18,
-            n_th=1.82e7,
-            g0=TWO_PI * 0.84,
-        )
+        p = make_cavity(kappa0=TWO_PI * 10.75e3, kappa1=TWO_PI * 10.75e3)
+        m = MechanicsParams(omega_m=TWO_PI * 343.13e3, gamma_m=TWO_PI * 1.18, n_th=1.82e7)
         return p, m
 
+    def coupling(self, p, power=POWER):
+        return model.photon_number_and_coupling(p, power, self.WAVELENGTH, self.G0)
+
     def test_zero_power(self):
-        p, m = self.exp_params()
-        p = CavityParams(
-            kappa0=p.kappa0, kappa1=p.kappa1, kappa_prime=0.0,
-            detuning=p.detuning, drive_power=0.0,
-        )
-        assert model.photon_number_and_coupling(p, m) == (0.0, 0.0)
+        p, _ = self.exp_params()
+        assert self.coupling(p, 0.0) == (0.0, 0.0)
 
     def test_against_direct_arithmetic(self):
-        p, m = self.exp_params()
-        n_c, coupling = model.photon_number_and_coupling(p, m)
+        p, _ = self.exp_params()
+        n_c, coupling = self.coupling(p)
         omega_l = TWO_PI * 299792458.0 / 1064e-9
         expected_nc = (
             2 * p.kappa0 * 33e-6 / (hbar * omega_l * (p.kappa**2 + p.detuning**2))
         )
         assert n_c == pytest.approx(expected_nc, rel=1e-12)
-        assert coupling == pytest.approx(m.g0 * math.sqrt(2 * n_c), rel=1e-12)
+        assert coupling == pytest.approx(self.G0 * math.sqrt(2 * n_c), rel=1e-12)
 
     def test_power_scaling(self):
-        p, m = self.exp_params()
-        n1, g1 = model.photon_number_and_coupling(p, m)
-        p2 = CavityParams(
-            kappa0=p.kappa0, kappa1=p.kappa1, kappa_prime=0.0,
-            detuning=p.detuning, drive_power=66e-6,
-        )
-        n2, g2 = model.photon_number_and_coupling(p2, m)
+        p, _ = self.exp_params()
+        n1, g1 = self.coupling(p)
+        n2, g2 = self.coupling(p, 66e-6)
         assert n2 == pytest.approx(2 * n1)
         assert g2 == pytest.approx(math.sqrt(2) * g1)
 
-    def test_missing_parameters(self):
-        p, m = self.exp_params()
-        with pytest.raises(ValidationError, match="insufficient parameters"):
-            model.photon_number_and_coupling(make_cavity(), m)
+    @pytest.mark.parametrize("power, wavelength, g0", [
+        (-1e-9, 1064e-9, 1.0), (math.inf, 1064e-9, 1.0), (33e-6, 0.0, 1.0),
+        (33e-6, math.nan, 1.0), (33e-6, 1064e-9, math.nan), (33e-6, 1064e-9, -math.inf),
+    ], ids=["negative_power", "infinite_power", "zero_wavelength", "nan_wavelength",
+            "nan_g0", "infinite_g0"])
+    def test_out_of_range_inputs_raise(self, power, wavelength, g0):
+        p, _ = self.exp_params()
+        with pytest.raises(ValidationError, match="drive_power"):
+            model.photon_number_and_coupling(p, power, wavelength, g0)
 
     @pytest.mark.xfail(
         reason="quoted incident power implies ~4x the G^2 the cooling benchmarks "
@@ -258,7 +251,7 @@ class TestPhotonNumberAndCoupling:
     )
     def test_consistency_with_cooling_benchmarks(self):
         p, m = self.exp_params()
-        _, coupling = model.photon_number_and_coupling(p, m)
+        _, coupling = self.coupling(p)
         n_th = model.temperature_to_occupancy(300.0, m.omega_m)
         n_sc = model.temperature_to_occupancy(2.0, m.omega_m)
         target_sq = n_th * m.gamma_m * p.kappa / (2 * n_sc)
@@ -368,9 +361,8 @@ class TestParamValidation:
 
     # one valid record of each kind; each test below moves one field
     VALID = {
-        CavityParams: dict(kappa0=1.0, kappa1=0.5, kappa_prime=0.1, detuning=0.3,
-                           drive_power=1e-3),
-        MechanicsParams: dict(omega_m=1.0, gamma_m=1e-3, n_th=5.0, g0=2.0, G=0.1),
+        CavityParams: dict(kappa0=1.0, kappa1=0.5, kappa_prime=0.1, detuning=0.3),
+        MechanicsParams: dict(omega_m=1.0, gamma_m=1e-3, n_th=5.0, G=0.1),
         FlatDelay: dict(amplitude=0.5, delay=1e-7),
         FeedbackConfig: dict(phi=0.2, eta=0.5),
         MembraneGeometry: dict(radius=1e-3, thickness=1e-7, density=3e3, sound_speed=500.0),

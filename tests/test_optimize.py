@@ -117,6 +117,20 @@ class TestEvaluate:
                 evaluator=evaluator,
             )
 
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 13: the weak report's only coupling advisory compares G "
+        "with omega_m/20, so it stays silent where the loop-narrowed cavity makes the "
+        "weak n 26 % low",
+    )
+    def test_weak_report_warns_where_it_misses_the_exact_occupancy(self, experiment):
+        # at gain_norm 0.87 the weak report gives T = 0.259 K, the exact one 0.350 K
+        sys = experiment
+        fb = sys.with_gain_norm(0.87)
+        weak = optimize.evaluate(sys.cavity, sys.mechanics, fb, "weak_coupling")
+        exact = optimize.evaluate(sys.cavity, sys.mechanics, fb, "langevin")
+        assert exact.n_final / weak.n_final - 1.0 <= 0.05 or weak.warnings
+
     @pytest.mark.parametrize("evaluator", ["weak_coupling", "langevin"])
     def test_unresolved_loop_phase_raises_before_any_work(
         self, monkeypatch, experiment, evaluator
