@@ -220,9 +220,8 @@ def _cmd_cooling(args, artifact, p, m, fb, evaluator):
         f"cooling: n_final={report.n_final:.6g} "
         f"T={report.temperature_final:.6g} K stable={report.stable}"
     )
-    if not report.stable:  # only an anti-damped weak report names no reason
-        reasons = [w.split(": ", 1)[1] for w in report.warnings if w.startswith("unstable: ")]
-        print("error:", (reasons or ["no stationary weak-coupling occupancy"])[0], file=sys.stderr)
+    if not report.stable:  # its last warning is `unstable: <reason>`
+        print("error:", report.warnings[-1].removeprefix("unstable: "), file=sys.stderr)
     return "cooling", {"result": result}, message, EXIT_OK if report.stable else EXIT_UNSTABLE
 
 

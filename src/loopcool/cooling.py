@@ -87,10 +87,9 @@ def occupancy_weak_coupling(
 
 def cooling_report(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> CoolingReport:
     """Assemble rates and weak-coupling occupancies for one setting.  It
-    sets no verdict: a report is stable exactly when its n_final is finite,
-    so an anti-damped mode (gamma_opt <= -gamma_m) comes back unstable, and
-    optimize.evaluate decides every other verdict (the single-pole cavity
-    is feedback.effective_cavity's).
+    names no verdict: n_final is inf for an anti-damped mode (gamma_opt <=
+    -gamma_m), and optimize.evaluate settles every verdict and names its
+    reason (the single-pole cavity is feedback.effective_cavity's).
     """
     warnings = ()
     if m.G > WEAK_COUPLING_RATIO * m.omega_m:

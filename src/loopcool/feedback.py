@@ -134,6 +134,7 @@ def effective_cavity(p: CavityParams, fb: FeedbackConfig) -> EffectiveCavity:
     (kappa_eff = 0).  This is the one place that decides they exist only on
     transmission: on reflection, which has no T, all are NaN and not valid.
     """
+    model.check_loop_phase_at(fb, max(abs(p.detuning), p.kappa))
     if fb.port is not Port.TRANSMISSION:
         return NO_SINGLE_POLE
     t_at_delta = open_loop_transfer(p, fb, p.detuning) * cmath.exp(1j * fb.phi)
@@ -236,7 +237,7 @@ def nyquist_stability(p: CavityParams, fb: FeedbackConfig) -> StabilityVerdict:
     """Winding number of D(w) = 1 - 2*sqrt(eta)*zeta_out*g_fb around 0 as w
     runs over a FlatDelay gain's contour; stable iff it is zero.  This is the
     membrane-decoupled (G = 0) case of langevin.closed_loop_stability, the
-    test of a Tabulated gain (ValidationError here).
+    test of a Tabulated gain (ValidationError here, as is a delay too long).
 
     The contour and its gain-free factors Z = 2*sqrt(eta)*zeta_out and E =
     FlatDelay.phase_factor are cached by value, one entry each, so a sweep
@@ -245,6 +246,7 @@ def nyquist_stability(p: CavityParams, fb: FeedbackConfig) -> StabilityVerdict:
     """
     if not isinstance(fb.gain, FlatDelay):
         raise ValidationError("a tabulated gain's test is langevin.closed_loop_stability")
+    model.check_loop_phase_at(fb, max(abs(p.detuning), p.kappa))
     hi, gain, key = _flat_band_edge(p, fb), fb.gain, (p.detuning, p.kappa)
     z = _contour_gain_free(p, fb.port, fb.phi, fb.eta, hi)
     e = _contour_phase(gain.delay, gain.phase_offset, *key, hi)

@@ -38,7 +38,7 @@ MIN_OMEGA_M = 1e-6
 MAX_GAIN = 1e6
 #: largest accepted loop delay in s: delay * w < 1e240 for every w up to 1e40 rad/s
 MAX_DELAY = 1e200
-#: largest accepted loop phase of a flat gain in rad (check_loop_phase): past it the
+#: largest accepted loop phase of a flat gain in rad (check_loop_phase_at): past it the
 #: rounding of the lag nears the delay-crossing test's phase tolerance (1e-9)
 MAX_LOOP_PHASE = 1e6
 _POSITIVE = math.ulp(0.0)  # the least positive float: [_POSITIVE, hi] is 0 < x <= hi
@@ -256,9 +256,13 @@ class FeedbackConfig:
 
 
 def check_loop_phase(p: CavityParams, m: MechanicsParams, fb: FeedbackConfig) -> None:
-    """ValidationError if a flat gain's loop phase, delay * max(|Delta|, omega_m, kappa),
-    exceeds MAX_LOOP_PHASE."""
-    phase = getattr(fb.gain, "delay", 0.0) * max(abs(p.detuning), m.omega_m, p.kappa)
+    """check_loop_phase_at the operating point's scale max(|Delta|, omega_m, kappa)."""
+    check_loop_phase_at(fb, max(abs(p.detuning), m.omega_m, p.kappa))
+
+
+def check_loop_phase_at(fb: FeedbackConfig, scale: float) -> None:
+    """ValidationError if a flat gain's loop phase, delay * scale, exceeds MAX_LOOP_PHASE."""
+    phase = getattr(fb.gain, "delay", 0.0) * scale
     if phase > MAX_LOOP_PHASE:
         raise ValidationError(f"delay too long: loop phase {phase:g} exceeds {MAX_LOOP_PHASE:g} rad")
 

@@ -131,13 +131,13 @@ def evaluate(
     evaluator's only verdict.  The weak verdict is the exact count's neutral
     band (a flat loop with model.direct_ratio within quasipoly.NEUTRAL_TOL of
     1 is on the neutral boundary, at any delay), then the rate sign (an
-    anti-damped report comes back as it is), then the neutral-type rule (a
-    delayed flat loop past the band is unstable), then the G = 0 Nyquist test
-    (a Tabulated gain's exact test at G = 0, where R = D); its `unstable: `
-    warning names the rule that decided.
+    anti-damped mode has no weak-coupling occupancy), then the neutral-type
+    rule (a delayed flat loop past the band is unstable), then the G = 0
+    Nyquist test (a Tabulated gain's exact test at G = 0, where R = D).
 
-    Unstable or boundary loops come back with infinite occupancy instead of
-    raising, so sweep traces stay complete.  Invalid input raises
+    An unstable or boundary loop comes back through _settle, not raising, so
+    sweep traces stay complete: n_final inf and a last warning `unstable:
+    <reason>` naming the rule or raise that decided.  Invalid input raises
     ValidationError before any work: evaluator, rtol, loop phase; a band,
     curve-domain, convergence or singular rate-solve failure raises as it is.
     """
@@ -156,8 +156,8 @@ def evaluate(
     ratio = model.direct_ratio(p, fb) if isinstance(fb.gain, FlatDelay) else math.nan
     if abs(ratio - 1.0) <= quasipoly.NEUTRAL_TOL:
         return _settle(report, m, reason="loop on the neutral boundary")
-    if not report.stable:  # anti-damped: the weak formula has no occupancy
-        return report
+    if not report.stable:
+        return _settle(report, m, reason="no stationary weak-coupling occupancy")
     if isinstance(fb.gain, Tabulated):
         stable = langevin.closed_loop_stability(p, replace(m, G=0.0), fb)
     elif fb.gain.delay > 0.0 and ratio > 1.0:

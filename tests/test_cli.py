@@ -108,7 +108,7 @@ class TestCooling:
     ])
     def test_unstable_cooling_names_its_reason_on_stderr(self, tmp_path, capsys, kind, reason):
         # past the loop threshold: one stderr line, solve's own under the
-        # exact evaluator; stdout and the sidecar stay as they were
+        # exact evaluator, and the sidecar's last warning names the same reason
         doc = {"system": "experiment",
                "feedback": {"gain": {"type": "preset_gain_norm", "value": 1.05}}}
         code, out, err, outdir = _run_config(
@@ -116,7 +116,9 @@ class TestCooling:
         )
         assert code == 3 and out == "cooling: n_final=inf T=inf K stable=False\n"
         assert err == f"error: {reason}\n"
-        assert json.loads((outdir / "run_cooling.json").read_text())["result"]["stable"] is False
+        result = json.loads((outdir / "run_cooling.json").read_text())["result"]
+        assert result["stable"] is False
+        assert result["warnings"][-1] == f"unstable: {reason}"
         if kind == "langevin":
             solved, _, solve_err, _ = _run_config(tmp_path, capsys, doc, ("solve",))
             assert solved == 3 and solve_err == err
@@ -138,8 +140,7 @@ class TestCooling:
          "delayed loop on or past the neutral boundary"),
     ], ids=["nyquist", "neutral"])
     def test_weak_unstable_cooling_names_its_rule(self, tmp_path, capsys, doc, reason):
-        # the weak verdict's rule, not the anti-damped fallback, in the
-        # sidecar's warnings and on stderr
+        # the weak verdict's rule in the sidecar's warnings and on stderr
         code, out, err, outdir = _run_config(
             tmp_path, capsys, doc, ("--evaluator", "weak", "cooling")
         )
@@ -184,15 +185,17 @@ class TestCooling:
                           "coupling_hz": 0.05 * w},
             "feedback": {"gain": {"type": "flat_delay", "amplitude": 0.0}},
         }
-        code, out, _, outdir = _run_config(
+        code, out, err, outdir = _run_config(
             tmp_path, capsys, doc, ("--evaluator", "weak", "cooling")
         )
         assert code == 3 and "stable=False" in out
+        assert err == "error: no stationary weak-coupling occupancy\n"
         result = json.loads((outdir / "run_cooling.json").read_text())["result"]
         rates = cooling.scattering_rates(*cli.resolve_config(doc)[:3])
         assert (result["a_plus"], result["a_minus"]) == (rates.a_plus, rates.a_minus)
         assert result["stable"] is False and math.isinf(result["n_final"])
-        assert result["warnings"] == ["optical anti-damping: a_plus exceeds a_minus"]
+        assert result["warnings"] == ["optical anti-damping: a_plus exceeds a_minus",
+                                      "unstable: no stationary weak-coupling occupancy"]
 
     def test_gain_norm_on_reflection_system_exits_two(self, tmp_path, capsys):
         # the normalized gain is defined for the transmission loop only

@@ -265,6 +265,41 @@ class TestNyquist:
         verdict = feedback.nyquist_stability(p, fb)
         assert isinstance(verdict.winding_number, int)
 
+    @pytest.mark.parametrize("system", ["fig1_optical", "fig1_microwave"])
+    def test_max_gain_loop_has_no_band_edge(self, request, system):
+        # at model.MAX_GAIN the cavity-mediated loop stays above the edge guard
+        # at every doubling of |Delta| + 64 kappa, so no contour closes
+        sys = request.getfixturevalue(system)
+        fb = replace(sys.loop, gain=replace(sys.loop.gain, amplitude=model.MAX_GAIN))
+        with pytest.raises(BandError, match="could not find a band edge"):
+            feedback.nyquist_stability(sys.cavity, fb)
+
+
+class TestLoopPhaseGate:
+    """The weak path's public functions check a flat gain's loop phase at
+    max(|Delta|, kappa), the scale they have without a MechanicsParams."""
+
+    @pytest.mark.parametrize("fn", [
+        feedback.nyquist_stability, feedback.effective_cavity, feedback.unit_gain_norm,
+    ], ids=lambda fn: fn.__name__)
+    def test_unresolved_loop_phase_raises(self, experiment, fn):
+        # a delay of 1e160 s used to give a verdict, a kappa_eff and a gain_norm
+        fb = replace(experiment.loop, gain=FlatDelay(0.1, 1e160, math.pi))
+        with pytest.raises(ValidationError, match="delay too long"):
+            fn(experiment.cavity, fb)
+
+    def test_scale_is_the_larger_of_detuning_and_linewidth(self, experiment):
+        # experiment's omega_m is above its detuning, so this gate passes
+        # delays that model.check_loop_phase, at max(|Delta|, omega_m, kappa), refuses
+        p = experiment.cavity
+        delay = model.MAX_LOOP_PHASE / max(abs(p.detuning), p.kappa)
+        gain = FlatDelay(0.1, 0.99 * delay)
+        feedback.effective_cavity(p, replace(experiment.loop, gain=gain))
+        with pytest.raises(ValidationError, match="delay too long"):
+            model.check_loop_phase(p, experiment.mechanics, replace(experiment.loop, gain=gain))
+        with pytest.raises(ValidationError, match="delay too long"):
+            feedback.effective_cavity(p, replace(experiment.loop, gain=FlatDelay(0.1, 1.01 * delay)))
+
 
 def amplitude_sweep(system, points=12):
     """Gain amplitudes 0 to the Stokes-suppressing gain (or gain_norm 0.995)."""
@@ -391,6 +426,9 @@ class TestStokesSuppressionGain:
         gain = feedback.gain_model_at(omega_m, target)
         assert gain(-omega_m) == pytest.approx(target, rel=1e-9)
         assert gain(omega_m) == pytest.approx(target.conjugate(), rel=1e-9)
+
+    def test_gain_model_at_zero_is_the_zero_loop(self):
+        assert feedback.gain_model_at(TWO_PI * 343.13e3, 0j) == FlatDelay(0.0)
 
 
 class TestOptimalBareDetuning:

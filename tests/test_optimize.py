@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcool import cooling, feedback, langevin, optimize
@@ -13,6 +13,7 @@ from loopcool.model import (
     CavityParams, FeedbackConfig, FlatDelay, MechanicsParams, Tabulated,
 )
 from loopcool.optimize import SweepSpec
+from test_langevin import anti_damped_stable_loop, flat_loops
 
 TWO_PI = 2 * math.pi
 
@@ -80,7 +81,21 @@ class TestEvaluate:
         assert report.stable is False
         assert math.isinf(report.n_final) and math.isinf(report.temperature_final)
         assert report.rates == rates
-        assert report.warnings == ("optical anti-damping: a_plus exceeds a_minus",)
+        assert report.warnings == ("optical anti-damping: a_plus exceeds a_minus",
+                                   "unstable: no stationary weak-coupling occupancy")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @example(loop=anti_damped_point())
+    @example(loop=anti_damped_stable_loop())
+    @given(loop=flat_loops())
+    def test_unstable_exactly_when_the_last_warning_names_the_rule(self, loop):
+        # every unstable report, of either evaluator and whatever decided it,
+        # ends with `unstable: <reason>`; a stable one, an exact report of
+        # anti-damped weak rates too, carries no such warning last
+        for evaluator in optimize.EVALUATORS:
+            report = optimize.evaluate(*loop, evaluator)
+            named = bool(report.warnings) and report.warnings[-1].startswith("unstable: ")
+            assert (report.stable is False) is named, evaluator
 
     def test_exact_anti_damped_takes_the_zero_count(self, monkeypatch):
         # the exact path decides an anti-damped point by the closed-loop
@@ -339,6 +354,15 @@ class TestSweep:
             )
         assert all(math.isfinite(v) for v in values_hi)
         assert all(a < b for a, b in zip(values_hi, values_hi[1:]))
+
+    def test_amplitude_sweep_of_a_plain_callable_gain_raises(self, experiment):
+        # a gain that is neither FlatDelay nor Tabulated has no amplitude to set
+        fb = replace(experiment.loop, gain=lambda w: 0.1 + 0.0 * w)
+        with pytest.raises(ValidationError) as raised:
+            optimize.apply_variable(
+                experiment.cavity, experiment.mechanics, fb, "gain_amplitude", 1.0
+            )
+        assert str(raised.value) == "gain model does not support amplitude sweeps"
 
 
 def golden_section(fn, lo, hi, tol):
